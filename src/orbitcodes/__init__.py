@@ -16,8 +16,7 @@ from .matspace import (Mat, Subspace, char_poly, format_matrix,
                        intersection_dim, is_irreducible_matrix, matrix_order,
                        parse_matrix, parse_matrix_blocks, random_invertible,
                        row_times_mat, subspace_apply, subspace_distance,
-                       subspace_from_rows, to_companion_similarity,
-                       vector_from_index)
+                       to_companion_similarity, vector_from_index)
 from .fieldmap import ExponentProfile, ExtensionContext, OrbitPartition
 from .orbitcode import (AnalysisReport, DifferenceMultiset, OrbitCode,
                         analyze, analyze_nonprimitive, build_spread_start,
@@ -34,7 +33,7 @@ __all__ = [
     "Poly", "parse_poly", "format_poly", "poly_gcd", "poly_powmod",
     "is_irreducible", "order_of_polynomial", "is_primitive",
     "companion_matrix", "list_irreducibles",
-    "Mat", "Subspace", "subspace_from_rows", "subspace_distance",
+    "Mat", "Subspace", "subspace_distance",
     "intersection_dim", "subspace_apply", "matrix_order", "char_poly",
     "is_irreducible_matrix", "to_companion_similarity", "groups_conjugate",
     "grassmannian", "gaussian_binomial", "random_invertible",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from . import __version__
 from .errors import DomainError, ParseError
 from .fieldmap import ExtensionContext
-from .gfq import FieldSpec
+from .gfq import DESK_SCALE_CAP, FieldSpec, _prime_factors
 from .matspace import Subspace, format_matrix, parse_matrix
 from .orbitcode import (AnalysisReport, analyze, build_spread_start,
                         check_sidon_condition, find_sidon_subspace,
@@ -64,33 +64,22 @@ class ReportDocument:
     @classmethod
     def from_analysis(cls, report: AnalysisReport, poly: Poly, start: Subspace,
                       base_modulus: Poly | None = None) -> "ReportDocument":
-        return cls(
+        """Fields named as in AnalysisReport are copied; the rest are set here."""
+        derived = dict(
             schema=1,
             tool=f"orbitcodes {__version__}",
-            mode=report.mode,
-            q=report.q,
             base_modulus=format_poly(base_modulus) if base_modulus else None,
             poly=format_poly(poly),
-            n=report.n,
-            k=report.k,
             start=tuple(format_matrix(start.mat).split("\n")),
-            group_order=report.group_order,
-            membership=report.membership,
-            orbit_exponents=report.orbit_exponents,
             per_orbit_differences=tuple(tuple(dm.items())
                                         for dm in report.per_orbit_differences),
             merged_differences=tuple(report.differences.items()),
-            stabilizer_shifts=report.stabilizer_shifts,
-            predicted_cardinality=report.predicted_cardinality,
-            intersection_dim=report.intersection_dim,
-            predicted_distance=report.predicted_distance,
-            all_orbits_distinct=report.all_orbits_distinct,
-            spread=report.spread,
             oracle_run=report.verified,
-            verified_cardinality=report.verified_cardinality,
-            verified_distance=report.verified_distance,
             verified_agrees=report.verification_ok,
         )
+        shared = {f.name: getattr(report, f.name) for f in fields(cls)
+                  if f.name not in derived}
+        return cls(**shared, **derived)
 
 
 def _fmt(value) -> str:
@@ -149,11 +138,27 @@ def _parse_pairs(s):
     return tuple(out)
 
 
+#: Value parser for each ReportDocument field type, keyed by annotation.  A
+#: type missing here is a tuple rendered one "name.i" line per entry, and
+#: each entry parses by the element type.
+_PARSERS = {
+    "int": int,
+    "str": str,
+    "str | None": lambda s: None if s == "-" else s,
+    "int | None": _parse_opt_int,
+    "bool": _parse_bool,
+    "bool | None": _parse_bool,
+    "tuple[str, ...]": lambda s: tuple(s.split(";")),
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[tuple[int, int], ...]": _parse_pairs,
+}
+
+
 def parse_report(text: str) -> ReportDocument:
     """Inverse of render_report."""
     raw: dict[str, str] = {}
-    indexed: dict[str, list[tuple[int, str]]] = {"orbit_exponents": [],
-                                                 "per_orbit_differences": []}
+    indexed: dict[str, list[tuple[str, str]]] = {
+        f.name: [] for f in fields(ReportDocument) if f.type not in _PARSERS}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -162,40 +167,25 @@ def parse_report(text: str) -> ReportDocument:
         key, value = line.split(" = ", 1)
         base, _, idx = key.partition(".")
         if base in indexed and idx:
-            indexed[base].append((int(idx), value))
+            indexed[base].append((idx, value))
         else:
             raw[key] = value
-    try:
-        return ReportDocument(
-            schema=int(raw["schema"]),
-            tool=raw["tool"],
-            mode=raw["mode"],
-            q=int(raw["q"]),
-            base_modulus=None if raw["base_modulus"] == "-" else raw["base_modulus"],
-            poly=raw["poly"],
-            n=int(raw["n"]),
-            k=int(raw["k"]),
-            start=tuple(raw["start"].split(";")),
-            group_order=int(raw["group_order"]),
-            membership=_parse_int_tuple(raw["membership"]),
-            orbit_exponents=tuple(_parse_int_tuple(v) for _, v
-                                  in sorted(indexed["orbit_exponents"])),
-            per_orbit_differences=tuple(_parse_pairs(v) for _, v
-                                        in sorted(indexed["per_orbit_differences"])),
-            merged_differences=_parse_pairs(raw["merged_differences"]),
-            stabilizer_shifts=_parse_int_tuple(raw["stabilizer_shifts"]),
-            predicted_cardinality=int(raw["predicted_cardinality"]),
-            intersection_dim=int(raw["intersection_dim"]),
-            predicted_distance=_parse_opt_int(raw["predicted_distance"]),
-            all_orbits_distinct=_parse_bool(raw["all_orbits_distinct"]),
-            spread=_parse_bool(raw["spread"]),
-            oracle_run=_parse_bool(raw["oracle_run"]),
-            verified_cardinality=_parse_opt_int(raw["verified_cardinality"]),
-            verified_distance=_parse_opt_int(raw["verified_distance"]),
-            verified_agrees=_parse_bool(raw["verified_agrees"]),
-        )
-    except KeyError as exc:
-        raise ParseError(f"report is missing key {exc.args[0]!r}") from None
+    values = {}
+    for f in fields(ReportDocument):
+        if f.name not in indexed and f.name not in raw:
+            raise ParseError(f"report is missing key {f.name!r}")
+        try:
+            if f.name in indexed:
+                parse = _PARSERS[f.type.removeprefix("tuple[").removesuffix(", ...]")]
+                entries = sorted((int(i), v) for i, v in indexed[f.name])
+                values[f.name] = tuple(parse(v) for _, v in entries)
+            else:
+                values[f.name] = _PARSERS[f.type](raw[f.name])
+        except ParseError:
+            raise
+        except ValueError:
+            raise ParseError(f"report key {f.name!r} has a malformed value") from None
+    return ReportDocument(**values)
 
 
 # -- shared option handling ------------------------------------------------
@@ -204,20 +194,17 @@ def _base_field(q: int, base_modulus: str | None) -> FieldSpec:
     """Resolve -q / --base-modulus into a base field."""
     if q < 2:
         raise DomainError(f"field order {q} is too small")
-    p = q
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            p = d
-            break
-        d += 1
-    r = 0
-    qq = q
-    while qq % p == 0 and qq > 1:
-        qq //= p
-        r += 1
-    if qq != 1:
+    # The cap comes first: it bounds the trial division below.
+    if q > DESK_SCALE_CAP:
+        raise DomainError(
+            f"field order {q} exceeds the desk-scale cap {DESK_SCALE_CAP}")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise DomainError(f"field order {q} is not a prime power")
+    p = primes[0]
+    r = 0
+    while q % p ** (r + 1) == 0:
+        r += 1
     prime = FieldSpec(p)
     if r == 1:
         if base_modulus:
@@ -604,10 +591,7 @@ def main(argv=None) -> int:
         return exc.code or 0
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

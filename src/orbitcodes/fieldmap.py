@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .gfq import FieldElement, FieldSpec
+from .gfq import FieldElement, FieldSpec, _prime_factors
 from .matspace import Subspace
-from .polyring import Poly, _prime_factors, order_of_polynomial
+from .polyring import Poly, order_of_polynomial
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,19 @@ from .errors import DomainError
 DESK_SCALE_CAP = 1 << 24
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_factors(n: int) -> list[int]:
+    """Sorted distinct prime factors, by trial division."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
 
 
 class FieldSpec:
@@ -47,11 +51,12 @@ class FieldSpec:
 
     def __init__(self, p: int):
         """Create the prime field Z_p."""
-        if not _is_prime(p):
-            raise DomainError(f"characteristic {p} is not prime")
+        # The cap comes first: it bounds the trial division below.
         if p > DESK_SCALE_CAP:
             raise DomainError(
                 f"field cardinality {p} exceeds the desk-scale cap {DESK_SCALE_CAP}")
+        if _prime_factors(p) != [p]:
+            raise DomainError(f"characteristic {p} is not prime")
         self.p = p
         self.subfield = None
         self.modulus = None

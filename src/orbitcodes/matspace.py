@@ -42,9 +42,6 @@ class Mat:
         zero, one = field.zero(), field.one()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def row(self, i: int) -> tuple[FieldElement, ...]:
-        return self.rows[i]
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -184,10 +181,6 @@ class Subspace:
             self._flat = tuple(rows.field.index_of(e)
                                for r in self.mat.rows for e in r)
 
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows) -> "Subspace":
-        return cls(Mat(field, rows))
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -211,27 +204,14 @@ class Subspace:
         """All q^k - 1 nonzero vectors, by mixed-radix combination index."""
         if self.dim == 0:
             return
-        Q = self.field.order
         zero = self.field.zero()
-        for i in range(1, Q ** self.dim):
-            coeffs = []
-            rest = i
-            for _ in range(self.dim):
-                rest, digit = divmod(rest, Q)
-                coeffs.append(self.field.from_index(digit))
+        for i in range(1, self.field.order ** self.dim):
+            coeffs = vector_from_index(self.field, self.dim, i)
             vec = [zero] * self.ambient
             for c, row in zip(coeffs, self.mat.rows):
                 if c:
                     vec = [v + c * e for v, e in zip(vec, row)]
             yield tuple(vec)
-
-    def apply(self, a: Mat) -> "Subspace":
-        return subspace_apply(self, a)
-
-
-def subspace_from_rows(rows: Mat) -> Subspace:
-    """Canonical subspace spanned by the rows of a matrix."""
-    return Subspace(rows)
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
@@ -392,19 +372,16 @@ def grassmannian(field: FieldSpec, k: int, n: int) -> Iterator[Subspace]:
     """
     if not 0 < k <= n:
         raise DomainError("grassmannian requires 0 < k <= n")
-    Q = field.order
     zero, one = field.zero(), field.one()
     for pivots in itertools.combinations(range(n), k):
         free = [(i, j) for i in range(k) for j in range(n)
                 if j > pivots[i] and j not in pivots]
-        for idx in range(Q ** len(free)):
+        for idx in range(field.order ** len(free)):
             rows = [[zero] * n for _ in range(k)]
             for i, p in enumerate(pivots):
                 rows[i][p] = one
-            rest = idx
-            for (i, j) in free:
-                rest, digit = divmod(rest, Q)
-                rows[i][j] = field.from_index(digit)
+            for (i, j), entry in zip(free, vector_from_index(field, len(free), idx)):
+                rows[i][j] = entry
             yield Subspace(Mat(field, rows))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
-from .gfq import DESK_SCALE_CAP, FieldSpec
+from .gfq import FieldSpec
 from .matspace import (Mat, Subspace, format_matrix, grassmannian,
                        matrix_order, parse_matrix_blocks, subspace_apply,
                        subspace_distance)
@@ -64,13 +64,13 @@ class OrbitCode:
                 f"n={self.start.ambient}, ord(P)={self.generator_order})")
 
 
-def generate_orbit(u: Subspace, p: Mat, cap: int = DESK_SCALE_CAP) -> OrbitCode:
+def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     """Iterate u <- u P until the start returns; codewords sorted."""
     if u.dim == 0:
         raise DomainError("orbit codes need a starting subspace of dimension >= 1")
     if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
         raise DomainError("generator does not act on the starting subspace")
-    order = matrix_order(p, cap)  # also rejects singular p
+    order = matrix_order(p)  # also rejects singular p
     words = [u]
     v = subspace_apply(u, p)
     while v != u:
@@ -81,8 +81,7 @@ def generate_orbit(u: Subspace, p: Mat, cap: int = DESK_SCALE_CAP) -> OrbitCode:
 
 
 def _codeword_list(code) -> list[Subspace]:
-    words = list(code.codewords) if isinstance(code, OrbitCode) else sorted(set(code))
-    return words
+    return list(code.codewords) if isinstance(code, OrbitCode) else sorted(set(code))
 
 
 def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
@@ -107,13 +106,7 @@ def min_distance_orbit(code: OrbitCode) -> int:
     if len(code) < 2:
         raise DomainError("minimum distance needs at least two codewords")
     u = code.start
-    best = None
-    v = subspace_apply(u, code.generator)
-    while v != u:
-        d = subspace_distance(u, v)
-        best = d if best is None else min(best, d)
-        v = subspace_apply(v, code.generator)
-    return best
+    return min(subspace_distance(u, v) for v in code.codewords if v != u)
 
 
 def build_spread_start(k: int, n: int, poly: Poly) -> Subspace:
@@ -145,17 +138,8 @@ def check_sidon_condition(profile: ExponentProfile, modulus: int) -> bool:
     For such a profile over F_2 with a primitive generator the orbit code
     has cardinality 2^n - 1 and minimum distance 2k - 2.
     """
-    exps = profile.exponents
-    seen = set()
-    for a in exps:
-        for b in exps:
-            if a == b:
-                continue
-            d = (b - a) % modulus
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
+    diffs = DifferenceMultiset.from_exponents(profile.exponents, modulus)
+    return all(m == 1 for _, m in diffs.items())
 
 
 def find_sidon_subspace(ctx: ExtensionContext, k: int) -> Subspace:
@@ -274,8 +258,10 @@ def _int_log(q: int, value: int) -> int:
     return d
 
 
-def _difference_analysis(k, q, group_order, orbit_exponents):
-    """Shared predictor core over per-orbit exponent sets mod group_order."""
+def _predict(u, ctx, group_order, membership, orbit_exponents, verify):
+    """Shared predictor core over per-orbit exponent sets mod group_order;
+    the primitive case is one orbit holding all q^k - 1 vectors of u."""
+    q, k, n = ctx.q, u.dim, ctx.n
     full = q ** k - 1
     per = tuple(DifferenceMultiset.from_exponents(exps, group_order)
                 for exps in orbit_exponents)
@@ -285,13 +271,17 @@ def _difference_analysis(k, q, group_order, orbit_exponents):
     rest = [m for a, m in merged.items() if m != full]
     d = _int_log(q, max(rest, default=0) + 1)
     distance = None if cardinality == 1 else 2 * k - 2 * d
-    return per, merged, stabilizers, cardinality, d, distance
-
-
-def _is_spread(q, k, n, cardinality, distance) -> bool:
-    return (n % k == 0
-            and cardinality == (q ** n - 1) // (q ** k - 1)
-            and (cardinality == 1 or distance == 2 * k))
+    report = AnalysisReport(
+        mode="primitive" if ctx.primitive else "nonprimitive",
+        q=q, n=n, k=k, group_order=group_order, membership=membership,
+        orbit_exponents=orbit_exponents, per_orbit_differences=per,
+        differences=merged, stabilizer_shifts=stabilizers,
+        predicted_cardinality=cardinality, intersection_dim=d,
+        predicted_distance=distance,
+        all_orbits_distinct=all(m <= 1 for m in membership),
+        spread=(n % k == 0 and cardinality == (q ** n - 1) // full
+                and (cardinality == 1 or distance == 2 * k)))
+    return verify_report(report, u, ctx) if verify else report
 
 
 def predict_primitive(u: Subspace, ctx: ExtensionContext,
@@ -300,19 +290,8 @@ def predict_primitive(u: Subspace, ctx: ExtensionContext,
     companion matrix, from the difference multiset of u's exponents."""
     if not ctx.primitive:
         raise DomainError("predict_primitive requires a primitive context")
-    profile = ctx.exponent_profile(u)
-    big = ctx.field.order - 1
-    per, merged, stab, card, d, dist = _difference_analysis(
-        u.dim, ctx.q, big, (profile.exponents,))
-    report = AnalysisReport(
-        mode="primitive", q=ctx.q, n=ctx.n, k=u.dim, group_order=big,
-        membership=(len(profile.exponents),),
-        orbit_exponents=(profile.exponents,),
-        per_orbit_differences=per, differences=merged, stabilizer_shifts=stab,
-        predicted_cardinality=card, intersection_dim=d, predicted_distance=dist,
-        all_orbits_distinct=len(profile.exponents) <= 1,
-        spread=_is_spread(ctx.q, u.dim, ctx.n, card, dist))
-    return verify_report(report, u, ctx) if verify else report
+    exps = ctx.exponent_profile(u).exponents
+    return _predict(u, ctx, ctx.field.order - 1, (len(exps),), (exps,), verify)
 
 
 def analyze_nonprimitive(u: Subspace, ctx: ExtensionContext,
@@ -328,16 +307,8 @@ def analyze_nonprimitive(u: Subspace, ctx: ExtensionContext,
     if ctx.primitive:
         raise DomainError("context is primitive; use predict_primitive")
     part = ctx.orbit_partition(u)
-    per, merged, stab, card, d, dist = _difference_analysis(
-        u.dim, ctx.q, part.size, part.orbit_exponents)
-    report = AnalysisReport(
-        mode="nonprimitive", q=ctx.q, n=ctx.n, k=u.dim, group_order=part.size,
-        membership=part.membership, orbit_exponents=part.orbit_exponents,
-        per_orbit_differences=per, differences=merged, stabilizer_shifts=stab,
-        predicted_cardinality=card, intersection_dim=d, predicted_distance=dist,
-        all_orbits_distinct=all(m <= 1 for m in part.membership),
-        spread=_is_spread(ctx.q, u.dim, ctx.n, card, dist))
-    return verify_report(report, u, ctx) if verify else report
+    return _predict(u, ctx, part.size, part.membership, part.orbit_exponents,
+                    verify)
 
 
 def analyze(u: Subspace, ctx: ExtensionContext, verify: bool = False) -> AnalysisReport:
@@ -406,9 +377,9 @@ def parse_code(text: str, base_field: FieldSpec | None = None
     if base_field is None:
         try:
             base_field = FieldSpec(q)
-        except DomainError:
-            raise ParseError(f"base field of order {q} is not prime; "
-                             "the field must be supplied explicitly") from None
+        except DomainError as exc:
+            raise ParseError(f"base field of order {q}: {exc}; a prime-power "
+                             "field must be supplied explicitly") from None
     elif base_field.order != q:
         raise ParseError(f"header says q = {q} but the field has order {base_field.order}")
     blocks = parse_matrix_blocks(base_field, "\n".join(lines[1:]))

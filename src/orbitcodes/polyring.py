@@ -19,22 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldElement, FieldSpec
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime factors, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .gfq import DESK_SCALE_CAP, FieldElement, FieldSpec, _prime_factors
 
 
 class Poly:
@@ -289,6 +274,8 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
     Enumerates x^degree + (low part) with the low part running through the
     field's mixed-radix enumeration, so the output order is fixed.
     """
+    from .matspace import vector_from_index
+
     if degree < 1:
         raise DomainError("degree must be at least 1")
     Q = field.order
@@ -298,12 +285,7 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
     one = field.one()
     out = []
     for i in range(Q ** degree):
-        coeffs = []
-        rest = i
-        for _ in range(degree):
-            rest, digit = divmod(rest, Q)
-            coeffs.append(field.from_index(digit))
-        f = Poly(field, coeffs + [one])
+        f = Poly(field, vector_from_index(field, degree, i) + (one,))
         if is_irreducible(f):
             out.append(f)
     return out

@@ -1,5 +1,7 @@
 
-from orbitcodes import FieldSpec, min_distance_brute, parse_code
+import pytest
+
+from orbitcodes import FieldSpec, ParseError, min_distance_brute, parse_code
 from orbitcodes.cli import ReportDocument, main, parse_report, render_report
 
 
@@ -46,6 +48,20 @@ class TestPoly:
     def test_non_prime_power_exits_3(self, capsys):
         code, _, err = run(capsys, "poly", "list", "-q", "6", "-n", "2")
         assert code == 3 and "prime power" in err
+
+    @pytest.mark.parametrize("q,modulus,expected_code,fragment", [
+        ("1", None, 3, "too small"),
+        ("8", "x^3+x+1", 0, "x^2+x+[3]"),
+        ("9", None, 2, "base-modulus"),
+        ("2", "x+1", 2, "only applies to prime-power q"),
+        ("4", "x^3+x+1", 3, "degree 2"),
+        ("2305843009213693951", None, 3, "cap"),  # 2^61 - 1, a prime
+    ], ids=["q1", "q8", "q9-no-modulus", "q2-with-modulus", "q4-cubic-modulus",
+            "q2^61-1"])
+    def test_base_field_resolution(self, capsys, q, modulus, expected_code, fragment):
+        flags = ["--base-modulus", modulus] if modulus else []
+        code, out, err = run(capsys, "poly", "list", "-q", q, *flags, "-n", "2")
+        assert code == expected_code and fragment in out + err
 
 
 class TestSpread:
@@ -120,6 +136,21 @@ class TestAnalyze:
                            "--start", str(tmp_path / "absent.mat"))
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("q = 2", "q = two", "'q' has a malformed value"),
+        ("orbit_exponents.0 = ", "orbit_exponents.x = ", "'orbit_exponents' has a malformed"),
+        ("membership = 1,1,1", "membership = 1,,1", "'membership' has a malformed"),
+        ("merged_differences = -", "merged_differences = 3", "'merged_differences' has"),
+        ("spread = true", "spread = yes", "expected a boolean, got 'yes'$"),
+        ("q = 2\n", "", "missing key 'q'"),
+    ], ids=["int", "index", "empty-entry", "pair-without-colon", "bool", "missing"])
+    def test_malformed_report_raises_parse_error(self, capsys, old, new, message):
+        _, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x^3+x^2+x+1",
+                        "--start-rows", "1000;0011")
+        assert old in out
+        with pytest.raises(ParseError, match=message):
+            parse_report(out.replace(old, new, 1))
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         report_file = tmp_path / "report.txt"
         _, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x+1",
@@ -151,6 +182,22 @@ class TestOrbitAndDistance:
         bad.write_text("4 2 1 1\n10\n")
         code, _, err = run(capsys, "distance", str(bad))
         assert code == 2 and "not prime" in err
+
+    def test_distance_oversized_header_exits_2(self, capsys, tmp_path):
+        big = tmp_path / "big.code"
+        big.write_text("2305843009213693951 2 1 1\n10\n")  # q = 2^61 - 1
+        code, _, err = run(capsys, "distance", str(big))
+        assert code == 2 and "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("distance", "{file}"),
+        ("analyze", "-q", "2", "-p", "x^2+x+1", "--start", "{file}"),
+    ], ids=["distance", "analyze-start"])
+    def test_non_ascii_file_exits_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2 2 1 1\n1\xff\n")
+        code, _, err = run(capsys, *(a.format(file=bad) for a in argv))
+        assert code == 2 and "error:" in err
 
 
 class TestVerificationExitCode:

@@ -68,6 +68,8 @@ class TestConstruction:
         with pytest.raises(DomainError, match="cap"):
             f2.extend(big)
         assert 2 ** 25 > DESK_SCALE_CAP
+        with pytest.raises(DomainError, match="cap"):
+            FieldSpec(2 ** 61 - 1)  # a prime; rejected before trial division
 
     def test_cardinality_tower_law(self):
         for f in FIELDS:

@@ -115,7 +115,8 @@ class TestMetric:
             a = random_invertible(F2, 4, rng)
             u = rng.choice(subs)
             v = rng.choice(subs)
-            assert subspace_distance(u.apply(a), v.apply(a)) == subspace_distance(u, v)
+            assert (subspace_distance(subspace_apply(u, a), subspace_apply(v, a))
+                    == subspace_distance(u, v))
 
 
 class TestApply:
