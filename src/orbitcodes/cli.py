@@ -3,7 +3,10 @@
 Subcommands: poly (irreducible | order | primitive | list), spread,
 analyze, orbit, distance, selfcheck.  Exit codes: 0 success, 2 usage or
 parse failure, 3 violated mathematical precondition, 4 verification
-mismatch (including selfcheck failures).
+mismatch (including selfcheck failures).  A reader that closes stdout
+while a command is still writing ends the run quietly with 0; a command
+that has finished keeps its own code.  Output files are written completely
+before anything is printed, so a failed write prints nothing to stdout.
 
 Analysis results are emitted as a self-describing "key = value" document
 (schema versioned, fixed key order, "-" for empty); parse_report inverts
@@ -13,7 +16,10 @@ render exactly.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 
 from . import __version__
@@ -233,6 +239,46 @@ def _read_start(field: FieldSpec, args) -> Subspace:
     return u
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path completely, before anything is printed.
+
+    A regular file, or a new one, is replaced atomically: a temporary file
+    beside the target that symlinks lead to, given the old file's mode (a
+    new file gets what open(path, "w") would give), is renamed over it once
+    complete.  Any other target is written in place: a device such as
+    /dev/null, a pipe, a file with more than one hard link, or a file in a
+    directory where no temporary file can be made.
+    """
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
+    try:
+        try:
+            st = os.stat(target)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            if (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1
+                    or not os.access(directory, os.W_OK | os.X_OK)):
+                with open(target, "w", encoding="ascii") as handle:
+                    handle.write(text)
+                return
+            mode = stat.S_IMODE(st.st_mode)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".orbitcodes-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as handle:
+                handle.write(text)
+            os.chmod(tmp, mode)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # Name the file asked for, not the temporary or resolved one.
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _field_args(sub, modulus_help="polynomial over the base field"):
     sub.add_argument("-q", type=int, required=True,
                      help="base field order (prime or prime power)")
@@ -274,6 +320,8 @@ def _cmd_spread(args) -> int:
     start = build_spread_start(args.k, poly.degree, poly)
     ctx = ExtensionContext.from_modulus(poly)
     report = analyze(start, ctx, verify=args.verify)
+    if args.out:
+        _write_file(args.out, format_code(generate_orbit(start, companion_matrix(poly))))
     print(f"start = {';'.join(format_matrix(start.mat).split(chr(10)))}")
     print(f"predicted_cardinality = {report.predicted_cardinality}")
     print(f"predicted_distance = {_fmt(report.predicted_distance)}")
@@ -282,9 +330,6 @@ def _cmd_spread(args) -> int:
     if args.verify:
         status = _print_verification(report)
     if args.out:
-        code = generate_orbit(start, companion_matrix(poly))
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(format_code(code))
         print(f"export = {args.out}")
     return status
 
@@ -301,10 +346,9 @@ def _cmd_analyze(args) -> int:
     base_mod = field.modulus if field.level > 0 else None
     doc = ReportDocument.from_analysis(report, poly, start, base_mod)
     text = render_report(doc)
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
+        _write_file(args.out, text)
+    sys.stdout.write(text)
     if args.verify and not report.verification_ok:
         return 4
     return 0
@@ -315,8 +359,7 @@ def _cmd_orbit(args) -> int:
     poly = parse_poly(field, args.poly)
     start = _read_start(field, args)
     code = generate_orbit(start, companion_matrix(poly))
-    with open(args.out, "w", encoding="ascii") as handle:
-        handle.write(format_code(code))
+    _write_file(args.out, format_code(code))
     print(f"cardinality = {len(code)}")
     print(f"generator_order = {code.generator_order}")
     print(f"export = {args.out}")
@@ -583,6 +626,14 @@ _HANDLERS = {
 }
 
 
+def _drop_stdout() -> None:
+    """The reader closed stdout: point it at the null device, so that the
+    interpreter's final flush cannot raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -590,13 +641,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        _drop_stdout()
+        return 0
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()  # the handler finished, so its status stands
+    return status
 
 
 if __name__ == "__main__":

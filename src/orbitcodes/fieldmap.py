@@ -107,7 +107,8 @@ class ExtensionContext:
             table[el] = j
             powers.append(el)
             el = el * self.gamma
-        assert len(table) == big, "gamma does not generate the nonzero elements"
+        if len(table) != big:
+            raise RuntimeError("gamma does not generate the nonzero elements")
         self._dlog = table
         self._pow = powers
 
@@ -171,7 +172,8 @@ class ExtensionContext:
             for b in range(e):
                 locate[cur] = (i, b)
                 cur = cur * self.alpha
-            assert cur == el, "orbit did not close after ord(alpha) steps"
+            if cur != el:
+                raise RuntimeError("orbit did not close after ord(alpha) steps")
         membership = None
         orbit_exponents = None
         if u is not None:

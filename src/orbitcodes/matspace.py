@@ -201,17 +201,21 @@ class Subspace:
         return "Subspace(" + ";".join(format_matrix(self.mat).split("\n")) + ")"
 
     def nonzero_vectors(self) -> Iterator[tuple[FieldElement, ...]]:
-        """All q^k - 1 nonzero vectors, by mixed-radix combination index."""
+        """All q^k - 1 nonzero vectors, by mixed-radix combination index.
+
+        Vector number i = sum_j index(c_j) q^j is sum_j c_j row_j.  The span
+        grows one row at a time, each new vector a single addition to one
+        already listed, which keeps exactly that order.
+        """
         if self.dim == 0:
             return
-        zero = self.field.zero()
-        for i in range(1, self.field.order ** self.dim):
-            coeffs = vector_from_index(self.field, self.dim, i)
-            vec = [zero] * self.ambient
-            for c, row in zip(coeffs, self.mat.rows):
-                if c:
-                    vec = [v + c * e for v, e in zip(vec, row)]
-            yield tuple(vec)
+        scalars = list(self.field.elements())[1:]
+        span = [(self.field.zero(),) * self.ambient]
+        for row in self.mat.rows:
+            span += [tuple(a + b for a, b in zip(v, scaled))
+                     for scaled in [tuple(c * e for e in row) for c in scalars]
+                     for v in span]
+        yield from span[1:]
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
@@ -267,9 +271,11 @@ def matrix_order(g: Mat, cap: int = DESK_SCALE_CAP) -> int:
 def char_poly(g: Mat):
     """Characteristic polynomial det(xI - g), monic of degree n.
 
-    Uses minor expansion over the polynomial ring with memoization on
-    column subsets; division free, so it is correct over any field, and
-    cheap at the small dimensions this package targets.
+    Reduces g by similarity to upper Hessenberg form h (zero below the
+    subdiagonal), then expands det(xI - h) along its last column: with
+    p_0 = 1, p_m = (x - h_mm) p_{m-1} - sum_i h_{m-i,m} t_i p_{m-i-1},
+    where t_i is the product of the i subdiagonal entries below h_{m-i,m}.
+    O(n^3) field operations on any matrix, dense or sparse.
     """
     from .polyring import Poly
 
@@ -277,29 +283,36 @@ def char_poly(g: Mat):
         raise DomainError("characteristic polynomial requires a square matrix")
     n = g.nrows
     field = g.field
-    x = Poly.x(field)
-    zero = Poly.zero(field)
-    ent = [[(x if i == j else zero) - Poly(field, (g.rows[i][j],))
-            for j in range(n)] for i in range(n)]
-    memo: dict[tuple[int, ...], Poly] = {}
-
-    def det(cols: tuple[int, ...]) -> Poly:
-        if not cols:
-            return Poly.one(field)
-        val = memo.get(cols)
-        if val is not None:
-            return val
-        r = n - len(cols)
-        total = zero
-        for idx, c in enumerate(cols):
-            if ent[r][c].is_zero:
+    h = [list(row) for row in g.rows]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:  # conjugate by the transposition (piv m)
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = h[m][m - 1].inv()
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv
+            if not u:
                 continue
-            term = ent[r][c] * det(cols[:idx] + cols[idx + 1:])
-            total = total - term if idx % 2 else total + term
-        memo[cols] = total
-        return total
-
-    return det(tuple(range(n)))
+            # row_i -= u row_m, then column_m += u column_i (the inverse step)
+            h[i] = [a - u * b for a, b in zip(h[i], h[m])]
+            for row in h:
+                row[m] = row[m] + u * row[i]
+    x = Poly.x(field)
+    p = [Poly.one(field)]
+    for m in range(n):
+        pm = (x - Poly(field, (h[m][m],))) * p[m]
+        t = field.one()
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i]
+            if not t:
+                break
+            pm = pm - Poly(field, (t * h[m - i][m],)) * p[m - i]
+        p.append(pm)
+    return p[n]
 
 
 def is_irreducible_matrix(g: Mat) -> bool:

@@ -13,9 +13,12 @@ remaining shifts the maximum multiplicity M gives the largest codeword
 intersection dimension log_q(M + 1) and hence the minimum distance
 2k - 2 log_q(M + 1).
 
-Every prediction can be cross-checked against the brute-force oracle
-(generate the orbit, take pairwise distances); the two routes are kept
-strictly separate.
+Every prediction can be cross-checked against the brute-force oracle:
+generate the orbit by matrix multiplication, list every codeword's
+nonzero vectors, and read each pair's intersection dimension off the
+number of vectors it shares.  The oracle sees only vectors and codewords,
+never exponents, the extension field or the group, so the two routes
+stay strictly separate.
 
 Code export format (text, bit exact): a header line "q n k size", then
 `size` blocks, each the canonical k x n matrix of one codeword in the
@@ -26,16 +29,18 @@ lexicographically by canonical matrix.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
 from .gfq import FieldSpec
-from .matspace import (Mat, Subspace, format_matrix, grassmannian,
+from .matspace import (Mat, Subspace, char_poly, format_matrix, grassmannian,
                        matrix_order, parse_matrix_blocks, subspace_apply,
                        subspace_distance)
-from .polyring import Poly, companion_matrix, is_primitive
+from .polyring import (Poly, companion_matrix, is_primitive,
+                       order_of_polynomial)
 
 
 class OrbitCode:
@@ -65,18 +70,32 @@ class OrbitCode:
 
 
 def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
-    """Iterate u <- u P until the start returns; codewords sorted."""
+    """Iterate u <- u P until the start returns; codewords sorted.
+
+    ord(P) is the order of P's characteristic polynomial when that is
+    irreducible (it is then also the minimal polynomial) and the field it
+    spans is within the desk-scale cap, and is found by repeated
+    multiplication otherwise.  Neither feeds the orbit: its length
+    is the number of distinct words seen before the start returns.
+    """
     if u.dim == 0:
         raise DomainError("orbit codes need a starting subspace of dimension >= 1")
     if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
         raise DomainError("generator does not act on the starting subspace")
-    order = matrix_order(p)  # also rejects singular p
+    if p.rank() != p.nrows:
+        raise DomainError("matrix is singular")
+    try:
+        order = order_of_polynomial(char_poly(p))
+    except DomainError:  # reducible, or above the desk-scale cap
+        order = matrix_order(p)
     words = [u]
-    v = subspace_apply(u, p)
+    v = Subspace(u.mat * p)
     while v != u:
         words.append(v)
-        v = subspace_apply(v, p)
-    assert order % len(words) == 0, "orbit length must divide the group order"
+        v = Subspace(v.mat * p)
+    if order % len(words):
+        raise RuntimeError(f"orbit length {len(words)} does not divide the "
+                           f"generator order {order}")
     return OrbitCode(p, u, tuple(sorted(words)), order)
 
 
@@ -87,14 +106,37 @@ def _codeword_list(code) -> list[Subspace]:
 def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     """Minimum subspace distance over all unordered codeword pairs.
 
-    This is the independent oracle for every analytic predictor here; it
-    never looks at exponents.
+    This is the independent oracle for every analytic predictor here: it
+    lists the nonzero vectors of every codeword and never looks at
+    exponents, the extension field or the group, so it is exact for any
+    constant dimension code.  Two k-dimensional words sharing s nonzero
+    vectors meet in dimension d with s = q^d - 1 and lie at distance
+    2k - 2d.  An incidence map from each vector to the words holding it
+    finds every pair that shares one.  Memory is linear in the
+    |C| (q^k - 1) vectors listed, and time in those vectors plus the pairs
+    of words that share one, instead of a rank for each of the |C|^2 / 2
+    pairs.
     """
     words = _codeword_list(code)
     if len(words) < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    return min(subspace_distance(a, b)
-               for i, a in enumerate(words) for b in words[i + 1:])
+    first = words[0]
+    if any(w.ambient != first.ambient or w.field != first.field for w in words):
+        raise DomainError("subspaces live in different ambient spaces")
+    if any(w.dim != first.dim for w in words):
+        raise DomainError("the brute-force distance requires a constant dimension code")
+    index_of = first.field.index_of
+    vectors = [[tuple(map(index_of, v)) for v in w.nonzero_vectors()]
+               for w in words]
+    holders: dict[tuple[int, ...], list[int]] = {}
+    for i, vecs in enumerate(vectors):
+        for key in vecs:
+            holders.setdefault(key, []).append(i)
+    most = 0  # largest number of nonzero vectors two words share
+    for i, vecs in enumerate(vectors):
+        shared = Counter(j for key in vecs for j in holders[key] if j > i)
+        most = max(most, max(shared.values(), default=0))
+    return 2 * first.dim - 2 * _int_log(first.field.order, most + 1)
 
 
 def min_distance_orbit(code: OrbitCode) -> int:
@@ -253,8 +295,8 @@ def _int_log(q: int, value: int) -> int:
         d += 1
     if power != value:
         raise RuntimeError(
-            f"difference multiplicity {value - 1} is not of the form q^d - 1; "
-            "the exponent data does not describe a subspace")
+            f"multiplicity {value - 1} is not of the form q^d - 1; "
+            "the data does not describe subspaces")
     return d
 
 

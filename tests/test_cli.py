@@ -1,7 +1,16 @@
 
+import errno
+import io
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from orbitcodes import FieldSpec, ParseError, min_distance_brute, parse_code
+from orbitcodes import cli
 from orbitcodes.cli import ReportDocument, main, parse_report, render_report
 
 
@@ -156,6 +165,7 @@ class TestAnalyze:
         _, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x+1",
                         "--start-rows", "1000;0100", "--out", str(report_file))
         assert report_file.read_text() == out
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 class TestOrbitAndDistance:
@@ -198,6 +208,103 @@ class TestOrbitAndDistance:
         bad.write_bytes(b"2 2 1 1\n1\xff\n")
         code, _, err = run(capsys, *(a.format(file=bad) for a in argv))
         assert code == 2 and "error:" in err
+
+
+class TestOutputFiles:
+    COMMANDS = {
+        "analyze": ("analyze", "-q", "2", "-p", "x^4+x+1", "--start-rows", "1000;0100"),
+        "spread": ("spread", "-q", "2", "-k", "2", "-p", "x^4+x+1", "--verify"),
+        "orbit": ("orbit", "-q", "2", "-p", "x^4+x+1", "--start-rows", "1000;0100"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("target", ["missing-dir/out.txt", "existing-dir"])
+    def test_failed_write_prints_nothing(self, capsys, tmp_path, command, target):
+        (tmp_path / "existing-dir").mkdir()
+        code, out, err = run(capsys, *self.COMMANDS[command],
+                             "--out", str(tmp_path / target))
+        assert code == 2 and out == "" and "error:" in err
+        assert f"'{tmp_path / target}'" in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing-dir"]
+        assert list((tmp_path / "existing-dir").iterdir()) == []
+
+
+    ORBIT = COMMANDS["orbit"]
+
+    def _expected(self, capsys, tmp_path):
+        code, _, _ = run(capsys, *self.ORBIT, "--out", str(tmp_path / "plain.code"))
+        assert code == 0
+        return (tmp_path / "plain.code").read_text()
+
+    def test_symlink_target_is_written_through(self, capsys, tmp_path):
+        expected = self._expected(capsys, tmp_path)
+        (tmp_path / "real.code").write_text("old")
+        (tmp_path / "link.code").symlink_to("real.code")
+        code, _, _ = run(capsys, *self.ORBIT, "--out", str(tmp_path / "link.code"))
+        assert code == 0 and (tmp_path / "link.code").is_symlink()
+        assert (tmp_path / "real.code").read_text() == expected
+
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        target = tmp_path / "private.code"
+        target.write_text("old")
+        target.chmod(0o600)
+        code, _, _ = run(capsys, *self.ORBIT, "--out", str(target))
+        assert code == 0 and stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert target.read_text() == self._expected(capsys, tmp_path)
+
+    def test_hard_link_is_kept(self, capsys, tmp_path):
+        target, twin = tmp_path / "a.code", tmp_path / "b.code"
+        target.write_text("old")
+        os.link(target, twin)
+        code, _, _ = run(capsys, *self.ORBIT, "--out", str(target))
+        assert code == 0 and twin.read_text() == self._expected(capsys, tmp_path)
+        assert target.stat().st_ino == twin.stat().st_ino
+
+    def test_pipe_target_is_written_in_place(self, capsys, tmp_path):
+        # like /dev/null: a target that is not a regular file is opened,
+        # never replaced
+        expected = self._expected(capsys, tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run(capsys, *self.ORBIT, "--out", str(fifo))
+            assert code == 0 and f"export = {fifo}" in out
+            assert os.read(reader, 1 << 16).decode() == expected
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "plain.code"]
+
+
+class TestClosedPipe:
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orbitcodes.cli", "poly", "list", "-q", "2", "-n", "10"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 0, err
+        for marker in ("error:", "Traceback", "Exception ignored"):
+            assert marker not in err
+
+    def test_pipe_closed_after_the_command_keeps_its_status(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        dropped = []
+        monkeypatch.setitem(cli._HANDLERS, "selfcheck", lambda args: 4)
+        monkeypatch.setattr(cli, "_drop_stdout", lambda: dropped.append(True))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["selfcheck"]) == 4 and dropped == [True]
 
 
 class TestVerificationExitCode:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcodes import (DomainError, FieldSpec, Mat, ParseError, Subspace,
+from orbitcodes import (DomainError, FieldSpec, Mat, ParseError, Poly, Subspace,
                         char_poly, companion_matrix, format_matrix,
                         gaussian_binomial, grassmannian, groups_conjugate,
                         intersection_dim, is_irreducible_matrix,
@@ -16,6 +17,22 @@ from orbitcodes import (DomainError, FieldSpec, Mat, ParseError, Subspace,
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+
+
+def _leibniz_char_poly(g: Mat):
+    """det(xI - g) as the signed sum over all permutations."""
+    field, n = g.field, g.nrows
+    x, zero = Poly.x(field), Poly.zero(field)
+    ent = [[(x if i == j else zero) - Poly(field, (g.rows[i][j],)) for j in range(n)]
+           for i in range(n)]
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        term = Poly.one(field)
+        for i, j in enumerate(perm):
+            term = term * ent[i][j]
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 class TestRref:
@@ -220,6 +237,18 @@ class TestCharPoly:
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             char_poly(Mat(F2, [[1, 0, 1]]))
+
+    @pytest.mark.parametrize("field", [F2, F3, F2.extend(parse_poly(F2, "x^2+x+1"))],
+                             ids=["F2", "F3", "F4"])
+    def test_matches_the_leibniz_expansion(self, field):
+        # sparse draws need row swaps and leave zero subdiagonal entries
+        rng = random.Random(41)
+        for n in range(1, 6):
+            for _ in range(12):
+                density = rng.random()
+                g = Mat(field, [[rng.randrange(field.order) if rng.random() < density else 0
+                                 for _ in range(n)] for _ in range(n)])
+                assert char_poly(g) == _leibniz_char_poly(g), g.rows
 
 
 class TestIrreducibleMatrices:

@@ -98,6 +98,7 @@ class TestMinDistance:
         swap = Mat(f2, [[0, 1], [1, 0]])
         code = generate_orbit(Subspace(parse_matrix(f2, "10")), swap)
         assert len(code) == 2
+        assert code.generator_order == 2  # char poly (x + 1)^2 is reducible
         assert min_distance_brute(code) == min_distance_orbit(code) == 2
 
 
