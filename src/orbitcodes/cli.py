@@ -30,7 +30,7 @@ from .matspace import Subspace, format_matrix, parse_matrix
 from .orbitcode import (AnalysisReport, analyze, build_spread_start,
                         check_sidon_condition, find_sidon_subspace,
                         format_code, generate_orbit, min_distance_brute,
-                        min_distance_orbit, parse_code)
+                        min_distance_orbit, parse_code, verify_report)
 from .polyring import (Poly, companion_matrix, format_poly, is_irreducible,
                        is_primitive, list_irreducibles, order_of_polynomial,
                        parse_poly, poly_powmod)
@@ -319,9 +319,13 @@ def _cmd_spread(args) -> int:
         raise ParseError(f"polynomial degree {poly.degree} does not match -n {args.n}")
     start = build_spread_start(args.k, poly.degree, poly)
     ctx = ExtensionContext.from_modulus(poly)
-    report = analyze(start, ctx, verify=args.verify)
-    if args.out:
-        _write_file(args.out, format_code(generate_orbit(start, companion_matrix(poly))))
+    report = analyze(start, ctx)
+    if args.verify or args.out:
+        code = generate_orbit(start, companion_matrix(poly))
+        if args.verify:
+            report = verify_report(report, code)
+        if args.out:
+            _write_file(args.out, format_code(code))
     print(f"start = {';'.join(format_matrix(start.mat).split(chr(10)))}")
     print(f"predicted_cardinality = {report.predicted_cardinality}")
     print(f"predicted_distance = {_fmt(report.predicted_distance)}")

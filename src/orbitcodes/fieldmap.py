@@ -8,11 +8,17 @@ is alpha itself when p is primitive; otherwise the first element in
 enumeration order of maximal multiplicative order), the exponent profile
 of a subspace (the dlogs of its nonzero vectors), and the partition of the
 nonzero field elements into orbits of multiplication by alpha.
+
+That partition is coset arithmetic on the dlog.  With alpha = gamma^t and
+e = ord(alpha), the c = (q^n - 1)/e orbits are the cosets gamma^i<alpha>,
+i in [0, c), because gcd(t, q^n - 1) = c.  So gamma^j lies on orbit j mod c,
+(j div c) * (t/c)^-1 mod e alpha-steps from its representative gamma^(j mod c).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import DomainError
 from .gfq import FieldElement, FieldSpec, _prime_factors
@@ -43,14 +49,14 @@ class OrbitPartition:
     within-orbit exponents (alpha-steps from the representative, in [0, e)).
     """
 
-    __slots__ = ("size", "representatives", "membership", "orbit_exponents", "_locate")
+    __slots__ = ("size", "representatives", "membership", "orbit_exponents", "_ctx")
 
-    def __init__(self, size, representatives, membership, orbit_exponents, locate):
+    def __init__(self, size, representatives, membership, orbit_exponents, ctx):
         self.size = size
         self.representatives = representatives
         self.membership = membership
         self.orbit_exponents = orbit_exponents
-        self._locate = locate
+        self._ctx = ctx
 
     @property
     def orbit_count(self) -> int:
@@ -58,17 +64,17 @@ class OrbitPartition:
 
     def locate(self, element: FieldElement) -> tuple[int, int]:
         """(orbit index, within-orbit exponent) of a nonzero element."""
-        try:
-            return self._locate[element]
-        except KeyError:
-            raise DomainError("element is zero or from another field") from None
+        j = self._ctx._dlog.get(element)
+        if j is None:
+            raise DomainError("element is zero or from another field")
+        return self._ctx._split(j)
 
 
 class ExtensionContext:
     """Precomputed view of F_{q^n} = F_q[x]/(p) for one irreducible p."""
 
     __slots__ = ("field", "base", "n", "q", "modulus", "alpha", "order",
-                 "primitive", "gamma", "_dlog", "_pow")
+                 "primitive", "gamma", "_dlog", "_cosets", "_step")
 
     def __init__(self, field: FieldSpec):
         if field.level == 0:
@@ -99,18 +105,21 @@ class ExtensionContext:
                 g for g in field.elements()
                 if g and all(g ** (big // ell) != field.one() for ell in primes))
 
-        # Dense dlog table for gamma, and its inverse as a power list.
+        # Dense dlog table for gamma.
         table = {}
-        powers = []
         el = field.one()
         for j in range(big):
             table[el] = j
-            powers.append(el)
             el = el * self.gamma
         if len(table) != big:
             raise RuntimeError("gamma does not generate the nonzero elements")
         self._dlog = table
-        self._pow = powers
+        # alpha = gamma^t has order big / gcd(t, big), which must be ord(p).
+        t = table[self.alpha]
+        self._cosets = big // self.order
+        if gcd(t, big) != self._cosets:
+            raise RuntimeError(f"alpha = gamma^{t} does not have order {self.order}")
+        self._step = pow(t // self._cosets, -1, self.order)
 
     @classmethod
     def from_modulus(cls, modulus: Poly) -> "ExtensionContext":
@@ -151,41 +160,30 @@ class ExtensionContext:
     def orbit_partition(self, u: Subspace | None = None) -> OrbitPartition:
         """Partition of the nonzero elements into orbits of alpha.
 
-        Orbits are discovered in ascending gamma-dlog order, so each
-        representative is the orbit element of minimal dlog.  With a
-        subspace given, also tallies membership counts and within-orbit
-        exponents of its nonzero vectors.
+        Orbit i is the coset gamma^i<alpha>, i in [0, c), represented by
+        gamma^i, its element of minimal gamma-dlog; gamma^j lies on orbit
+        j mod c.  With a subspace given, also tallies membership counts and
+        within-orbit exponents of its nonzero vectors.
         """
         if u is not None:
             self._check_subspace(u)
-        big = self.field.order - 1
-        e = self.order
-        reps: list[FieldElement] = []
-        locate: dict[FieldElement, tuple[int, int]] = {}
-        for j in range(big):
-            el = self._pow[j]
-            if el in locate:
-                continue
-            i = len(reps)
-            reps.append(el)
-            cur = el
-            for b in range(e):
-                locate[cur] = (i, b)
-                cur = cur * self.alpha
-            if cur != el:
-                raise RuntimeError("orbit did not close after ord(alpha) steps")
+        reps = [self.field.one()]
+        for _ in range(self._cosets - 1):
+            reps.append(reps[-1] * self.gamma)
         membership = None
         orbit_exponents = None
         if u is not None:
-            counts = [0] * len(reps)
             exps: list[list[int]] = [[] for _ in reps]
             for v in u.nonzero_vectors():
-                i, b = locate[self.phi(v)]
-                counts[i] += 1
+                i, b = self._split(self.dlog(self.phi(v)))
                 exps[i].append(b)
-            membership = tuple(counts)
+            membership = tuple(len(b) for b in exps)
             orbit_exponents = tuple(tuple(sorted(b)) for b in exps)
-        return OrbitPartition(e, tuple(reps), membership, orbit_exponents, locate)
+        return OrbitPartition(self.order, tuple(reps), membership, orbit_exponents, self)
+
+    def _split(self, j: int) -> tuple[int, int]:
+        """(orbit, alpha-steps from the representative) of gamma^j."""
+        return j % self._cosets, j // self._cosets * self._step % self.order
 
     def _check_subspace(self, u: Subspace):
         if u.ambient != self.n or u.field != self.base:

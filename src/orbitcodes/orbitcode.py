@@ -323,7 +323,9 @@ def _predict(u, ctx, group_order, membership, orbit_exponents, verify):
         all_orbits_distinct=all(m <= 1 for m in membership),
         spread=(n % k == 0 and cardinality == (q ** n - 1) // full
                 and (cardinality == 1 or distance == 2 * k)))
-    return verify_report(report, u, ctx) if verify else report
+    if verify:
+        return verify_report(report, generate_orbit(u, companion_matrix(ctx.modulus)))
+    return report
 
 
 def predict_primitive(u: Subspace, ctx: ExtensionContext,
@@ -360,10 +362,8 @@ def analyze(u: Subspace, ctx: ExtensionContext, verify: bool = False) -> Analysi
     return analyze_nonprimitive(u, ctx, verify)
 
 
-def verify_report(report: AnalysisReport, u: Subspace,
-                  ctx: ExtensionContext) -> AnalysisReport:
-    """Attach brute-force oracle results to a report."""
-    code = generate_orbit(u, companion_matrix(ctx.modulus))
+def verify_report(report: AnalysisReport, code: OrbitCode) -> AnalysisReport:
+    """Attach brute-force oracle results for the generated orbit to a report."""
     vd = min_distance_brute(code) if len(code) > 1 else None
     return dataclasses.replace(report, verified_cardinality=len(code),
                                verified_distance=vd)

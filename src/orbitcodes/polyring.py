@@ -293,15 +293,29 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
 
 # -- text syntax --------------------------------------------------------
 
+#: Largest exponent parse_poly accepts.  Every capped operation refuses a
+#: higher degree over any field: it has more than DESK_SCALE_CAP residues.
+_MAX_EXPONENT = DESK_SCALE_CAP.bit_length()
+
 _TERM_RE = re.compile(
     r"^(?:(?P<coeff>\[\d+\]|\d+)\*)?x(?:\^(?P<exp>\d+))?$"
     r"|^(?P<const>\[\d+\]|\d+)$")
 
 
+def _bounded_int(digits: str, limit: int) -> int | None:
+    """The value of a digit string, or None above limit.  A long string is
+    refused before int() or any allocation sees it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        return None
+    return int(digits)
+
+
 def _parse_index(field: FieldSpec, token: str) -> FieldElement:
-    idx = int(token[1:-1]) if token.startswith("[") else int(token)
-    if idx >= field.order:
-        raise ParseError(f"coefficient index {idx} out of range for {field!r}")
+    digits = token.strip("[]")
+    idx = _bounded_int(digits, field.order - 1)
+    if idx is None:
+        raise ParseError(f"coefficient index {digits} out of range for {field!r}")
     return field.from_index(idx)
 
 
@@ -319,7 +333,10 @@ def parse_poly(field: FieldSpec, text: str) -> Poly:
             k = 0
             c = _parse_index(field, m.group("const"))
         else:
-            k = int(m.group("exp")) if m.group("exp") else 1
+            k = _bounded_int(m.group("exp") or "1", _MAX_EXPONENT)
+            if k is None:
+                raise ParseError(f"exponent {m.group('exp')} is above {_MAX_EXPONENT}, "
+                                 "the largest degree the desk-scale cap allows")
             c = _parse_index(field, m.group("coeff")) if m.group("coeff") else field.one()
         terms[k] = terms.get(k, field.zero()) + c
     coeffs = [field.zero()] * (max(terms) + 1)

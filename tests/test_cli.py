@@ -5,10 +5,12 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import orbitcodes.orbitcode
 from orbitcodes import FieldSpec, ParseError, min_distance_brute, parse_code
 from orbitcodes import cli
 from orbitcodes.cli import ReportDocument, main, parse_report, render_report
@@ -40,6 +42,18 @@ class TestPoly:
     def test_parse_failure_exits_2(self, capsys):
         code, _, err = run(capsys, "poly", "order", "-q", "2", "x^")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("action,text,fragment", [
+        ("order", "x^999999999999+1", "exponent 999999999999 is above 25"),
+        ("irreducible", "x^400+x+1", "exponent 400 is above 25"),
+        ("primitive", "x^1+" + "1" * 5000, "coefficient index 1111"),
+    ], ids=["order", "irreducible", "long-coefficient"])
+    def test_oversized_polynomial_exits_2_at_once(self, capsys, action, text, fragment):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "poly", action, "-q", "2", text)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and fragment in err and "Traceback" not in err
 
     def test_domain_failure_exits_3(self, capsys):
         code, _, err = run(capsys, "poly", "order", "-q", "2", "x^2+1")
@@ -86,6 +100,29 @@ class TestSpread:
         assert "verified_agrees = true" in out
         _, words = parse_code(out_file.read_text())
         assert len(words) == 9
+
+    def test_verify_and_out_generate_the_orbit_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        generate = cli.generate_orbit
+
+        def counting(u, g):
+            calls.append(u)
+            return generate(u, g)
+
+        for module in (cli, orbitcodes.orbitcode):
+            monkeypatch.setattr(module, "generate_orbit", counting)
+        out_file = tmp_path / "k2.code"
+        code, out, _ = run(capsys, "spread", "-q", "2", "-k", "2", "-p", "x^6+x+1",
+                           "--verify", "--out", str(out_file))
+        assert code == 0 and len(calls) == 1
+        assert out == ("start = 100000;010111\npredicted_cardinality = 21\n"
+                       "predicted_distance = 4\nspread = true\n"
+                       "verified_cardinality = 21\nverified_distance = 4\n"
+                       f"verified_agrees = true\nexport = {out_file}\n")
+        orbit_file = tmp_path / "orbit.code"
+        run(capsys, "orbit", "-q", "2", "-p", "x^6+x+1", "--start-rows",
+            "100000;010111", "--out", str(orbit_file))
+        assert out_file.read_bytes() == orbit_file.read_bytes()
 
     def test_k2_summary(self, capsys):
         code, out, _ = run(capsys, "spread", "-q", "2", "-k", "2", "-p", "x^6+x+1")

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from orbitcodes import (DomainError, ExtensionContext, FieldSpec, Mat,
-                        Subspace, companion_matrix, parse_matrix, parse_poly,
-                        row_times_mat, vector_from_index)
+import orbitcodes.fieldmap
+from orbitcodes import (DomainError, ExtensionContext, FieldElement, FieldSpec,
+                        Mat, Subspace, companion_matrix, list_irreducibles,
+                        parse_matrix, parse_poly, row_times_mat,
+                        vector_from_index)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+F4 = F2.extend(parse_poly(F2, "x^2+x+1"))
 
 
 def _dlog_oracle(ctx, target):
@@ -18,6 +21,52 @@ def _dlog_oracle(ctx, target):
             return steps
         power = power * ctx.gamma
     raise AssertionError("gamma does not reach the target")
+
+
+def _walk_partition(ctx):
+    """Independent alpha-orbit partition: walk the powers of gamma in
+    ascending order and trace each new orbit by repeated multiplication by
+    alpha.  Returns (orbit size, representatives, element -> (orbit, step))."""
+    reps, locate = [], {}
+    power = ctx.field.one()
+    for _ in range(ctx.field.order - 1):
+        if power not in locate:
+            cur = power
+            for step in range(ctx.field.order - 1):
+                locate[cur] = (len(reps), step)
+                cur = cur * ctx.alpha
+                if cur == power:
+                    break
+            reps.append(power)
+        power = power * ctx.gamma
+    return len(locate) // len(reps), tuple(reps), locate
+
+
+def _walk_tally(ctx, reps, locate, u):
+    """Membership and sorted within-orbit exponents of u from a walk."""
+    exps = [[] for _ in reps]
+    for v in u.nonzero_vectors():
+        i, b = locate[ctx.phi(v)]
+        exps[i].append(b)
+    return tuple(map(len, exps)), tuple(tuple(sorted(b)) for b in exps)
+
+
+def _sampled_subspaces(ctx, rng, count):
+    base, n = ctx.base, ctx.n
+    for _ in range(count):
+        k = rng.randint(1, min(n, 3))
+        rows = [[rng.randrange(base.order) for _ in range(n)] for _ in range(k)]
+        u = Subspace(Mat(base, rows))
+        if u.dim:
+            yield u
+
+
+def _small_moduli():
+    for base, top in ((F2, 6), (F3, 3), (F4, 2)):
+        for degree in range(1, top + 1):
+            for f in list_irreducibles(base, degree):
+                if f.coeffs[0]:
+                    yield f
 
 
 class TestContext:
@@ -45,6 +94,20 @@ class TestContext:
         field = f2.extend(parse_poly(f2, "x"))
         with pytest.raises(DomainError, match="constant term"):
             ExtensionContext(field)
+
+    def test_order_too_large_for_alpha_rejected(self, monkeypatch, p5):
+        # Told that ord(alpha) = 15, the context takes gamma = alpha, whose
+        # powers reach only 5 elements.
+        monkeypatch.setattr(orbitcodes.fieldmap, "order_of_polynomial", lambda f: 15)
+        with pytest.raises(RuntimeError, match="gamma does not generate"):
+            ExtensionContext.from_modulus(p5)
+
+    def test_order_not_matching_dlog_of_alpha_rejected(self, monkeypatch, p64):
+        # Told that ord(alpha) = 7, the context picks a primitive gamma, but
+        # alpha = gamma^t has gcd(t, 63) = 1, not 63 / 7 = 9.
+        monkeypatch.setattr(orbitcodes.fieldmap, "order_of_polynomial", lambda f: 7)
+        with pytest.raises(RuntimeError, match="does not have order 7"):
+            ExtensionContext.from_modulus(p64)
 
 
 class TestPhi:
@@ -168,6 +231,65 @@ class TestOrbitPartition:
             rep = part.representatives[i]
             assert rep * ctx16_nonprim.alpha ** b == ctx16_nonprim.phi(v)
             assert b in part.orbit_exponents[i]
+
+
+@pytest.fixture(scope="module")
+def ctx1365():
+    """Non-primitive n = 12 context with c = 4095 / 1365 = 3 orbits."""
+    return ExtensionContext.from_modulus(parse_poly(F2, "x^12+x^11+x^2+x+1"))
+
+
+class TestPartitionAgainstWalk:
+    """The coset arithmetic on the gamma-dlog against a field walk."""
+
+    @staticmethod
+    def _assert_agrees(ctx, elements, rng, subspaces):
+        size, reps, locate = _walk_partition(ctx)
+        part = ctx.orbit_partition()
+        assert part.size == size == ctx.order
+        assert part.representatives == reps
+        assert part.membership is None and part.orbit_exponents is None
+        for x in elements:
+            assert part.locate(x) == locate[x], x
+        for u in _sampled_subspaces(ctx, rng, subspaces):
+            part = ctx.orbit_partition(u)
+            assert (part.membership, part.orbit_exponents) == _walk_tally(ctx, reps, locate, u)
+
+    @pytest.mark.parametrize("modulus", list(_small_moduli()),
+                             ids=lambda f: f"{f.field!r}:{f}")
+    def test_every_small_modulus(self, modulus):
+        ctx = ExtensionContext.from_modulus(modulus)
+        nonzero = [x for x in ctx.field.elements() if x]
+        self._assert_agrees(ctx, nonzero, random.Random(ctx.field.order), 4)
+
+    def test_order_1365_modulus_sampled(self, ctx1365):
+        ctx = ctx1365
+        assert ctx.order == 1365 and ctx.orbit_partition().orbit_count == 3
+        rng = random.Random(1365)
+        sample = [ctx.field.from_index(rng.randrange(1, 4096)) for _ in range(200)]
+        self._assert_agrees(ctx, sample, rng, 6)
+
+    def test_locate_rejects_zero_and_foreign_elements(self, ctx16_nonprim, ctx64):
+        part = ctx16_nonprim.orbit_partition()
+        for x in (ctx16_nonprim.field.zero(), ctx64.alpha):
+            with pytest.raises(DomainError, match="zero or from another field"):
+                part.locate(x)
+
+    def test_partition_multiplies_only_coset_representatives(self, monkeypatch, ctx1365):
+        ctx = ctx1365
+        u = Subspace(parse_matrix(F2, "100100000001\n010010010000\n001011000110"))
+        calls = []
+        mul = FieldElement.__mul__
+
+        def counting_mul(a, b):
+            if a.field == ctx.field:
+                calls.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+        part = ctx.orbit_partition(u)
+        assert sum(part.membership) == 7
+        assert len(calls) <= part.orbit_count - 1 == 2
 
 
 class TestDiagram:
