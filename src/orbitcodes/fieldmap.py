@@ -22,7 +22,7 @@ from math import gcd
 
 from .errors import DomainError
 from .gfq import FieldElement, FieldSpec, _prime_factors
-from .matspace import Subspace
+from .matspace import Subspace, vector_from_index
 from .polyring import Poly, order_of_polynomial
 
 
@@ -133,12 +133,12 @@ class ExtensionContext:
         vec = tuple(v)
         if len(vec) != self.n:
             raise DomainError(f"vector length {len(vec)} does not match n = {self.n}")
-        return self.field.element([self.base.element(c) for c in vec])
+        return self.field.element(vec)
 
     def phi_inv(self, x: FieldElement) -> tuple[FieldElement, ...]:
         """Coefficient vector of a field element over the base field."""
-        x = self.field.element(x)
-        return x.value
+        i = self.field.index_of(self.field.element(x))
+        return vector_from_index(self.base, self.n, i)
 
     def dlog(self, x: FieldElement) -> int:
         """Exponent of x with respect to gamma."""

@@ -5,15 +5,13 @@ field by a monic irreducible modulus m.  Towers are capped at two extension
 levels above the prime field, which is enough for a base field
 F_q = F_{p^r} and one extension F_{q^n} on top of it.
 
-Elements are canonical: an extension element is a coefficient sequence over
-the level below (lowest degree first, fixed length equal to the modulus
-degree), a prime-field element is a residue in [0, p).  Two elements are
-equal exactly when their fields and coefficient sequences are equal.
-All values are immutable and safe to share between threads.
-
 Every field enumerates its elements in a fixed mixed-radix order: the
 element with coefficients (c_0, ..., c_{d-1}) has index
 sum_i index(c_i) * |subfield|^i, and prime residues are their own index.
+An element stores that index, an int in [0, order), at every level.  Each
+field has int add, neg and mul on indices: residues mod p, or digit-wise
+sums and a schoolbook product reduced mod the modulus over the level
+below.  All values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -43,11 +41,55 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _digits(i: int, radix: int, n: int) -> list[int]:
+    """The n mixed-radix digits of i, lowest first."""
+    out = []
+    for _ in range(n):
+        i, digit = divmod(i, radix)
+        out.append(digit)
+    return out
+
+
+def _extension_ops(sub: "FieldSpec", tail: list[int]):
+    """Int add, neg and mul on the indices of sub[x]/(m), built on those of
+    sub; tail holds the indices of m's coefficients below its leading 1."""
+    q, d = sub.order, len(tail)
+    add, neg, mul = sub._add, sub._neg, sub._mul
+    weights = [q ** i for i in range(d)]
+    # The modulus is monic: x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1}).
+    fold = [(j, neg(m)) for j, m in enumerate(tail) if m]
+
+    def join(digits):
+        return sum(map(int.__mul__, digits, weights))
+
+    def ext_add(a, b):
+        return join(map(add, _digits(a, q, d), _digits(b, q, d)))
+
+    def ext_neg(a):
+        return join(map(neg, _digits(a, q, d)))
+
+    def ext_mul(a, b):
+        prod = [0] * (2 * d - 1)
+        terms = [(j, c) for j, c in enumerate(_digits(b, q, d)) if c]
+        for i, c in enumerate(_digits(a, q, d)):
+            if c:
+                for j, e in terms:
+                    prod[i + j] = add(prod[i + j], mul(c, e))
+        for i in range(2 * d - 2, d - 1, -1):
+            c = prod[i]
+            if c:
+                for j, e in fold:
+                    prod[i - d + j] = add(prod[i - d + j], mul(c, e))
+        return join(prod[:d])
+
+    return ext_add, ext_neg, ext_mul
+
+
 class FieldSpec:
     """A finite field: Z_p, or a quotient of the field one level below."""
 
     __slots__ = ("p", "subfield", "modulus", "degree", "order", "level",
-                 "_mod_tail", "_key", "_hash")
+                 "_add", "_neg", "_mul", "_key", "_hash")
 
     def __init__(self, p: int):
         """Create the prime field Z_p."""
@@ -63,7 +105,9 @@ class FieldSpec:
         self.degree = 1
         self.order = p
         self.level = 0
-        self._mod_tail = None
+        self._add = lambda a, b: (a + b) % p
+        self._neg = lambda a: -a % p
+        self._mul = lambda a, b: a * b % p
         self._key = ("prime", p)
         self._hash = hash(self._key)
 
@@ -95,9 +139,9 @@ class FieldSpec:
         spec.degree = modulus.degree
         spec.order = order
         spec.level = self.level + 1
-        spec._mod_tail = modulus.coeffs[:-1]
-        spec._key = ("ext", self._key,
-                     tuple(self.index_of(c) for c in modulus.coeffs))
+        coeffs = [self.index_of(c) for c in modulus.coeffs]
+        spec._add, spec._neg, spec._mul = _extension_ops(self, coeffs[:-1])
+        spec._key = ("ext", self._key, tuple(coeffs))
         spec._hash = hash(spec._key)
         return spec
 
@@ -123,40 +167,26 @@ class FieldSpec:
             if len(value) > self.degree:
                 raise DomainError(
                     f"coefficient sequence longer than modulus degree {self.degree}")
-            coeffs = [self.subfield.element(c) for c in value]
-            coeffs += [self.subfield.zero()] * (self.degree - len(coeffs))
-            return FieldElement(self, tuple(coeffs))
+            sub = self.subfield
+            return FieldElement(self, sum(sub.element(c).value * sub.order ** i
+                                          for i, c in enumerate(value)))
         raise DomainError(f"cannot build a field element from {value!r}")
 
     def from_index(self, i: int) -> "FieldElement":
         """Element number i in the fixed mixed-radix enumeration."""
         if not 0 <= i < self.order:
             raise DomainError(f"index {i} out of range for a field of order {self.order}")
-        if self.level == 0:
-            return FieldElement(self, i)
-        sub = self.subfield
-        coeffs = []
-        for _ in range(self.degree):
-            i, digit = divmod(i, sub.order)
-            coeffs.append(sub.from_index(digit))
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, i)
 
     def index_of(self, e: "FieldElement") -> int:
         """Inverse of from_index."""
         if not isinstance(e, FieldElement) or e.field != self:
             raise DomainError("element belongs to a different field")
-        if self.level == 0:
-            return e.value
-        sub = self.subfield
-        i = 0
-        for c in reversed(e.value):
-            i = i * sub.order + sub.index_of(c)
-        return i
+        return e.value
 
     def elements(self) -> Iterator["FieldElement"]:
         """All elements in enumeration order."""
-        for i in range(self.order):
-            yield self.from_index(i)
+        return map(self.from_index, range(self.order))
 
     # -- comparison ----------------------------------------------------
 
@@ -170,9 +200,11 @@ class FieldSpec:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # The int operations are closures, so a pickle rebuilds the tower.
+        return field_make, (self.p, self.subfield and self.subfield.modulus, self.modulus)
+
     def __repr__(self):
-        if self.level == 0:
-            return f"GF({self.p})"
         return f"GF({self.order})"
 
 
@@ -200,26 +232,24 @@ class FieldElement:
 
     __slots__ = ("field", "value")
 
-    def __init__(self, field: FieldSpec, value):
-        # Internal: value must already be canonical for the field.
+    def __init__(self, field: FieldSpec, value: int):
+        # Internal: value must already be an index in [0, field.order).
         self.field = field
         self.value = value
 
     def __bool__(self):
-        if self.field.level == 0:
-            return self.value != 0
-        return any(self.value)
+        return self.value != 0
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        return self.value == other.value and self.field == other.field
 
     def __hash__(self):
         return hash((self.field._hash, self.value))
 
     def __repr__(self):
-        return f"{self.field!r}[{self.field.index_of(self)}]"
+        return f"{self.field!r}[{self.value}]"
 
     # -- ring operations -----------------------------------------------
 
@@ -234,32 +264,23 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field.level == 0:
-            return FieldElement(self.field, (self.value + other.value) % self.field.p)
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.value, other.value)))
+        return FieldElement(self.field, self.field._add(self.value, other.value))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field.level == 0:
-            return FieldElement(self.field, (self.value - other.value) % self.field.p)
-        return FieldElement(self.field,
-                            tuple(a - b for a, b in zip(self.value, other.value)))
+        f = self.field
+        return FieldElement(f, f._add(self.value, f._neg(other.value)))
 
     def __neg__(self):
-        if self.field.level == 0:
-            return FieldElement(self.field, -self.value % self.field.p)
-        return FieldElement(self.field, tuple(-a for a in self.value))
+        return FieldElement(self.field, self.field._neg(self.value))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field.level == 0:
-            return FieldElement(self.field, self.value * other.value % self.field.p)
-        return FieldElement(self.field, _mul_reduce(self.field, self.value, other.value))
+        return FieldElement(self.field, self.field._mul(self.value, other.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -277,40 +298,15 @@ class FieldElement:
         # Nonzero elements have order dividing |F| - 1 (Lagrange), so any
         # integer exponent, negative included, reduces into [0, |F| - 1).
         e %= self.field.order - 1
-        if self.field.level == 0:
-            return FieldElement(self.field, pow(self.value, e, self.field.p))
-        result = self.field.one()
-        base = self
+        mul = self.field._mul
+        result, base = 1, self.value
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = mul(result, base)
+            base = mul(base, base)
             e >>= 1
-        return result
+        return FieldElement(self.field, result)
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         return self ** -1
-
-
-def _mul_reduce(field: FieldSpec, a: tuple, b: tuple) -> tuple:
-    """Schoolbook product of coefficient tuples, reduced mod the modulus."""
-    sub = field.subfield
-    d = field.degree
-    zero = sub.zero()
-    prod = [zero] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                prod[i + j] = prod[i + j] + ai * bj
-    # The modulus is monic: x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1}).
-    tail = field._mod_tail
-    for i in range(len(prod) - 1, d - 1, -1):
-        c = prod[i]
-        if c:
-            for j, mj in enumerate(tail):
-                if mj:
-                    prod[i - d + j] = prod[i - d + j] - c * mj
-    return tuple(prod[:d])

@@ -18,7 +18,7 @@ import random
 from collections.abc import Iterator, Sequence
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldElement, FieldSpec
+from .gfq import DESK_SCALE_CAP, FieldElement, FieldSpec, _digits
 
 
 class Mat:
@@ -151,11 +151,7 @@ def vector_from_index(field: FieldSpec, n: int, i: int) -> tuple[FieldElement, .
     Q = field.order
     if not 0 <= i < Q ** n:
         raise DomainError(f"vector index {i} out of range")
-    out = []
-    for _ in range(n):
-        i, digit = divmod(i, Q)
-        out.append(field.from_index(digit))
-    return tuple(out)
+    return tuple(map(field.from_index, _digits(i, Q, n)))
 
 
 class Subspace:

@@ -38,7 +38,7 @@ from .fieldmap import ExponentProfile, ExtensionContext
 from .gfq import FieldSpec
 from .matspace import (Mat, Subspace, char_poly, format_matrix, grassmannian,
                        matrix_order, parse_matrix_blocks, subspace_apply,
-                       subspace_distance)
+                       subspace_distance, vector_from_index)
 from .polyring import (Poly, companion_matrix, is_primitive,
                        order_of_polynomial)
 
@@ -170,7 +170,8 @@ def build_spread_start(k: int, n: int, poly: Poly) -> Subspace:
     q = base.order
     c = (q ** n - 1) // (q ** k - 1)
     alpha = field.element([0, 1]) if n > 1 else field.element([-poly.coeffs[0]])
-    rows = [(alpha ** (i * c)).value for i in range(k)]
+    rows = [vector_from_index(base, n, field.index_of(alpha ** (i * c)))
+            for i in range(k)]
     return Subspace(Mat(base, rows))
 
 
@@ -189,6 +190,9 @@ def find_sidon_subspace(ctx: ExtensionContext, k: int) -> Subspace:
     differences are all distinct."""
     if not ctx.primitive:
         raise DomainError("the difference condition is defined for primitive contexts")
+    if ctx.q > 2:  # (v, lambda v) share dlog(lambda) for lambda != 1 in F_q^*
+        raise DomainError(f"no subspace over GF({ctx.q}) has all-distinct differences: "
+                          "every pair (v, lambda v) differs by dlog(lambda)")
     modulus = ctx.field.order - 1
     for u in grassmannian(ctx.base, k, ctx.n):
         if check_sidon_condition(ctx.exponent_profile(u), modulus):

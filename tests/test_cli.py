@@ -215,6 +215,22 @@ class TestOrbitAndDistance:
         code, out, _ = run(capsys, "distance", str(out_file))
         assert code == 0 and out.strip() == "4"
 
+    @pytest.mark.parametrize("field,poly,n", [
+        (("-q", "2"), "x^25+x^3+1", 25),
+        (("-q", "3"), "x^16+x+2", 16),
+        (("-q", "4", "--base-modulus", "x^2+x+1"), "x^13+x+[2]", 13),
+    ], ids=["gf2", "gf3", "f4"])
+    def test_orbit_above_the_cap_exits_3_at_once(self, capsys, tmp_path, field, poly, n):
+        # ord(P) of a Q^n > cap group would be walked by up to 2^24 matmuls.
+        out_file = tmp_path / "f"
+        started = time.perf_counter()
+        code, out, err = run(capsys, "orbit", *field, "-p", poly,
+                             "--start-rows", "1" + "0" * (n - 1), "--out", str(out_file))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and "desk-scale cap" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_distance_of_spread_export(self, capsys, tmp_path):
         out_file = tmp_path / "k3.code"
         run(capsys, "spread", "-q", "2", "-k", "3", "-p", "x^6+x+1",

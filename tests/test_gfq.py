@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,12 @@ class TestConstruction:
         assert 2 ** 25 > DESK_SCALE_CAP
         with pytest.raises(DomainError, match="cap"):
             FieldSpec(2 ** 61 - 1)  # a prime; rejected before trial division
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"order{f.order}")
+    def test_pickle_round_trip(self, field):
+        x = field.from_index(field.order - 1)
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.field == field and y * y == x * x
 
     def test_cardinality_tower_law(self):
         for f in FIELDS:

@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcodes import (DifferenceMultiset, DomainError,
                         ExtensionContext, FieldSpec, Mat, ParseError,
@@ -168,6 +171,33 @@ class TestSidonCondition:
         assert check_sidon_condition(ctx64.exponent_profile(u), 63)
         code = generate_orbit(u, companion_matrix(p64))
         assert len(code) == 63 and min_distance_brute(code) == 2
+
+    def test_search_over_q_above_2_is_refused_before_the_walk(self):
+        ctx = ExtensionContext.from_modulus(parse_poly(F3, "x^6+x+2"))
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match=r"GF\(3\).*dlog\(lambda\)"):
+            find_sidon_subspace(ctx, 2)  # the walk of G(2, 6) took seconds
+        assert time.perf_counter() - started < 0.5
+
+
+def _primitive_contexts_over_q_above_2():
+    f4 = F2.extend(parse_poly(F2, "x^2+x+1"))
+    return [ExtensionContext.from_modulus(parse_poly(F3, "x^4+x+2")),
+            ExtensionContext.from_modulus(parse_poly(f4, "x^4+x^2+[2]*x+[3]"))]
+
+
+@pytest.mark.parametrize("ctx", _primitive_contexts_over_q_above_2(), ids=["GF(3)", "F_4"])
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_no_subspace_over_q_above_2_is_sidon(ctx, data):
+    # For lambda in F_q^*, lambda != 1, the pairs (v, lambda v) of U all
+    # differ by dlog(lambda), so some difference repeats.
+    digit = st.integers(0, ctx.q - 1)
+    rows = data.draw(st.lists(st.lists(digit, min_size=ctx.n, max_size=ctx.n),
+                              min_size=1, max_size=ctx.n - 1))
+    u = Subspace(Mat(ctx.base, rows))
+    if u.dim:
+        assert not check_sidon_condition(ctx.exponent_profile(u), ctx.field.order - 1)
 
 
 class TestDifferenceMultiset:
