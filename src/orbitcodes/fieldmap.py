@@ -2,21 +2,26 @@
 
 An ExtensionContext fixes an irreducible modulus p over a base field F_q
 and makes the canonical isomorphism phi((v_1,...,v_n)) = sum v_i alpha^(i-1)
-explicit, where alpha is the residue class of x.  It carries a dense
-discrete-logarithm table with respect to a primitive element gamma (gamma
-is alpha itself when p is primitive; otherwise the first element in
-enumeration order of maximal multiplicative order), the exponent profile
-of a subspace (the dlogs of its nonzero vectors), and the partition of the
-nonzero field elements into orbits of multiplication by alpha.
+explicit, where alpha is the residue class of x.  It carries discrete
+logarithms with respect to a primitive element gamma (gamma is alpha itself
+when p is primitive; otherwise the first element in enumeration order of
+maximal multiplicative order), the exponent profile of a subspace (the
+dlogs of its nonzero vectors), and the partition of the nonzero field
+elements into orbits of multiplication by alpha.
 
-That partition is coset arithmetic on the dlog.  With alpha = gamma^t and
+Both rest on one dense int array, indexed by element index.  With
 e = ord(alpha), the c = (q^n - 1)/e orbits are the cosets gamma^i<alpha>,
-i in [0, c), because gcd(t, q^n - 1) = c.  So gamma^j lies on orbit j mod c,
-(j div c) * (t/c)^-1 mod e alpha-steps from its representative gamma^(j mod c).
+i in [0, c).  The array holds i + c*b for the element gamma^i * alpha^b.
+It is filled by walking each coset with alpha-steps on indices (a digit
+shift plus a fold at the modulus' nonzero terms), so its only field
+products are the coset representatives and gamma^c.  With
+gamma^c = alpha^s and alpha = gamma^t, t = c * (s^-1 mod e), so
+gamma^i * alpha^b = gamma^j for j = i + c * (b * s^-1 mod e).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd
 
@@ -64,17 +69,17 @@ class OrbitPartition:
 
     def locate(self, element: FieldElement) -> tuple[int, int]:
         """(orbit index, within-orbit exponent) of a nonzero element."""
-        j = self._ctx._dlog.get(element)
-        if j is None:
+        ctx = self._ctx
+        if not (isinstance(element, FieldElement) and element and element.field == ctx.field):
             raise DomainError("element is zero or from another field")
-        return self._ctx._split(j)
+        return ctx._place(element)
 
 
 class ExtensionContext:
     """Precomputed view of F_{q^n} = F_q[x]/(p) for one irreducible p."""
 
     __slots__ = ("field", "base", "n", "q", "modulus", "alpha", "order",
-                 "primitive", "gamma", "_dlog", "_cosets", "_step")
+                 "primitive", "gamma", "_coords", "_reps", "_cosets", "_unit")
 
     def __init__(self, field: FieldSpec):
         if field.level == 0:
@@ -83,14 +88,14 @@ class ExtensionContext:
         if not modulus.coeffs[0]:
             raise DomainError("modulus must have a nonzero constant term")
         self.field = field
-        self.base = field.subfield
-        self.n = field.degree
-        self.q = self.base.order
+        self.base = base = field.subfield
+        self.n = n = field.degree
+        self.q = q = base.order
         self.modulus = modulus
-        self.order = order_of_polynomial(modulus)
-        self.primitive = self.order == field.order - 1
+        self.order = e = order_of_polynomial(modulus)
+        self.primitive = e == field.order - 1
 
-        if self.n == 1:
+        if n == 1:
             # x = -c_0 in the quotient by x + c_0.
             self.alpha = field.element([-modulus.coeffs[0]])
         else:
@@ -104,22 +109,40 @@ class ExtensionContext:
             self.gamma = next(
                 g for g in field.elements()
                 if g and all(g ** (big // ell) != field.one() for ell in primes))
+        self._cosets = c = big // e
+        reps = [field.one()]
+        for _ in range(c):
+            reps.append(reps[-1] * self.gamma)
+        self._reps = tuple(reps[:c])
 
-        # Dense dlog table for gamma.
-        table = {}
-        el = field.one()
-        for j in range(big):
-            table[el] = j
-            el = el * self.gamma
-        if len(table) != big:
+        # coords[x.value] = i + c*b for x = gamma^i * alpha^b.  Walk each coset
+        # by alpha-steps on indices: one step shifts the digits up one place
+        # and adds -h * m_j, h the digit shifted out, at the nonzero
+        # positions j of the monic modulus.
+        add, mul = base._add, base._mul
+        fold = [(q ** j, base._neg(m.value)) for j, m in enumerate(modulus.coeffs[:-1]) if m]
+        top = q ** (n - 1)
+        coords = array("i", [-1]) * field.order
+        for i, rep in enumerate(self._reps):
+            x = rep.value
+            for a in range(i, big, c):
+                coords[x] = a
+                h, x = divmod(x, top)
+                x *= q
+                if h:
+                    for w, m in fold:
+                        digit = x // w % q
+                        x += (add(digit, mul(h, m)) - digit) * w
+            if x != rep.value:
+                raise RuntimeError(f"alpha does not have order {e}")
+        if coords.count(-1) != 1:
             raise RuntimeError("gamma does not generate the nonzero elements")
-        self._dlog = table
-        # alpha = gamma^t has order big / gcd(t, big), which must be ord(p).
-        t = table[self.alpha]
-        self._cosets = big // self.order
-        if gcd(t, big) != self._cosets:
-            raise RuntimeError(f"alpha = gamma^{t} does not have order {self.order}")
-        self._step = pow(t // self._cosets, -1, self.order)
+        self._coords = coords
+        # gamma^c = alpha^s for a unit s mod e, and alpha = gamma^(c * s^-1).
+        s, i = divmod(coords[reps[c].value], c)
+        if i or gcd(s, e) != 1:
+            raise RuntimeError(f"alpha does not have order {e}")
+        self._unit = pow(s, -1, e)
 
     @classmethod
     def from_modulus(cls, modulus: Poly) -> "ExtensionContext":
@@ -145,7 +168,8 @@ class ExtensionContext:
         x = self.field.element(x)
         if not x:
             raise DomainError("discrete logarithm of zero is undefined")
-        return self._dlog[x]
+        i, b = self._place(x)
+        return i + self._cosets * (b * self._unit % self.order)
 
     # -- derived data ------------------------------------------------------
 
@@ -167,23 +191,22 @@ class ExtensionContext:
         """
         if u is not None:
             self._check_subspace(u)
-        reps = [self.field.one()]
-        for _ in range(self._cosets - 1):
-            reps.append(reps[-1] * self.gamma)
+        reps = self._reps
         membership = None
         orbit_exponents = None
         if u is not None:
             exps: list[list[int]] = [[] for _ in reps]
             for v in u.nonzero_vectors():
-                i, b = self._split(self.dlog(self.phi(v)))
+                i, b = self._place(self.phi(v))
                 exps[i].append(b)
             membership = tuple(len(b) for b in exps)
             orbit_exponents = tuple(tuple(sorted(b)) for b in exps)
-        return OrbitPartition(self.order, tuple(reps), membership, orbit_exponents, self)
+        return OrbitPartition(self.order, reps, membership, orbit_exponents, self)
 
-    def _split(self, j: int) -> tuple[int, int]:
-        """(orbit, alpha-steps from the representative) of gamma^j."""
-        return j % self._cosets, j // self._cosets * self._step % self.order
+    def _place(self, x: FieldElement) -> tuple[int, int]:
+        """(orbit, alpha-steps from the representative) of nonzero x."""
+        a = self._coords[x.value]
+        return a % self._cosets, a // self._cosets
 
     def _check_subspace(self, u: Subspace):
         if u.ambient != self.n or u.field != self.base:

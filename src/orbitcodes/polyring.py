@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldElement, FieldSpec, _prime_factors
+from .gfq import DESK_SCALE_CAP, FieldElement, FieldSpec, _mulmod, _prime_factors
 
 
 class Poly:
@@ -179,19 +179,26 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f if f.is_zero else f.monic()
 
 def poly_powmod(f: Poly, e: int, m: Poly) -> Poly:
-    """f**e mod m by square-and-multiply; e must be nonnegative."""
+    """f**e mod m by square-and-multiply; e must be nonnegative.
+
+    The products run on lists of int coefficient indices, reduced by the
+    monic multiple of m; only the result is built as a Poly.
+    """
     if e < 0:
         raise DomainError("poly_powmod requires a nonnegative exponent")
     if m.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    result = Poly.one(f.field) % m
-    base = f % m
+    if f.field != m.field:
+        raise DomainError("polynomials over different fields")
+    mulmod = _mulmod(m.field, [c.value for c in m.monic().coeffs[:-1]])
+    result, base = mulmod([1], [1]), mulmod([c.value for c in f.coeffs], [1])
     while e:
         if e & 1:
-            result = result * base % m
-        base = base * base % m
+            result = mulmod(result, base)
         e >>= 1
-    return result
+        if e:
+            base = mulmod(base, base)
+    return Poly(m.field, result)
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import orbitcodes.fieldmap
+from orbitcodes.gfq import _prime_factors
 from orbitcodes import (DomainError, ExtensionContext, FieldElement, FieldSpec,
                         Mat, Subspace, companion_matrix, list_irreducibles,
                         parse_matrix, parse_poly, row_times_mat,
@@ -290,6 +291,41 @@ class TestPartitionAgainstWalk:
         part = ctx.orbit_partition(u)
         assert sum(part.membership) == 7
         assert len(calls) <= part.orbit_count - 1 == 2
+
+
+class TestTableFill:
+    """The dlog table is filled by alpha-steps on indices, not by products."""
+
+    @pytest.mark.parametrize("text,cosets", [
+        ("x^12+x^11+x^2+x+1", 3), ("x^16+x^5+x^3+x^2+1", 1)])
+    def test_no_element_product_per_entry(self, monkeypatch, text, cosets):
+        field = F2.extend(parse_poly(F2, text))
+        counts = {"__mul__": 0, "__pow__": 0}
+        for name in counts:
+            def counting(a, b, _op=getattr(FieldElement, name), _name=name):
+                counts[_name] += a.field == field
+                return _op(a, b)
+            monkeypatch.setattr(FieldElement, name, counting)
+        ctx = ExtensionContext(field)
+        monkeypatch.undo()
+        big = ctx.field.order - 1
+        assert ctx.orbit_partition().orbit_count == cosets
+        # The gamma search tests each candidate up to gamma with one power
+        # per prime factor of q^n - 1; the c coset representatives and
+        # gamma^c cost one product each.
+        search = 0 if ctx.primitive else ctx.gamma.value * len(_prime_factors(big))
+        assert counts["__pow__"] <= search
+        assert counts["__mul__"] <= cosets
+
+    @pytest.mark.parametrize("modulus", [*_small_moduli(), parse_poly(F4, "x^3+[2]")],
+                             ids=lambda f: f"{f.field!r}:{f}")
+    def test_dlog_inverts_every_gamma_power(self, modulus):
+        ctx = ExtensionContext.from_modulus(modulus)
+        power = ctx.field.one()
+        for j in range(ctx.field.order - 1):
+            assert ctx.dlog(power) == j
+            power = power * ctx.gamma
+        assert power == ctx.field.one()
 
 
 class TestDiagram:

@@ -100,6 +100,52 @@ class TestArithmetic:
         assert r.degree < g.degree
 
 
+def _powmod_reference(f, e, m):
+    """Square-and-multiply on the Poly operators, reducing mod m as given."""
+    result, base = Poly.one(f.field) % m, f % m
+    while e:
+        if e & 1:
+            result = result * base % m
+        base = base * base % m
+        e >>= 1
+    return result
+
+
+class TestPowmodKernel:
+    """The int-coefficient poly_powmod against the Poly-operator reference."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F4]), label="field")
+        idx = st.integers(min_value=0, max_value=field.order - 1)
+        # m may be non-monic and of any degree >= 0; f may outgrow m.
+        m = Poly(field, data.draw(st.lists(idx, min_size=1, max_size=7), label="m"))
+        if m.is_zero:
+            m = Poly(field, [data.draw(st.integers(1, field.order - 1), label="const")])
+        f = Poly(field, data.draw(st.lists(idx, max_size=12), label="f"))
+        e = data.draw(st.one_of(st.just(0), st.integers(0, 10 ** 5)), label="e")
+        assert poly_powmod(f, e, m) == _powmod_reference(f, e, m)
+
+    @pytest.mark.parametrize("field,f,m", [
+        (F3, "2*x^5+x+1", "2*x^3+x+2"),
+        (F4, "[3]*x^4+[2]*x", "[2]*x^2+[3]"),
+        (F2, "x^9+x", "1"),
+    ])
+    def test_edge_cases(self, field, f, m):
+        f, m = parse_poly(field, f), parse_poly(field, m)
+        for e in (0, 1, 2, 7, 64):
+            assert poly_powmod(f, e, m) == _powmod_reference(f, e, m)
+
+    def test_rejections(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            poly_powmod(Poly.x(F2), -1, Poly.one(F2))
+        with pytest.raises(ZeroDivisionError):
+            poly_powmod(Poly.x(F2), 3, Poly.zero(F2))
+        with pytest.raises(DomainError, match="different fields"):
+            poly_powmod(Poly.x(F2), 3, Poly.x(F3))
+
+
 def _factors_by_trial_division(f):
     """Oracle: search for a monic factor of every smaller positive degree."""
     field = f.field
@@ -210,6 +256,24 @@ class TestOrderAndPrimitivity:
         one = Poly.one(F2)
         for m in range(1, 2 * 15 + 1):
             assert (poly_powmod(Poly.x(F2), m, f) == one) == (m % e == 0)
+
+
+def _order_by_walk(f):
+    """Least e > 0 with x^e = 1 mod f, by multiplying by x one step at a time."""
+    x, one = Poly.x(f.field), Poly.one(f.field)
+    power, e = x % f, 1
+    while power != one:
+        power, e = power * x % f, e + 1
+    return e
+
+
+@pytest.mark.parametrize("field,top", [(F2, 6), (F3, 3), (F4, 3)],
+                         ids=["GF2", "GF3", "F4"])
+def test_order_matches_least_exponent_walk(field, top):
+    for n in range(1, top + 1):
+        for f in list_irreducibles(field, n):
+            if f.coeffs[0]:
+                assert order_of_polynomial(f) == _order_by_walk(f), f
 
 
 class TestEnumeration:
