@@ -158,10 +158,9 @@ class ExtensionContext:
             raise DomainError(f"vector length {len(vec)} does not match n = {self.n}")
         return self.field.element(vec)
 
-    def phi_inv(self, x: FieldElement) -> tuple[FieldElement, ...]:
-        """Coefficient vector of a field element over the base field."""
-        i = self.field.index_of(self.field.element(x))
-        return vector_from_index(self.base, self.n, i)
+    def phi_inv(self, x: FieldElement) -> tuple[int, ...]:
+        """Coefficient vector of x over the base field, as element indices."""
+        return vector_from_index(self.base, self.n, self.field.element(x).value)
 
     def dlog(self, x: FieldElement) -> int:
         """Exponent of x with respect to gamma."""

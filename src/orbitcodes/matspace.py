@@ -1,5 +1,8 @@
 """Matrices over a finite field and canonical subspaces of F_q^n.
 
+Matrix entries and vector coordinates are element indices, ints in [0, q)
+in the field's mixed-radix enumeration, and every routine computes on the
+field's int add, sub and mul; only pivot inverses go through elements.
 Subspaces are identified with their unique reduced row echelon basis, so
 subspace equality, hashing and sorting are plain tuple comparisons on the
 canonical matrix.  The subspace metric is
@@ -18,16 +21,32 @@ import random
 from collections.abc import Iterator, Sequence
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldElement, FieldSpec, _digits
+from .gfq import DESK_SCALE_CAP, FieldSpec, _digits
+
+
+def _indices(field: FieldSpec, v) -> tuple[int, ...]:
+    """Entries given as in-range ints or elements of field, as indices."""
+    return tuple(e if isinstance(e, int) and 0 <= e < field.order
+                 else field.index_of(e) for e in v)
+
+
+def _dot(field: FieldSpec, u, v) -> int:
+    """sum_i u_i v_i on element indices."""
+    add, mul, acc = field._add, field._mul, 0
+    for a, b in zip(u, v):
+        if a and b:
+            acc = add(acc, mul(a, b))
+    return acc
 
 
 class Mat:
-    """An immutable dense matrix with entries in one FieldSpec."""
+    """An immutable dense matrix over one FieldSpec, rows of element indices.
+    Entries may be given as in-range ints or elements of the field."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: FieldSpec, rows):
-        rows = tuple(tuple(field.element(e) for e in row) for row in rows)
+        rows = tuple(_indices(field, row) for row in rows)
         if not rows or not rows[0]:
             raise DomainError("matrix dimensions must be positive")
         if any(len(r) != len(rows[0]) for r in rows):
@@ -39,8 +58,7 @@ class Mat:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
-        zero, one = field.zero(), field.one()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -59,12 +77,7 @@ class Mat:
             raise DomainError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         cols = tuple(zip(*other.rows))
-        zero = self.field.zero()
-        out = []
-        for r in self.rows:
-            out.append([sum((a * b for a, b in zip(r, c) if a and b), zero)
-                        for c in cols])
-        return Mat(self.field, out)
+        return Mat(self.field, [[_dot(self.field, r, c) for c in cols] for r in self.rows])
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -95,7 +108,8 @@ class Mat:
         below, so the result is the unique canonical representative of the
         row space.
         """
-        rows = [list(r) for r in self.rows]
+        sub, mul = self.field._sub, self.field._mul
+        rows = list(self.rows)
         nr, nc = self.nrows, self.ncols
         piv = 0
         for col in range(nc):
@@ -103,12 +117,12 @@ class Mat:
             if hit is None:
                 continue
             rows[piv], rows[hit] = rows[hit], rows[piv]
-            inv = rows[piv][col].inv()
-            rows[piv] = [inv * e for e in rows[piv]]
+            inv = self.field.from_index(rows[piv][col]).inv().value
+            rows[piv] = [mul(inv, e) for e in rows[piv]]
             for r in range(nr):
                 if r != piv and rows[r][col]:
                     c = rows[r][col]
-                    rows[r] = [a - c * b for a, b in zip(rows[r], rows[piv])]
+                    rows[r] = [sub(a, mul(c, b)) for a, b in zip(rows[r], rows[piv])]
             piv += 1
             if piv == nr:
                 break
@@ -125,8 +139,7 @@ class Mat:
         ident = Mat.identity(self.field, n)
         aug = Mat(self.field, [self.rows[i] + ident.rows[i] for i in range(n)])
         reduced, _ = aug.rref()
-        left = Mat(self.field, [r[:n] for r in reduced.rows])
-        if left != ident:
+        if tuple(r[:n] for r in reduced.rows) != ident.rows:
             raise DomainError("matrix is singular")
         return Mat(self.field, [r[n:] for r in reduced.rows])
 
@@ -137,21 +150,20 @@ class Mat:
         return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def row_times_mat(v: Sequence[FieldElement], m: Mat) -> tuple[FieldElement, ...]:
-    """Row vector times matrix."""
+def row_times_mat(v: Sequence, m: Mat) -> tuple[int, ...]:
+    """Row vector (entries as for Mat) times matrix, as element indices."""
     if len(v) != m.nrows:
         raise DomainError("vector length does not match the matrix")
-    zero = m.field.zero()
-    return tuple(sum((a * b for a, b in zip(v, col) if a and b), zero)
-                 for col in zip(*m.rows))
+    v = _indices(m.field, v)
+    return tuple(_dot(m.field, v, col) for col in zip(*m.rows))
 
 
-def vector_from_index(field: FieldSpec, n: int, i: int) -> tuple[FieldElement, ...]:
-    """Vector number i of F^n in mixed-radix enumeration order."""
+def vector_from_index(field: FieldSpec, n: int, i: int) -> tuple[int, ...]:
+    """Vector number i of F^n in mixed-radix order: its n digits, as indices."""
     Q = field.order
     if not 0 <= i < Q ** n:
         raise DomainError(f"vector index {i} out of range")
-    return tuple(map(field.from_index, _digits(i, Q, n)))
+    return tuple(_digits(i, Q, n))
 
 
 class Subspace:
@@ -162,54 +174,49 @@ class Subspace:
     but rejected by the code constructors downstream.
     """
 
-    __slots__ = ("field", "ambient", "dim", "mat", "_flat")
+    __slots__ = ("field", "ambient", "dim", "mat")
 
     def __init__(self, rows: Mat):
         canon, rank = rows.rref()
         self.field = rows.field
         self.ambient = rows.ncols
         self.dim = rank
-        if rank == 0:
-            self.mat = None
-            self._flat = ()
-        else:
-            self.mat = Mat(rows.field, canon.rows[:rank])
-            self._flat = tuple(rows.field.index_of(e)
-                               for r in self.mat.rows for e in r)
+        self.mat = Mat(rows.field, canon.rows[:rank]) if rank else None
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.field == other.field and self.ambient == other.ambient
-                and self.dim == other.dim and self._flat == other._flat)
+        return (self.field, self.ambient, self.mat) == (other.field, other.ambient, other.mat)
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.dim, self._flat))
+        return hash((self.field, self.ambient, self.mat))
 
     def __lt__(self, other):
         if not isinstance(other, Subspace) or self.ambient != other.ambient:
             return NotImplemented
-        return (self.dim, self._flat) < (other.dim, other._flat)
+        # Rows all have length n, so this is the order of the flattened rows.
+        return (self.dim, self.mat and self.mat.rows) < (other.dim, other.mat and other.mat.rows)
 
     def __repr__(self):
         if self.mat is None:
             return f"Subspace(dim 0 of F^{self.ambient})"
         return "Subspace(" + ";".join(format_matrix(self.mat).split("\n")) + ")"
 
-    def nonzero_vectors(self) -> Iterator[tuple[FieldElement, ...]]:
-        """All q^k - 1 nonzero vectors, by mixed-radix combination index.
+    def nonzero_vectors(self) -> Iterator[tuple[int, ...]]:
+        """All q^k - 1 nonzero vectors as tuples of element indices, by
+        mixed-radix combination index.
 
-        Vector number i = sum_j index(c_j) q^j is sum_j c_j row_j.  The span
+        Vector number i = sum_j c_j q^j is sum_j c_j row_j.  The span
         grows one row at a time, each new vector a single addition to one
         already listed, which keeps exactly that order.
         """
         if self.dim == 0:
             return
-        scalars = list(self.field.elements())[1:]
-        span = [(self.field.zero(),) * self.ambient]
+        add, mul, Q = self.field._add, self.field._mul, self.field.order
+        span = [(0,) * self.ambient]
         for row in self.mat.rows:
-            span += [tuple(a + b for a, b in zip(v, scaled))
-                     for scaled in [tuple(c * e for e in row) for c in scalars]
+            span += [tuple(map(add, v, scaled))
+                     for scaled in [tuple(mul(c, e) for e in row) for c in range(1, Q)]
                      for v in span]
         yield from span[1:]
 
@@ -279,6 +286,7 @@ def char_poly(g: Mat):
         raise DomainError("characteristic polynomial requires a square matrix")
     n = g.nrows
     field = g.field
+    add, sub, mul = field._add, field._sub, field._mul
     h = [list(row) for row in g.rows]
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
@@ -288,25 +296,25 @@ def char_poly(g: Mat):
             h[piv], h[m] = h[m], h[piv]
             for row in h:
                 row[piv], row[m] = row[m], row[piv]
-        inv = h[m][m - 1].inv()
+        inv = field.from_index(h[m][m - 1]).inv().value
         for i in range(m + 1, n):
-            u = h[i][m - 1] * inv
+            u = mul(h[i][m - 1], inv)
             if not u:
                 continue
             # row_i -= u row_m, then column_m += u column_i (the inverse step)
-            h[i] = [a - u * b for a, b in zip(h[i], h[m])]
+            h[i] = [sub(a, mul(u, b)) for a, b in zip(h[i], h[m])]
             for row in h:
-                row[m] = row[m] + u * row[i]
+                row[m] = add(row[m], mul(u, row[i]))
     x = Poly.x(field)
     p = [Poly.one(field)]
     for m in range(n):
         pm = (x - Poly(field, (h[m][m],))) * p[m]
-        t = field.one()
+        t = 1
         for i in range(1, m + 1):
-            t = t * h[m - i + 1][m - i]
+            t = mul(t, h[m - i + 1][m - i])
             if not t:
                 break
-            pm = pm - Poly(field, (t * h[m - i][m],)) * p[m - i]
+            pm = pm - Poly(field, (mul(t, h[m - i][m]),)) * p[m - i]
         p.append(pm)
     return p[n]
 
@@ -338,8 +346,7 @@ def to_companion_similarity(g: Mat) -> Mat:
     n = g.nrows
     field = g.field
     for i in range(1, field.order ** n):
-        v = vector_from_index(field, n, i)
-        rows = [v]
+        rows = [_digits(i, field.order, n)]
         for _ in range(n - 1):
             rows.append(row_times_mat(rows[-1], g))
         s = Mat(field, rows)
@@ -381,25 +388,20 @@ def grassmannian(field: FieldSpec, k: int, n: int) -> Iterator[Subspace]:
     """
     if not 0 < k <= n:
         raise DomainError("grassmannian requires 0 < k <= n")
-    zero, one = field.zero(), field.one()
     for pivots in itertools.combinations(range(n), k):
         free = [(i, j) for i in range(k) for j in range(n)
                 if j > pivots[i] and j not in pivots]
         for idx in range(field.order ** len(free)):
-            rows = [[zero] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = one
-            for (i, j), entry in zip(free, vector_from_index(field, len(free), idx)):
+            rows = [[int(j == p) for j in range(n)] for p in pivots]
+            for (i, j), entry in zip(free, _digits(idx, field.order, len(free))):
                 rows[i][j] = entry
             yield Subspace(Mat(field, rows))
 
 
 def random_invertible(field: FieldSpec, n: int, rng: random.Random) -> Mat:
     """Uniform-ish invertible matrix by rejection sampling."""
-    Q = field.order
     while True:
-        m = Mat(field, [[field.from_index(rng.randrange(Q)) for _ in range(n)]
-                        for _ in range(n)])
+        m = Mat(field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)])
         if m.rank() == n:
             return m
 
@@ -413,8 +415,7 @@ def format_matrix(m: Mat) -> str:
     """Rows as contiguous index digit strings, one per line."""
     if m.field.order > len(_DIGITS):
         raise DomainError("matrix text format supports base fields of order <= 36")
-    return "\n".join("".join(_DIGITS[m.field.index_of(e)] for e in row)
-                     for row in m.rows)
+    return "\n".join("".join(_DIGITS[e] for e in row) for row in m.rows)
 
 
 def parse_matrix(field: FieldSpec, text: str) -> Mat:
@@ -430,7 +431,7 @@ def parse_matrix_blocks(field: FieldSpec, text: str) -> list[Mat]:
     if field.order > len(_DIGITS):
         raise DomainError("matrix text format supports base fields of order <= 36")
     blocks = []
-    current: list[list[FieldElement]] = []
+    current: list[list[int]] = []
     for raw in text.splitlines() + [""]:
         line = raw.strip()
         if not line:
@@ -445,7 +446,7 @@ def parse_matrix_blocks(field: FieldSpec, text: str) -> list[Mat]:
                 raise ParseError(f"invalid matrix digit {ch!r}")
             if idx >= field.order:
                 raise ParseError(f"digit {ch!r} out of range for {field!r}")
-            row.append(field.from_index(idx))
+            row.append(idx)
         if current and len(row) != len(current[0]):
             raise ParseError("matrix rows have inconsistent lengths")
         current.append(row)

@@ -125,9 +125,7 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
         raise DomainError("subspaces live in different ambient spaces")
     if any(w.dim != first.dim for w in words):
         raise DomainError("the brute-force distance requires a constant dimension code")
-    index_of = first.field.index_of
-    vectors = [[tuple(map(index_of, v)) for v in w.nonzero_vectors()]
-               for w in words]
+    vectors = [list(w.nonzero_vectors()) for w in words]
     holders: dict[tuple[int, ...], list[int]] = {}
     for i, vecs in enumerate(vectors):
         for key in vecs:
@@ -194,6 +192,10 @@ def find_sidon_subspace(ctx: ExtensionContext, k: int) -> Subspace:
         raise DomainError(f"no subspace over GF({ctx.q}) has all-distinct differences: "
                           "every pair (v, lambda v) differs by dlog(lambda)")
     modulus = ctx.field.order - 1
+    s = 2 ** k - 1  # nonzero vectors, so s(s - 1) ordered differences
+    if s * (s - 1) > modulus - 1:
+        raise DomainError(f"no subspace of G({k},{ctx.n}) has all-distinct differences: "
+                          f"s(s-1) = {s * (s - 1)} exceeds the {modulus - 1} nonzero residues")
     for u in grassmannian(ctx.base, k, ctx.n):
         if check_sidon_condition(ctx.exponent_profile(u), modulus):
             return u

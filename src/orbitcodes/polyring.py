@@ -269,8 +269,7 @@ def companion_matrix(f: Poly):
         raise DomainError("companion matrix requires a monic polynomial")
     field = f.field
     n = f.degree
-    zero, one = field.zero(), field.one()
-    rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
     rows.append([-f.coeffs[j] for j in range(n)])
     return Mat(field, rows)
 
@@ -289,10 +288,9 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
     if Q ** degree > DESK_SCALE_CAP:
         raise DomainError(
             f"enumeration space {Q ** degree} exceeds the desk-scale cap {DESK_SCALE_CAP}")
-    one = field.one()
     out = []
     for i in range(Q ** degree):
-        f = Poly(field, vector_from_index(field, degree, i) + (one,))
+        f = Poly(field, vector_from_index(field, degree, i) + (1,))
         if is_irreducible(f):
             out.append(f)
     return out

@@ -127,7 +127,7 @@ class TestPhi:
         for _ in range(20):
             v = vector_from_index(f2, 6, rng.randrange(64))
             w = vector_from_index(f2, 6, rng.randrange(64))
-            s = tuple(a + b for a, b in zip(v, w))
+            s = tuple(f2.from_index(a) + f2.from_index(b) for a, b in zip(v, w))
             assert ctx64.phi(s) == ctx64.phi(v) + ctx64.phi(w)
 
     def test_length_mismatch(self, ctx64):

@@ -180,6 +180,20 @@ class TestMatrixBasics:
         v = (F2.one(), F2.zero(), F2.zero(), F2.zero())
         assert row_times_mat(v, p) == tuple(p.rows[0])
 
+    def test_row_times_mat_takes_indices_as_mat_does(self):
+        p = companion_matrix(parse_poly(F2, "x^4+x+1"))
+        assert row_times_mat((1, 0, 0, 0), p) == p.rows[0] == (0, 1, 0, 0)
+        with pytest.raises(DomainError):
+            row_times_mat((2, 0, 0, 0), p)
+        with pytest.raises(DomainError):
+            row_times_mat((F3.one(), 0, 0, 0), p)
+
+    def test_entries_are_indices_in_range(self):
+        assert Mat(F3, [[F3.from_index(2), 1]]).rows == ((2, 1),)
+        for bad in (3, -1, F2.one(), "1", None):
+            with pytest.raises(DomainError):
+                Mat(F3, [[bad, 0]])
+
 
 class TestMatrixOrder:
     def test_order_five(self):

@@ -36,14 +36,15 @@ def min_distance_pairwise(words) -> int:
 
 def from_index_vectors(u: Subspace) -> list:
     """Vector number i of u, for i = 1 .. q^k - 1, as sum_j c_j row_j with
-    (c_0, ..., c_{k-1}) the mixed-radix digits of i."""
-    zero = u.field.zero()
+    (c_0, ..., c_{k-1}) the mixed-radix digits of i, summed with field
+    element operators and returned as element indices."""
+    el = u.field.from_index
     out = []
     for i in range(1, u.field.order ** u.dim):
-        vec = [zero] * u.ambient
+        vec = [u.field.zero()] * u.ambient
         for c, row in zip(vector_from_index(u.field, u.dim, i), u.mat.rows):
-            vec = [v + c * e for v, e in zip(vec, row)]
-        out.append(tuple(vec))
+            vec = [v + el(c) * el(e) for v, e in zip(vec, row)]
+        out.append(tuple(v.value for v in vec))
     return out
 
 

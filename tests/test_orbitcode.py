@@ -179,6 +179,15 @@ class TestSidonCondition:
             find_sidon_subspace(ctx, 2)  # the walk of G(2, 6) took seconds
         assert time.perf_counter() - started < 0.5
 
+    def test_search_ruled_out_by_counting_is_refused_before_the_walk(self):
+        # s = 31 vectors give 930 ordered differences, over the 126 nonzero
+        # residues mod 127; the walk of G(5, 7) took 2 s
+        ctx = ExtensionContext.from_modulus(parse_poly(F2, "x^7+x+1"))
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match=r"G\(5,7\).*930 exceeds the 126"):
+            find_sidon_subspace(ctx, 5)
+        assert time.perf_counter() - started < 0.5
+
 
 def _primitive_contexts_over_q_above_2():
     f4 = F2.extend(parse_poly(F2, "x^2+x+1"))

@@ -304,7 +304,7 @@ class TestCompanion:
     def test_degree_four_last_row(self, f2):
         from orbitcodes import companion_matrix
         c = companion_matrix(parse_poly(f2, "x^4+x^3+x^2+x+1"))
-        assert [f2.index_of(e) for e in c.rows[3]] == [1, 1, 1, 1]
+        assert list(c.rows[3]) == [1, 1, 1, 1]
 
     def test_negation_in_gf3(self, f3):
         from orbitcodes import companion_matrix, format_matrix

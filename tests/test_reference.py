@@ -2,20 +2,24 @@
 
 Field arithmetic, irreducibility, modular powers and discrete logarithms
 are checked against sympy's dense GF(p)[x] routines (``galoistools``) and
-``sympy.ntheory.discrete_log``.  sympy has no field towers, so level-2
-products are checked against a short nested-polynomial reference written
-here.  Polynomials cross over as coefficient lists, highest degree first
-on the sympy side, and field elements as their mixed-radix indices.
+``sympy.ntheory.discrete_log``; matrix products, reduced row echelon forms
+and characteristic polynomials against ``sympy.polys.matrices.DomainMatrix``
+over GF(p).  sympy has no field towers, so level-2 products and F_4
+matrices are checked against short references written here.  Polynomials
+cross over as coefficient lists, highest degree first on the sympy side,
+and field elements as their mixed-radix indices.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory import discrete_log
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import (gf_irreducible_p, gf_mul, gf_pow_mod,
                                      gf_rem)
+from sympy.polys.matrices import DomainMatrix
 
-from orbitcodes import ExtensionContext, FieldSpec, Poly, is_irreducible, poly_powmod
+from orbitcodes import (ExtensionContext, FieldSpec, Mat, Poly, char_poly,
+                        is_irreducible, poly_powmod)
 
 PRIMES = (2, 3, 5)
 #: dlog draws stay in fields of at most this many elements.
@@ -190,3 +194,102 @@ def test_level_two_products_match_nested_reference(d, start, data):
         b = data.draw(st.integers(0, top.order - 1))
         got = top.index_of(top.from_index(a) * top.from_index(b))
         assert got == _index(_nested_mul(_digits(a, 4, d), _digits(b, 4, d), m), 4)
+
+
+# -- matrices over GF(p) against DomainMatrix ---------------------------------
+
+@st.composite
+def prime_matrix(draw, square=False):
+    """(p, rows) of a matrix over GF(p) of at most 6 x 7 entries."""
+    p = draw(st.sampled_from(PRIMES))
+    nr = draw(st.integers(1, 6))
+    nc = nr if square else draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    return p, rows
+
+
+def _domain_matrix(rows, p):
+    K = GF(p)
+    return DomainMatrix([[K(e) for e in row] for row in rows], (len(rows), len(rows[0])), K)
+
+
+def _residues(dm, p):
+    """sympy's symmetric residues as indices in [0, p)."""
+    return [[int(e) % p for e in row] for row in dm.to_list()]
+
+
+@settings(deadline=None, max_examples=150)
+@given(prime_matrix())
+def test_rref_matches_sympy(drawn):
+    p, rows = drawn
+    form, rank = Mat(FieldSpec(p), rows).rref()
+    want, pivots = _domain_matrix(rows, p).rref()
+    assert rank == len(pivots)
+    assert form == Mat(FieldSpec(p), _residues(want, p))
+
+
+@settings(deadline=None, max_examples=100)
+@given(prime_matrix(), st.integers(1, 7), st.data())
+def test_products_match_sympy(drawn, width, data):
+    p, rows = drawn
+    right = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=width, max_size=width),
+                               min_size=len(rows[0]), max_size=len(rows[0])))
+    field = FieldSpec(p)
+    got = Mat(field, rows) * Mat(field, right)
+    want = _domain_matrix(rows, p) * _domain_matrix(right, p)
+    assert got == Mat(field, _residues(want, p))
+
+
+@settings(deadline=None, max_examples=100)
+@given(prime_matrix(square=True))
+def test_char_poly_matches_sympy(drawn):
+    p, rows = drawn
+    field = FieldSpec(p)
+    want = [int(c) % p for c in reversed(_domain_matrix(rows, p).charpoly())]
+    assert char_poly(Mat(field, rows)) == Poly(field, want)
+
+
+# -- matrices over F_4 against element-level Gauss-Jordan --------------------
+
+F4 = FieldSpec(2).extend(Poly(FieldSpec(2), [1, 1, 1]))
+
+
+def _element_rref(rows):
+    """Gauss-Jordan on FieldElement rows: (reduced rows, rank)."""
+    rows = [list(r) for r in rows]
+    piv = 0
+    for col in range(len(rows[0])):
+        hit = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[piv], rows[hit] = rows[hit], rows[piv]
+        rows[piv] = [e / rows[piv][col] for e in rows[piv]]
+        for r in range(len(rows)):
+            if r != piv:
+                c = rows[r][col]
+                rows[r] = [a - c * b for a, b in zip(rows[r], rows[piv])]
+        piv += 1
+    return rows, piv
+
+
+f4_rows = st.integers(1, 6).flatmap(lambda nc: st.lists(
+    st.lists(st.integers(0, 3), min_size=nc, max_size=nc), min_size=1, max_size=6))
+
+
+@settings(deadline=None, max_examples=100)
+@given(f4_rows)
+def test_f4_rref_matches_element_gauss_jordan(rows):
+    want, rank = _element_rref([[F4.from_index(e) for e in row] for row in rows])
+    assert Mat(F4, rows).rref() == (Mat(F4, want), rank)
+
+
+@settings(deadline=None, max_examples=100)
+@given(f4_rows, st.integers(1, 6), st.data())
+def test_f4_products_match_element_sums(rows, width, data):
+    right = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                               min_size=len(rows[0]), max_size=len(rows[0])))
+    a = [[F4.from_index(e) for e in row] for row in rows]
+    b = [[F4.from_index(e) for e in row] for row in right]
+    want = [[sum((x * y for x, y in zip(r, c)), F4.zero()) for c in zip(*b)] for r in a]
+    assert Mat(F4, rows) * Mat(F4, right) == Mat(F4, want)
