@@ -17,6 +17,11 @@ shift plus a fold at the modulus' nonzero terms), so its only field
 products are the coset representatives and gamma^c.  With
 gamma^c = alpha^s and alpha = gamma^t, t = c * (s^-1 mod e), so
 gamma^i * alpha^b = gamma^j for j = i + c * (b * s^-1 mod e).
+
+The predictor's data is a join and a table read per subspace vector: the
+vector's base-field indices joined with weights q^j give its element
+index (phi is this change of radix), and the array entry at that index
+gives its orbit, alpha-steps and gamma-log; no element is built.
 """
 
 from __future__ import annotations
@@ -72,14 +77,14 @@ class OrbitPartition:
         ctx = self._ctx
         if not (isinstance(element, FieldElement) and element and element.field == ctx.field):
             raise DomainError("element is zero or from another field")
-        return ctx._place(element)
+        return ctx._place(element.value)
 
 
 class ExtensionContext:
     """Precomputed view of F_{q^n} = F_q[x]/(p) for one irreducible p."""
 
     __slots__ = ("field", "base", "n", "q", "modulus", "alpha", "order",
-                 "primitive", "gamma", "_coords", "_reps", "_cosets", "_unit")
+                 "primitive", "gamma", "_weights", "_coords", "_reps", "_cosets", "_unit")
 
     def __init__(self, field: FieldSpec):
         if field.level == 0:
@@ -94,6 +99,7 @@ class ExtensionContext:
         self.modulus = modulus
         self.order = e = order_of_polynomial(modulus)
         self.primitive = e == field.order - 1
+        self._weights = tuple(q ** j for j in range(n))
 
         if n == 1:
             # x = -c_0 in the quotient by x + c_0.
@@ -156,7 +162,7 @@ class ExtensionContext:
         vec = tuple(v)
         if len(vec) != self.n:
             raise DomainError(f"vector length {len(vec)} does not match n = {self.n}")
-        return self.field.element(vec)
+        return FieldElement(self.field, self._join(self.base.element(c).value for c in vec))
 
     def phi_inv(self, x: FieldElement) -> tuple[int, ...]:
         """Coefficient vector of x over the base field, as element indices."""
@@ -167,8 +173,7 @@ class ExtensionContext:
         x = self.field.element(x)
         if not x:
             raise DomainError("discrete logarithm of zero is undefined")
-        i, b = self._place(x)
-        return i + self._cosets * (b * self._unit % self.order)
+        return self._log(x.value)
 
     # -- derived data ------------------------------------------------------
 
@@ -177,8 +182,8 @@ class ExtensionContext:
         if not self.primitive:
             raise DomainError("exponent profiles require a primitive context")
         self._check_subspace(u)
-        exps = sorted(self.dlog(self.phi(v)) for v in u.nonzero_vectors())
-        return ExponentProfile(u.dim, tuple(exps))
+        return ExponentProfile(u.dim, tuple(sorted(self._log(self._join(v))
+                                                   for v in u.nonzero_vectors())))
 
     def orbit_partition(self, u: Subspace | None = None) -> OrbitPartition:
         """Partition of the nonzero elements into orbits of alpha.
@@ -188,24 +193,30 @@ class ExtensionContext:
         j mod c.  With a subspace given, also tallies membership counts and
         within-orbit exponents of its nonzero vectors.
         """
-        if u is not None:
-            self._check_subspace(u)
         reps = self._reps
-        membership = None
-        orbit_exponents = None
-        if u is not None:
-            exps: list[list[int]] = [[] for _ in reps]
-            for v in u.nonzero_vectors():
-                i, b = self._place(self.phi(v))
-                exps[i].append(b)
-            membership = tuple(len(b) for b in exps)
-            orbit_exponents = tuple(tuple(sorted(b)) for b in exps)
-        return OrbitPartition(self.order, reps, membership, orbit_exponents, self)
+        if u is None:
+            return OrbitPartition(self.order, reps, None, None, self)
+        self._check_subspace(u)
+        exps: list[list[int]] = [[] for _ in reps]
+        for v in u.nonzero_vectors():
+            i, b = self._place(self._join(v))
+            exps[i].append(b)
+        return OrbitPartition(self.order, reps, tuple(map(len, exps)),
+                              tuple(tuple(sorted(b)) for b in exps), self)
 
-    def _place(self, x: FieldElement) -> tuple[int, int]:
-        """(orbit, alpha-steps from the representative) of nonzero x."""
-        a = self._coords[x.value]
+    def _join(self, v) -> int:
+        """Element index of a vector of base-field indices: sum_j v_j q^j."""
+        return sum(map(int.__mul__, v, self._weights))
+
+    def _place(self, x: int) -> tuple[int, int]:
+        """(orbit, alpha-steps from its representative) of nonzero index x."""
+        a = self._coords[x]
         return a % self._cosets, a // self._cosets
+
+    def _log(self, x: int) -> int:
+        """Exponent with respect to gamma of the nonzero element with index x."""
+        i, b = self._place(x)
+        return i + self._cosets * (b * self._unit % self.order)
 
     def _check_subspace(self, u: Subspace):
         if u.ambient != self.n or u.field != self.base:

@@ -51,10 +51,15 @@ class Mat:
             raise DomainError("matrix dimensions must be positive")
         if any(len(r) != len(rows[0]) for r in rows):
             raise DomainError("matrix rows must all have the same length")
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = len(rows[0])
-        self.rows = rows
+        self.field, self.nrows, self.ncols, self.rows = field, len(rows), len(rows[0]), rows
+
+    @classmethod
+    def _wrap(cls, field: FieldSpec, rows: tuple[tuple[int, ...], ...]) -> "Mat":
+        """A Mat on rows of indices already checked or produced by the
+        field's own closures, without coercing them again."""
+        m = object.__new__(cls)
+        m.field, m.nrows, m.ncols, m.rows = field, len(rows), len(rows[0]), rows
+        return m
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
@@ -77,7 +82,8 @@ class Mat:
             raise DomainError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         cols = tuple(zip(*other.rows))
-        return Mat(self.field, [[_dot(self.field, r, c) for c in cols] for r in self.rows])
+        return Mat._wrap(self.field, tuple(tuple([_dot(self.field, r, c) for c in cols])
+                                           for r in self.rows))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -99,7 +105,7 @@ class Mat:
         """Rows of self on top of rows of other."""
         if self.field != other.field or self.ncols != other.ncols:
             raise DomainError("stacked matrices must share field and width")
-        return Mat(self.field, self.rows + other.rows)
+        return Mat._wrap(self.field, self.rows + other.rows)
 
     def rref(self) -> tuple["Mat", int]:
         """Reduced row echelon form and rank.
@@ -126,7 +132,7 @@ class Mat:
             piv += 1
             if piv == nr:
                 break
-        return Mat(self.field, rows), piv
+        return Mat._wrap(self.field, tuple(map(tuple, rows))), piv
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -141,7 +147,7 @@ class Mat:
         reduced, _ = aug.rref()
         if tuple(r[:n] for r in reduced.rows) != ident.rows:
             raise DomainError("matrix is singular")
-        return Mat(self.field, [r[n:] for r in reduced.rows])
+        return Mat._wrap(self.field, tuple(r[n:] for r in reduced.rows))
 
     def __str__(self):
         return format_matrix(self)
@@ -181,21 +187,25 @@ class Subspace:
         self.field = rows.field
         self.ambient = rows.ncols
         self.dim = rank
-        self.mat = Mat(rows.field, canon.rows[:rank]) if rank else None
+        self.mat = Mat._wrap(rows.field, canon.rows[:rank]) if rank else None
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.field, self.ambient, self.mat) == (other.field, other.ambient, other.mat)
+        return (self.ambient == other.ambient
+                and (self.field is other.field or self.field == other.field)
+                and (self.mat and self.mat.rows) == (other.mat and other.mat.rows))
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.mat))
+        return hash(self.mat.rows if self.dim else self.ambient)
 
     def __lt__(self, other):
         if not isinstance(other, Subspace) or self.ambient != other.ambient:
             return NotImplemented
+        if self.dim != other.dim:
+            return self.dim < other.dim
         # Rows all have length n, so this is the order of the flattened rows.
-        return (self.dim, self.mat and self.mat.rows) < (other.dim, other.mat and other.mat.rows)
+        return self.dim > 0 and self.mat.rows < other.mat.rows
 
     def __repr__(self):
         if self.mat is None:

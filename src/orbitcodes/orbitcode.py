@@ -217,23 +217,20 @@ class DifferenceMultiset:
 
     @classmethod
     def from_exponents(cls, exponents: Sequence[int], modulus: int) -> "DifferenceMultiset":
-        counts: dict[int, int] = {}
-        for a in exponents:
-            for b in exponents:
-                if a != b:
-                    d = (b - a) % modulus
-                    counts[d] = counts.get(d, 0) + 1
-        return cls(modulus, counts)
+        """Differences of exponents that are distinct residues mod modulus."""
+        if len({a % modulus for a in exponents}) != len(exponents):
+            raise DomainError(f"exponents are not distinct residues mod {modulus}")
+        return cls(modulus, Counter([(b - a) % modulus
+                                     for a in exponents for b in exponents if a != b]))
 
     @classmethod
     def merged(cls, parts: Iterable["DifferenceMultiset"], modulus: int) -> "DifferenceMultiset":
         """Union of per-orbit multisets: multiplicities of equal shifts add."""
-        counts: dict[int, int] = {}
+        counts: Counter[int] = Counter()
         for part in parts:
             if part.modulus != modulus:
                 raise DomainError("cannot merge difference multisets of unequal modulus")
-            for a, m in part._counts.items():
-                counts[a] = counts.get(a, 0) + m
+            counts.update(part._counts)
         return cls(modulus, counts)
 
     def multiplicity(self, a: int) -> int:
@@ -314,10 +311,12 @@ def _predict(u, ctx, group_order, membership, orbit_exponents, verify):
     per = tuple(DifferenceMultiset.from_exponents(exps, group_order)
                 for exps in orbit_exponents)
     merged = DifferenceMultiset.merged(per, group_order)
-    stabilizers = tuple(a for a, m in merged.items() if m == full)
+    counts = merged._counts
+    mults = set(counts.values())
+    stabilizers = (tuple(sorted(a for a, m in counts.items() if m == full))
+                   if full in mults else ())
     cardinality = stabilizers[0] if stabilizers else group_order
-    rest = [m for a, m in merged.items() if m != full]
-    d = _int_log(q, max(rest, default=0) + 1)
+    d = _int_log(q, max(mults - {full}, default=0) + 1)
     distance = None if cardinality == 1 else 2 * k - 2 * d
     report = AnalysisReport(
         mode="primitive" if ctx.primitive else "nonprimitive",

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitcodes.fieldmap
 from orbitcodes.gfq import _prime_factors
 from orbitcodes import (DomainError, ExtensionContext, FieldElement, FieldSpec,
-                        Mat, Subspace, companion_matrix, list_irreducibles,
-                        parse_matrix, parse_poly, row_times_mat,
-                        vector_from_index)
+                        Mat, Subspace, analyze, companion_matrix,
+                        list_irreducibles, parse_matrix, parse_poly,
+                        row_times_mat, vector_from_index)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -133,6 +136,15 @@ class TestPhi:
     def test_length_mismatch(self, ctx64):
         with pytest.raises(DomainError, match="length"):
             ctx64.phi([1, 0, 0])
+
+    def test_coordinates_are_checked(self, ctx64, f2, f3):
+        assert ctx64.phi([f2.one(), 0, 0, 0, 0, 0]) == ctx64.field.one()
+        for bad in (2, -1):
+            with pytest.raises(DomainError, match="out of range"):
+                ctx64.phi([0, 0, bad, 0, 0, 0])
+        for foreign in (f3.one(), ctx64.alpha):
+            with pytest.raises(DomainError, match="different field"):
+                ctx64.phi([0, foreign, 0, 0, 0, 0])
 
 
 class TestDlog:
@@ -365,3 +377,62 @@ class TestSubfieldLemmas:
             beta = ctx64.field.from_index(rng.randrange(1, 64))
             rows = [ctx64.phi_inv(beta * s) for s in subfield]
             assert Subspace(Mat(f2, rows)).dim == 2
+
+
+ROUTE_MODULI = [(F2, "x^6+x+1"), (F2, "x^4+x^3+x^2+x+1"), (F3, "x^3+2*x+1"),
+                (F3, "x^4+x^3+x^2+x+1"), (F4, "x^2+x+[2]"), (F4, "x^3+[2]")]
+ROUTE_CONTEXTS = [ExtensionContext.from_modulus(parse_poly(b, t)) for b, t in ROUTE_MODULI]
+
+
+class TestIndexRoute:
+    """exponent_profile and orbit_partition read each vector's exponents
+    off the dlog array by its index; the public route through phi, dlog
+    and locate on elements must give the same data."""
+
+    def test_both_kinds_of_context(self):
+        assert [ctx.primitive for ctx in ROUTE_CONTEXTS] == [True, False] * 3
+
+    @pytest.mark.parametrize("ctx", ROUTE_CONTEXTS, ids=[f"{b!r}:{t}" for b, t in ROUTE_MODULI])
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_index_route_equals_element_route(self, ctx, data):
+        digit = st.integers(0, ctx.q - 1)
+        rows = data.draw(st.lists(st.lists(digit, min_size=ctx.n, max_size=ctx.n),
+                                  min_size=1, max_size=ctx.n))
+        u = Subspace(Mat(ctx.base, rows))
+        if u.dim == 0:
+            return
+        vectors = list(u.nonzero_vectors())
+        field = ctx.field
+        for v in vectors:  # phi(v) = sum v_i alpha^i, by field arithmetic
+            terms = (field.element([c]) * ctx.alpha ** i for i, c in enumerate(v))
+            assert ctx.phi(v) == sum(terms, field.zero())
+        if ctx.primitive:
+            assert (ctx.exponent_profile(u).exponents
+                    == tuple(sorted(ctx.dlog(ctx.phi(v)) for v in vectors)))
+        part = ctx.orbit_partition(u)
+        exps = [[] for _ in part.representatives]
+        for v in vectors:
+            i, b = part.locate(ctx.phi(v))
+            exps[i].append(b)
+        assert part.membership == tuple(map(len, exps))
+        assert part.orbit_exponents == tuple(tuple(sorted(b)) for b in exps)
+
+    def test_analyze_builds_no_element_per_vector(self, monkeypatch):
+        ctx = ExtensionContext.from_modulus(parse_poly(F2, "x^16+x^5+x^3+x^2+1"))
+        rng = random.Random(16)
+        u = Subspace(Mat(F2, [[0] * 16]))
+        while u.dim != 5:
+            u = Subspace(Mat(F2, [[rng.randrange(2) for _ in range(16)] for _ in range(5)]))
+        calls = Counter()
+        for name in ("element", "from_index"):
+            def counting(field, value, _op=getattr(FieldSpec, name), _name=name):
+                calls[_name] += 1
+                return _op(field, value)
+            monkeypatch.setattr(FieldSpec, name, counting)
+        report = analyze(u, ctx)
+        monkeypatch.undo()
+        vectors = 2 ** 5 - 1
+        assert sum(report.membership) == vectors
+        # Building an element per vector (or per coordinate) is at least 31.
+        assert sum(calls.values()) < vectors, calls

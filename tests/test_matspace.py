@@ -17,6 +17,7 @@ from orbitcodes import (DomainError, FieldSpec, Mat, ParseError, Poly, Subspace,
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+F4 = F2.extend(parse_poly(F2, "x^2+x+1"))
 
 
 def _leibniz_char_poly(g: Mat):
@@ -86,6 +87,45 @@ class TestSubspace:
     def test_nonzero_vector_count(self):
         u = Subspace(parse_matrix(F3, "100\n010"))
         assert len(list(u.nonzero_vectors())) == 3 ** 2 - 1
+
+
+class TestSubspaceComparison:
+    """Equality, hashing and sort order are those of the key (field,
+    ambient space, dimension, canonical rows)."""
+
+    @settings(deadline=None, max_examples=50)
+    @given(data=st.data())
+    def test_agree_with_the_canonical_key(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F4]))
+        n = data.draw(st.integers(1, 4))
+        digit = st.integers(0, field.order - 1)
+        spans = st.lists(st.lists(digit, min_size=n, max_size=n), min_size=1, max_size=n)
+        words = [Subspace(Mat(field, rows)) for rows in data.draw(
+            st.lists(spans, min_size=2, max_size=8))]
+
+        def key(w):
+            return (w.dim, w.mat.rows if w.dim else ())
+
+        for u in words:
+            for v in words:
+                assert (u == v) == (key(u) == key(v)) == (not u != v)
+                assert (u < v) == (key(u) < key(v))
+                if u == v:
+                    assert hash(u) == hash(v)
+        assert [key(w) for w in sorted(words)] == sorted(map(key, words))
+        assert len(set(words)) == len(set(map(key, words)))
+
+    def test_field_and_ambient_space_are_part_of_the_key(self):
+        f4_again = F2.extend(parse_poly(F2, "x^2+x+1"))
+        assert f4_again is not F4
+        u, v = Subspace(Mat(F4, [[1, 2]])), Subspace(Mat(f4_again, [[1, 2]]))
+        assert u == v and hash(u) == hash(v)
+        assert Subspace(Mat(F2, [[1, 0]])) != Subspace(Mat(F3, [[1, 0]]))
+        zero2, zero3 = Subspace(Mat(F2, [[0, 0]])), Subspace(Mat(F2, [[0, 0, 0]]))
+        assert zero2 == Subspace(Mat(F2, [[0, 0], [0, 0]])) and zero2 != zero3
+        assert not zero2 < Subspace(Mat(F2, [[0, 0]])) and zero2 < Subspace(Mat(F2, [[0, 1]]))
+        with pytest.raises(TypeError):
+            zero2 < zero3
 
 
 class TestMetric:
@@ -187,6 +227,27 @@ class TestMatrixBasics:
             row_times_mat((2, 0, 0, 0), p)
         with pytest.raises(DomainError):
             row_times_mat((F3.one(), 0, 0, 0), p)
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_derived_matrices_hold_indices_in_range(self, data):
+        # rref, products, stacks, inverses and subspaces keep their rows
+        # without coercing them again: they must be what Mat would store.
+        field = data.draw(st.sampled_from([F2, F3, F4]))
+        n = data.draw(st.integers(1, 4))
+        digit = st.integers(0, field.order - 1)
+        square = st.lists(st.lists(digit, min_size=n, max_size=n), min_size=n, max_size=n)
+        a, b = Mat(field, data.draw(square)), Mat(field, data.draw(square))
+        derived = [a.rref()[0], a * b, a.stack(b)]
+        if a.rank() == n:
+            derived.append(a.inverse())
+        if Subspace(a).dim:
+            derived.append(Subspace(a).mat)
+        for m in derived:
+            assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+            assert all(type(e) is int and 0 <= e < field.order for r in m.rows for e in r)
+            assert (m.nrows, m.ncols) == (len(m.rows), len(m.rows[0]))
+            assert Mat(field, m.rows) == m
 
     def test_entries_are_indices_in_range(self):
         assert Mat(F3, [[F3.from_index(2), 1]]).rows == ((2, 1),)

@@ -238,6 +238,39 @@ class TestDifferenceMultiset:
         with pytest.raises(DomainError, match="modulus"):
             DifferenceMultiset.merged((d1, d2), 5)
 
+    @pytest.mark.parametrize("exponents,modulus", [((0, 63), 63), ((0, 0, 1), 5)])
+    def test_repeated_residues_rejected(self, exponents, modulus):
+        # Equal residues would count a difference 0, or break s(s - 1).
+        with pytest.raises(DomainError, match="distinct residues"):
+            DifferenceMultiset.from_exponents(exponents, modulus)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_counts_and_merges_match_a_double_loop(self, data):
+        modulus = data.draw(st.integers(1, 40))
+        residues = st.lists(st.integers(0, modulus - 1), unique=True, max_size=12)
+        parts = []  # distinct residues, each written as residue + j * modulus
+        for exps in data.draw(st.lists(residues, max_size=4)):
+            lifts = data.draw(st.lists(st.integers(-2, 2), min_size=len(exps),
+                                       max_size=len(exps)))
+            parts.append([a + j * modulus for a, j in zip(exps, lifts)])
+        per, total = [], {}
+        for exps in parts:
+            naive = {}
+            for l, a in enumerate(exps):
+                for m, b in enumerate(exps):
+                    if l != m:
+                        naive[(b - a) % modulus] = naive.get((b - a) % modulus, 0) + 1
+            d = DifferenceMultiset.from_exponents(exps, modulus)
+            assert d.items() == sorted(naive.items())
+            assert d.total() == len(exps) * (len(exps) - 1) and bool(d) == bool(naive)
+            per.append(d)
+            for a, m in naive.items():
+                total[a] = total.get(a, 0) + m
+        merged = DifferenceMultiset.merged(per, modulus)
+        assert merged == DifferenceMultiset(modulus, total)
+        assert merged.items() == sorted(total.items()) and bool(merged) == bool(total)
+
 
 class TestPredictPrimitive:
     def test_subfield_spread_prediction(self, spread2, ctx64):
