@@ -226,13 +226,21 @@ def _base_field(q: int, base_modulus: str | None) -> FieldSpec:
     return prime.extend(modulus)
 
 
-def _read_start(field: FieldSpec, args) -> Subspace:
-    if args.start_rows:
+def _read_start(field: FieldSpec, args, degree: int) -> Subspace:
+    """The starting subspace, whose rows must be independent vectors of
+    length degree.  The shape is checked before the row reduction, which
+    is cubic in the matrix size."""
+    if args.start_rows is not None:  # an empty --start-rows is parsed, and refused
         text = args.start_rows.replace(";", "\n")
     else:
         with open(args.start, encoding="ascii") as handle:
             text = handle.read()
     mat = parse_matrix(field, text)
+    if mat.ncols != degree:
+        raise DomainError(f"start has {mat.ncols} columns but the polynomial "
+                          f"has degree {degree}")
+    if mat.nrows > degree:
+        raise DomainError("starting rows are linearly dependent")
     u = Subspace(mat)
     if u.dim != mat.nrows:
         raise DomainError("starting rows are linearly dependent")
@@ -341,10 +349,7 @@ def _cmd_spread(args) -> int:
 def _cmd_analyze(args) -> int:
     field = _base_field(args.q, args.base_modulus)
     poly = parse_poly(field, args.poly)
-    start = _read_start(field, args)
-    if start.ambient != poly.degree:
-        raise DomainError(f"start has {start.ambient} columns but the polynomial "
-                          f"has degree {poly.degree}")
+    start = _read_start(field, args, poly.degree)
     ctx = ExtensionContext.from_modulus(poly)
     report = analyze(start, ctx, verify=args.verify)
     base_mod = field.modulus if field.level > 0 else None
@@ -364,7 +369,7 @@ def _cmd_orbit(args) -> int:
     if field.order ** poly.degree > DESK_SCALE_CAP:  # refused before 2^24 matmuls
         raise DomainError(f"field cardinality {field.order ** poly.degree} exceeds "
                           f"the desk-scale cap {DESK_SCALE_CAP}")
-    start = _read_start(field, args)
+    start = _read_start(field, args, poly.degree)
     code = generate_orbit(start, companion_matrix(poly))
     _write_file(args.out, format_code(code))
     print(f"cardinality = {len(code)}")

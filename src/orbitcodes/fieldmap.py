@@ -18,10 +18,11 @@ products are the coset representatives and gamma^c.  With
 gamma^c = alpha^s and alpha = gamma^t, t = c * (s^-1 mod e), so
 gamma^i * alpha^b = gamma^j for j = i + c * (b * s^-1 mod e).
 
-The predictor's data is a join and a table read per subspace vector: the
-vector's base-field indices joined with weights q^j give its element
-index (phi is this change of radix), and the array entry at that index
-gives its orbit, alpha-steps and gamma-log; no element is built.
+The predictor's data is one partition read, orbit_partition(u): each
+subspace vector's base-field indices, joined with weights q^j (phi as a
+change of radix), give its element index, and the array entry there its
+orbit and alpha-steps; no element is built.  A primitive context is the
+one-coset case c = 1, gamma = alpha: its exponent profile is orbit 0's.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class ExtensionContext:
     """Precomputed view of F_{q^n} = F_q[x]/(p) for one irreducible p."""
 
     __slots__ = ("field", "base", "n", "q", "modulus", "alpha", "order",
-                 "primitive", "gamma", "_weights", "_coords", "_reps", "_cosets", "_unit")
+                 "primitive", "gamma", "_coords", "_reps", "_cosets", "_unit")
 
     def __init__(self, field: FieldSpec):
         if field.level == 0:
@@ -99,7 +100,6 @@ class ExtensionContext:
         self.modulus = modulus
         self.order = e = order_of_polynomial(modulus)
         self.primitive = e == field.order - 1
-        self._weights = tuple(q ** j for j in range(n))
 
         if n == 1:
             # x = -c_0 in the quotient by x + c_0.
@@ -162,7 +162,7 @@ class ExtensionContext:
         vec = tuple(v)
         if len(vec) != self.n:
             raise DomainError(f"vector length {len(vec)} does not match n = {self.n}")
-        return FieldElement(self.field, self._join(self.base.element(c).value for c in vec))
+        return self.field.element(vec)
 
     def phi_inv(self, x: FieldElement) -> tuple[int, ...]:
         """Coefficient vector of x over the base field, as element indices."""
@@ -178,12 +178,10 @@ class ExtensionContext:
     # -- derived data ------------------------------------------------------
 
     def exponent_profile(self, u: Subspace) -> ExponentProfile:
-        """Sorted dlogs of the nonzero vectors of u (primitive contexts only)."""
+        """Sorted dlogs of u's nonzero vectors: orbit 0's alpha-steps (primitive only)."""
         if not self.primitive:
             raise DomainError("exponent profiles require a primitive context")
-        self._check_subspace(u)
-        return ExponentProfile(u.dim, tuple(sorted(self._log(self._join(v))
-                                                   for v in u.nonzero_vectors())))
+        return ExponentProfile(u.dim, self.orbit_partition(u).orbit_exponents[0])
 
     def orbit_partition(self, u: Subspace | None = None) -> OrbitPartition:
         """Partition of the nonzero elements into orbits of alpha.
@@ -197,16 +195,13 @@ class ExtensionContext:
         if u is None:
             return OrbitPartition(self.order, reps, None, None, self)
         self._check_subspace(u)
+        join = self.field._join
         exps: list[list[int]] = [[] for _ in reps]
         for v in u.nonzero_vectors():
-            i, b = self._place(self._join(v))
+            i, b = self._place(join(v))
             exps[i].append(b)
         return OrbitPartition(self.order, reps, tuple(map(len, exps)),
                               tuple(tuple(sorted(b)) for b in exps), self)
-
-    def _join(self, v) -> int:
-        """Element index of a vector of base-field indices: sum_j v_j q^j."""
-        return sum(map(int.__mul__, v, self._weights))
 
     def _place(self, x: int) -> tuple[int, int]:
         """(orbit, alpha-steps from its representative) of nonzero index x."""

@@ -43,6 +43,14 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _max_exponent(base: int, cap: int) -> int:
+    """Largest d with base^d <= cap, for base >= 2; no power above cap is built."""
+    d, power = 0, base
+    while power <= cap:
+        d, power = d + 1, power * base
+    return d
+
+
 def _digits(i: int, radix: int, n: int) -> list[int]:
     """The n mixed-radix digits of i, lowest first."""
     out = []
@@ -80,8 +88,8 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
 
 
 def _extension_ops(sub: "FieldSpec", tail: list[int]):
-    """Int add, sub, neg and mul on the indices of sub[x]/(m), built on those
-    of sub; tail holds the indices of m's coefficients below its leading 1."""
+    """Int add, sub, neg, mul and digit join on the indices of sub[x]/(m),
+    built on sub's; tail holds the indices of m's coefficients below its leading 1."""
     q, d = sub.order, len(tail)
     add, minus, neg = sub._add, sub._sub, sub._neg
     mulmod = _mulmod(sub, tail)
@@ -102,14 +110,14 @@ def _extension_ops(sub: "FieldSpec", tail: list[int]):
     def ext_mul(a, b):
         return join(mulmod(_digits(a, q, d), _digits(b, q, d)))
 
-    return ext_add, ext_sub, ext_neg, ext_mul
+    return ext_add, ext_sub, ext_neg, ext_mul, join
 
 
 class FieldSpec:
     """A finite field: Z_p, or a quotient of the field one level below."""
 
     __slots__ = ("p", "subfield", "modulus", "degree", "order", "level",
-                 "_add", "_sub", "_neg", "_mul", "_key", "_hash")
+                 "_add", "_sub", "_neg", "_mul", "_join", "_key", "_hash")
 
     def __init__(self, p: int):
         """Create the prime field Z_p."""
@@ -161,7 +169,8 @@ class FieldSpec:
         spec.order = order
         spec.level = self.level + 1
         coeffs = [self.index_of(c) for c in modulus.coeffs]
-        spec._add, spec._sub, spec._neg, spec._mul = _extension_ops(self, coeffs[:-1])
+        spec._add, spec._sub, spec._neg, spec._mul, spec._join = _extension_ops(
+            self, coeffs[:-1])
         spec._key = ("ext", self._key, tuple(coeffs))
         spec._hash = hash(spec._key)
         return spec
@@ -189,8 +198,7 @@ class FieldSpec:
                 raise DomainError(
                     f"coefficient sequence longer than modulus degree {self.degree}")
             sub = self.subfield
-            return FieldElement(self, sum(sub.element(c).value * sub.order ** i
-                                          for i, c in enumerate(value)))
+            return FieldElement(self, self._join(sub.element(c).value for c in value))
         raise DomainError(f"cannot build a field element from {value!r}")
 
     def from_index(self, i: int) -> "FieldElement":

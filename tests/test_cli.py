@@ -2,6 +2,7 @@
 import errno
 import io
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -177,6 +178,25 @@ class TestAnalyze:
                            "--start-rows", "100000;100000")
         assert code == 3 and "dependent" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "orbit"])
+    @pytest.mark.parametrize("nrows,ncols,fragment", [
+        (400, 400, "start has 400 columns but the polynomial has degree 6"),
+        (7, 6, "starting rows are linearly dependent"),
+    ], ids=["400x400", "7x6"])
+    def test_misshapen_start_exits_3_before_row_reduction(self, capsys, tmp_path, monkeypatch,
+                                                          command, nrows, ncols, fragment):
+        rng = random.Random(nrows)
+        start = tmp_path / "start.mat"
+        start.write_text("\n".join("".join(rng.choice("01") for _ in range(ncols))
+                                   for _ in range(nrows)) + "\n")
+        monkeypatch.setattr(cli, "Subspace", None)  # any row reduction would fail
+        started = time.perf_counter()
+        code, out, err = run(capsys, command, "-q", "2", "-p", "x^6+x+1",
+                             "--start", str(start), "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == "" and err == f"error: {fragment}\n"
+        assert list(tmp_path.iterdir()) == [start]
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "-q", "2", "-p", "x^6+x+1",
                            "--start", str(tmp_path / "absent.mat"))
@@ -251,6 +271,26 @@ class TestOrbitAndDistance:
         big.write_text("2305843009213693951 2 1 1\n10\n")  # q = 2^61 - 1
         code, _, err = run(capsys, "distance", str(big))
         assert code == 2 and "cap" in err
+
+    @pytest.mark.parametrize("n", ["25", "15000", "9" * 4000],
+                             ids=["25", "15000", "4000-digits"])
+    def test_distance_header_above_the_cap_exits_3_at_once(self, capsys, tmp_path, n):
+        # the blocks are malformed: they must not be read at all
+        big = tmp_path / "big.code"
+        big.write_text(f"2 {n} 1 2\nzz\n\nzz\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "distance", str(big))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        assert err == (f"error: header says q = 2 and n = {n}: q^n exceeds the "
+                       "desk-scale cap 16777216\n")
+
+    def test_distance_above_the_oracle_budget_exits_3(self, capsys, tmp_path, monkeypatch):
+        out_file = tmp_path / "k2.code"
+        run(capsys, "spread", "-q", "2", "-k", "2", "-p", "x^6+x+1", "--out", str(out_file))
+        monkeypatch.setattr(orbitcodes.orbitcode, "ORACLE_VECTOR_BUDGET", 62)
+        code, out, err = run(capsys, "distance", str(out_file))
+        assert code == 3 and out == "" and "above its budget of 62" in err
 
     @pytest.mark.parametrize("argv", [
         ("distance", "{file}"),

@@ -125,6 +125,19 @@ class TestIncidenceOracle:
         with pytest.raises(DomainError, match="ambient"):
             min_distance_brute(words)
 
+    def test_vector_budget(self, monkeypatch):
+        # 21 spread words of dimension 2 list 21 * 3 = 63 nonzero vectors
+        p64 = parse_poly(F2, "x^6+x+1")
+        code = generate_orbit(build_spread_start(2, 6, p64), companion_matrix(p64))
+        monkeypatch.setattr(orbitcodes.orbitcode, "ORACLE_VECTOR_BUDGET", 63)
+        assert min_distance_brute(code) == 4
+        monkeypatch.setattr(orbitcodes.orbitcode, "ORACLE_VECTOR_BUDGET", 62)
+        calls = []
+        monkeypatch.setattr(Subspace, "nonzero_vectors", lambda self: calls.append(self))
+        with pytest.raises(DomainError, match="list 63 vectors, above its budget of 62"):
+            min_distance_brute(code)
+        assert calls == []
+
 
 class TestNonzeroVectors:
     @pytest.mark.parametrize("field,k,n,count", [

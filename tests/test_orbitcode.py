@@ -16,7 +16,7 @@ from orbitcodes import (DifferenceMultiset, DomainError,
                         min_distance_orbit, parse_code, parse_matrix,
                         parse_poly, predict_primitive, random_invertible,
                         subspace_apply, subspace_distance)
-from orbitcodes.fieldmap import ExponentProfile
+from orbitcodes.fieldmap import ExponentProfile, OrbitPartition
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -319,10 +319,12 @@ class TestPredictPrimitive:
             predict_primitive(Subspace(parse_matrix(f2, "1000")), ctx16_nonprim)
 
     def test_non_subspace_profile_raises_defect(self, ctx64, f2, monkeypatch):
-        # {0,1,2} has a difference of multiplicity 2; 3 is not a power of 2
-        fake = ExponentProfile(2, (0, 1, 2))
-        monkeypatch.setattr(ExtensionContext, "exponent_profile",
-                            lambda self, u: fake)
+        # {0,1,2} has a difference of multiplicity 2; 3 is not a power of 2.
+        # A primitive context has one orbit, so the exponents go in as its
+        # within-orbit exponents.
+        fake = OrbitPartition(63, (ctx64.field.one(),), (3,), ((0, 1, 2),), ctx64)
+        monkeypatch.setattr(ExtensionContext, "orbit_partition",
+                            lambda self, u=None: fake)
         with pytest.raises(RuntimeError, match="q\\^d - 1"):
             predict_primitive(Subspace(parse_matrix(f2, "100000\n010000")), ctx64)
 

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcodes.polyring
 from orbitcodes import (DomainError, FieldSpec, ParseError, Poly, char_poly,
                         format_poly, is_irreducible, is_primitive,
                         list_irreducibles, order_of_polynomial, parse_poly,
@@ -293,6 +296,19 @@ class TestEnumeration:
             list_irreducibles(F2, 25)
         with pytest.raises(DomainError, match="cap"):
             order_of_polynomial(parse_poly(F2, "x^25+x^3+1"))
+
+    def test_list_cap_is_compared_by_exponent(self, monkeypatch):
+        monkeypatch.setattr(orbitcodes.polyring, "LIST_CAP", 16)
+        assert len(list_irreducibles(F2, 4)) == 3  # 2^4 = 16 candidates
+        assert len(list_irreducibles(F4, 2)) == 6  # 4^2 = 16 candidates
+        for field, degree in ((F2, 5), (F4, 3), (F2, 15000), (F2, 10 ** 6)):
+            start = time.perf_counter()
+            with pytest.raises(DomainError) as info:
+                list_irreducibles(field, degree)
+            assert time.perf_counter() - start < 0.5
+            assert str(info.value) == (
+                f"listing degree {degree} over GF({field.order}) tests "
+                f"{field.order}^{degree} candidates, above the list cap 16")
 
 
 class TestCompanion:
