@@ -366,9 +366,6 @@ def _cmd_analyze(args) -> int:
 def _cmd_orbit(args) -> int:
     field = _base_field(args.q, args.base_modulus)
     poly = parse_poly(field, args.poly)
-    if field.order ** poly.degree > DESK_SCALE_CAP:  # refused before 2^24 matmuls
-        raise DomainError(f"field cardinality {field.order ** poly.degree} exceeds "
-                          f"the desk-scale cap {DESK_SCALE_CAP}")
     start = _read_start(field, args, poly.degree)
     code = generate_orbit(start, companion_matrix(poly))
     _write_file(args.out, format_code(code))

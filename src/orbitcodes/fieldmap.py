@@ -18,10 +18,10 @@ products are the coset representatives and gamma^c.  With
 gamma^c = alpha^s and alpha = gamma^t, t = c * (s^-1 mod e), so
 gamma^i * alpha^b = gamma^j for j = i + c * (b * s^-1 mod e).
 
-The predictor's data is one partition read, orbit_partition(u): each
-subspace vector's base-field indices, joined with weights q^j (phi as a
-change of radix), give its element index, and the array entry there its
-orbit and alpha-steps; no element is built.  A primitive context is the
+The predictor's data is one partition read, orbit_partition(u): a
+subspace vector's index is already its element index (phi is a change of
+radix), and the array entry there gives its orbit and alpha-steps; no
+element is built.  A primitive context is the
 one-coset case c = 1, gamma = alpha: its exponent profile is orbit 0's.
 """
 
@@ -194,12 +194,14 @@ class ExtensionContext:
         reps = self._reps
         if u is None:
             return OrbitPartition(self.order, reps, None, None, self)
-        self._check_subspace(u)
-        join = self.field._join
+        if u.ambient != self.n or u.field != self.base:
+            raise DomainError("subspace does not live in this context's vector space")
+        if u.dim == 0:
+            raise DomainError("the zero subspace has no exponent data")
+        c, coords = self._cosets, self._coords
         exps: list[list[int]] = [[] for _ in reps]
-        for v in u.nonzero_vectors():
-            i, b = self._place(join(v))
-            exps[i].append(b)
+        for x in u.nonzero_vectors():
+            exps[coords[x] % c].append(coords[x] // c)
         return OrbitPartition(self.order, reps, tuple(map(len, exps)),
                               tuple(tuple(sorted(b)) for b in exps), self)
 
@@ -212,12 +214,6 @@ class ExtensionContext:
         """Exponent with respect to gamma of the nonzero element with index x."""
         i, b = self._place(x)
         return i + self._cosets * (b * self._unit % self.order)
-
-    def _check_subspace(self, u: Subspace):
-        if u.ambient != self.n or u.field != self.base:
-            raise DomainError("subspace does not live in this context's vector space")
-        if u.dim == 0:
-            raise DomainError("the zero subspace has no exponent data")
 
     def __repr__(self):
         kind = "primitive" if self.primitive else f"order {self.order}"

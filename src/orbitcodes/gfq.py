@@ -17,14 +17,16 @@ below.  All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from operator import pos, xor
 
 from .errors import DomainError
 
-#: Largest field cardinality this package will construct.  Each extension
-#: context fills a dense int dlog array of this many entries (4 bytes each).
-#: Measured single runs of ExtensionContext over GF(2) (Python 3.11.7, 2 vCPU
-#: Xeon): 2^20 (x^20+x^3+1) in 0.36 s at 20 MB max RSS, and the cap 2^24
-#: (x^24+x^7+x^2+x+1) in 8.4 s at 80 MB; the interpreter alone is 13 MB.
+#: Largest field cardinality this package will construct, and the largest
+#: F_q^n whose image table generate_orbit fills (4 bytes an entry, as in an
+#: extension context's dlog array).  Single runs over GF(2) at 2^20
+#: (x^20+x^3+1) and at the cap 2^24 (x^24+x^7+x^2+x+1), Python 3.11.7, 2 vCPU
+#: Xeon, interpreter alone 13 MB: ExtensionContext 0.36 s at 20 MB max RSS and
+#: 8.4 s at 80 MB; the companion matrix's image table 0.13 s at 21 MB and 2.1 s at 111 MB.
 DESK_SCALE_CAP = 1 << 24
 
 
@@ -89,7 +91,9 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
 
 def _extension_ops(sub: "FieldSpec", tail: list[int]):
     """Int add, sub, neg, mul and digit join on the indices of sub[x]/(m),
-    built on sub's; tail holds the indices of m's coefficients below its leading 1."""
+    built on sub's; tail holds the indices of m's coefficients below its
+    leading 1.  All but mul are digit-wise, so they serve sub^len(tail) too;
+    in characteristic 2 add and sub are XOR and neg is the identity."""
     q, d = sub.order, len(tail)
     add, minus, neg = sub._add, sub._sub, sub._neg
     mulmod = _mulmod(sub, tail)
@@ -99,17 +103,19 @@ def _extension_ops(sub: "FieldSpec", tail: list[int]):
         return sum(map(int.__mul__, digits, weights))
 
     def ext_add(a, b):
-        return join(map(add, _digits(a, q, d), _digits(b, q, d)))
+        return sum([add(a // w % q, b // w % q) * w for w in weights])
 
     def ext_sub(a, b):
-        return join(map(minus, _digits(a, q, d), _digits(b, q, d)))
+        return sum([minus(a // w % q, b // w % q) * w for w in weights])
 
     def ext_neg(a):
-        return join(map(neg, _digits(a, q, d)))
+        return sum([neg(a // w % q) * w for w in weights])
 
     def ext_mul(a, b):
         return join(mulmod(_digits(a, q, d), _digits(b, q, d)))
 
+    if sub.p == 2:
+        return xor, xor, pos, ext_mul, join
     return ext_add, ext_sub, ext_neg, ext_mul, join
 
 

@@ -1,11 +1,13 @@
 """Matrices over a finite field and canonical subspaces of F_q^n.
 
-Matrix entries and vector coordinates are element indices, ints in [0, q)
-in the field's mixed-radix enumeration, and every routine computes on the
-field's int add, sub and mul; only pivot inverses go through elements.
-Subspaces are identified with their unique reduced row echelon basis, so
-subspace equality, hashing and sorting are plain tuple comparisons on the
-canonical matrix.  The subspace metric is
+Matrix entries are element indices, ints in [0, q) in the field's
+mixed-radix enumeration, and every routine computes on the field's int
+add, sub and mul; only pivot inverses go through elements.  Below the
+matrix rows a vector of F_q^n is one int, the mixed-radix index of its
+digits, and one span routine lists a subspace's vectors and a matrix's
+image table on those ints.  Subspaces are identified with their unique
+reduced row echelon basis, so equality, hashing and sorting are tuple
+comparisons on the canonical matrix.  The subspace metric is
 d_S(U, V) = 2 rank([U; V]) - dim U - dim V, and invertible matrices act on
 subspaces from the right through rs(U A).
 
@@ -18,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from collections.abc import Iterator, Sequence
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldSpec, _digits
+from .gfq import DESK_SCALE_CAP, FieldSpec, _digits, _extension_ops
 
 
 def _indices(field: FieldSpec, v) -> tuple[int, ...]:
@@ -212,23 +215,32 @@ class Subspace:
             return f"Subspace(dim 0 of F^{self.ambient})"
         return "Subspace(" + ";".join(format_matrix(self.mat).split("\n")) + ")"
 
-    def nonzero_vectors(self) -> Iterator[tuple[int, ...]]:
-        """All q^k - 1 nonzero vectors as tuples of element indices, by
-        mixed-radix combination index.
-
-        Vector number i = sum_j c_j q^j is sum_j c_j row_j.  The span
-        grows one row at a time, each new vector a single addition to one
-        already listed, which keeps exactly that order.
-        """
+    def nonzero_vectors(self) -> Iterator[int]:
+        """The q^k - 1 nonzero vectors' indices; number sum_j c_j q^j is sum_j c_j row_j."""
         if self.dim == 0:
-            return
-        add, mul, Q = self.field._add, self.field._mul, self.field.order
-        span = [(0,) * self.ambient]
-        for row in self.mat.rows:
-            span += [tuple(map(add, v, scaled))
-                     for scaled in [tuple(mul(c, e) for e in row) for c in range(1, Q)]
-                     for v in span]
-        yield from span[1:]
+            return iter(())
+        span, join = _spanner(self.field, self.ambient)
+        return iter(span(map(join, self.mat.rows))[1:])
+
+
+def _spanner(field: FieldSpec, n: int):
+    """(span, join) on F^n: join maps a row of digits to its vector index,
+    and span(rows) lists the indices of sum_j c_j rows[j] for all c in
+    mixed-radix order, each row adding one block per scalar to the list so
+    far.  On the rows of a square P, entry x is the index of x P."""
+    add, _, _, _, join = _extension_ops(field, [0] * n)  # digit-wise, as for F^n
+    mul, Q = field._mul, field.order
+    zero = array("i", [0]) if Q ** n <= DESK_SCALE_CAP else [0]  # a list holds any index
+
+    def span(rows) -> array | list:
+        out = zero[:]
+        for r in rows:
+            head = out[:]
+            for s in [r] + [join([mul(c, e) for e in _digits(r, Q, n)]) for c in range(2, Q)]:
+                out.extend(map(add, head, itertools.repeat(s)))
+        return out
+
+    return span, join
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
@@ -342,27 +354,18 @@ def is_irreducible_matrix(g: Mat) -> bool:
 
 
 def to_companion_similarity(g: Mat) -> Mat:
-    """Basis change S with S g S^-1 in companion form.
-
-    Scans nonzero vectors in enumeration order for a cyclic vector v and
-    returns the matrix with rows v, vg, ..., vg^(n-1); for an irreducible
-    g the first candidate already works, so the output is deterministic.
-    """
+    """Basis change S with S g S^-1 in companion form: the matrix with rows
+    v, vg, ..., vg^(n-1) for v = (1, 0, ..., 0), the first nonzero vector
+    in enumeration order.  For an irreducible g every nonzero v is cyclic,
+    since the span of its images is a nonzero invariant subspace."""
     from .polyring import is_irreducible
 
-    p = char_poly(g)
-    if not is_irreducible(p):
+    if not is_irreducible(char_poly(g)):
         raise DomainError("matrix is reducible; no companion similarity is guaranteed")
-    n = g.nrows
-    field = g.field
-    for i in range(1, field.order ** n):
-        rows = [_digits(i, field.order, n)]
-        for _ in range(n - 1):
-            rows.append(row_times_mat(rows[-1], g))
-        s = Mat(field, rows)
-        if s.rank() == n:
-            return s
-    raise DomainError("no cyclic vector found")  # unreachable for irreducible g
+    rows = [_digits(1, g.field.order, g.nrows)]
+    for _ in range(g.nrows - 1):
+        rows.append(row_times_mat(rows[-1], g))
+    return Mat(g.field, rows)
 
 
 def groups_conjugate(f1, f2) -> bool:

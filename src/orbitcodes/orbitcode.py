@@ -13,12 +13,12 @@ smallest such shift (else ord(P)); among the remaining shifts the maximum
 multiplicity M gives the largest codeword intersection dimension
 log_q(M + 1) and hence the minimum distance 2k - 2 log_q(M + 1).
 
-Every prediction can be cross-checked against the brute-force oracle:
-generate the orbit by matrix multiplication, list every codeword's
-nonzero vectors, and read each pair's intersection dimension off the
-number of vectors it shares.  The oracle sees only vectors and codewords,
-never exponents, the extension field or the group, so the two routes
-stay strictly separate.
+Every prediction can be cross-checked by brute force on vector indices:
+the orbit maps U's rows through P's image table until they return, and
+the oracle lists every codeword's nonzero vectors and reads each pair's
+intersection dimension off the number of vectors it shares.  It sees
+only vectors and codewords, never exponents, the extension field or the
+group, so the two routes stay strictly separate.
 
 Code export format (text, bit exact): a header line "q n k size", then
 `size` blocks, each the canonical k x n matrix of one codeword in the
@@ -29,6 +29,7 @@ lexicographically by canonical matrix.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -36,67 +37,74 @@ from dataclasses import dataclass
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent
-from .matspace import (Mat, Subspace, char_poly, format_matrix, grassmannian,
-                       matrix_order, parse_matrix_blocks, subspace_apply,
-                       subspace_distance, vector_from_index)
+from .matspace import (Mat, Subspace, _spanner, char_poly, format_matrix,
+                       grassmannian, matrix_order, parse_matrix_blocks,
+                       subspace_apply, subspace_distance, vector_from_index)
 from .polyring import (Poly, companion_matrix, is_primitive,
                        order_of_polynomial)
 
 
 class OrbitCode:
-    """The orbit of a cyclic matrix group on a starting subspace."""
-
-    __slots__ = ("generator", "start", "codewords", "generator_order")
+    """The orbit of a cyclic matrix group on a starting subspace: rows[i]
+    holds the k row vector indices of U P^i, and codewords, the sorted
+    canonical subspaces, are row-reduced on first use."""
 
     def __init__(self, generator: Mat, start: Subspace,
-                 codewords: tuple[Subspace, ...], generator_order: int):
+                 rows: tuple[tuple[int, ...], ...], generator_order: int):
         self.generator = generator
         self.start = start
-        self.codewords = codewords
+        self.rows = rows
         self.generator_order = generator_order
 
+    @functools.cached_property
+    def codewords(self) -> tuple[Subspace, ...]:
+        field, n = self.start.field, self.start.ambient
+        return tuple(sorted(
+            Subspace(Mat._wrap(field, tuple(vector_from_index(field, n, r) for r in rows)))
+            for rows in self.rows))
+
     def __len__(self):
-        return len(self.codewords)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Subspace]:
         return iter(self.codewords)
 
-    def __contains__(self, item):
-        return item in self.codewords
-
     def __repr__(self):
-        return (f"OrbitCode(|C|={len(self.codewords)}, k={self.start.dim}, "
+        return (f"OrbitCode(|C|={len(self)}, k={self.start.dim}, "
                 f"n={self.start.ambient}, ord(P)={self.generator_order})")
 
 
 def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
-    """Iterate u <- u P until the start returns; codewords sorted.
+    """Map U's row vector indices through P's image table (the span of P's
+    rows: entry x is the index of x P) until they lie in U again.
 
     ord(P) is the order of P's characteristic polynomial when that is
-    irreducible (it is then also the minimal polynomial) and the field it
-    spans is within the desk-scale cap, and is found by repeated
-    multiplication otherwise.  Neither feeds the orbit: its length
-    is the number of distinct words seen before the start returns.
+    irreducible (it is then also the minimal polynomial), and is found by
+    repeated multiplication otherwise; it only checks the orbit length,
+    the number of distinct words met before the start returns.
     """
     if u.dim == 0:
         raise DomainError("orbit codes need a starting subspace of dimension >= 1")
     if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
         raise DomainError("generator does not act on the starting subspace")
-    if p.rank() != p.nrows:
-        raise DomainError("matrix is singular")
+    if p.field.order ** p.ncols > DESK_SCALE_CAP:  # before the table of q^n ints
+        raise DomainError(f"field cardinality {p.field.order ** p.ncols} exceeds "
+                          f"the desk-scale cap {DESK_SCALE_CAP}")
     try:
         order = order_of_polynomial(char_poly(p))
-    except DomainError:  # reducible, or above the desk-scale cap
+    except DomainError:  # reducible, singular (refused there) or above the cap
         order = matrix_order(p)
-    words = [u]
-    v = Subspace(u.mat * p)
-    while v != u:
-        words.append(v)
-        v = Subspace(v.mat * p)
+    span, join = _spanner(p.field, p.ncols)
+    table = span(map(join, p.rows))
+    rows = tuple(map(join, u.mat.rows))
+    start, words = set(span(rows)), []
+    while not words or not start.issuperset(rows):
+        words.append(rows)
+        rows = tuple(map(table.__getitem__, rows))
     if order % len(words):
         raise RuntimeError(f"orbit length {len(words)} does not divide the "
                            f"generator order {order}")
-    return OrbitCode(p, u, tuple(sorted(words)), order)
+    return OrbitCode(p, u, tuple(words), order)
 
 
 #: Most nonzero vectors, |C| (q^k - 1), that min_distance_brute lists.
@@ -107,38 +115,40 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
 ORACLE_VECTOR_BUDGET = 1 << 19
 
 
-def _codeword_list(code) -> list[Subspace]:
-    return list(code.codewords) if isinstance(code, OrbitCode) else sorted(set(code))
-
-
 def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     """Minimum subspace distance over all unordered codeword pairs.
 
-    This is the independent oracle for every analytic predictor here: it
-    lists the nonzero vectors of every codeword and never looks at
-    exponents, the extension field or the group, so it is exact for any
-    constant dimension code.  Two k-dimensional words sharing s nonzero
-    vectors meet in dimension d with s = q^d - 1 and lie at distance
-    2k - 2d.  An incidence map from each vector to the words holding it
-    finds every pair that shares one.  Memory is linear in the
+    The independent oracle for every analytic predictor here: it lists
+    the nonzero vectors of every codeword as vector indices, spanned from
+    an OrbitCode's rows or from other words' canonical rows, and never
+    looks at exponents, the extension field or the group, so it is exact
+    for any constant dimension code.  Two k-dimensional words sharing s
+    nonzero vectors meet in dimension d with s = q^d - 1 and lie at
+    distance 2k - 2d; an incidence map from each vector to the words
+    holding it finds every pair that shares one.  Memory is linear in the
     |C| (q^k - 1) vectors listed, and time in those vectors plus the pairs
     of words that share one, instead of a rank for each of the |C|^2 / 2
     pairs.  Codes of more than ORACLE_VECTOR_BUDGET vectors are refused.
     """
-    words = _codeword_list(code)
+    if isinstance(code, OrbitCode):
+        first, words = code.start, code.rows
+    else:
+        words = list(set(code))
+        first = words[0] if words else None
+        if any(w.ambient != first.ambient or w.field != first.field for w in words):
+            raise DomainError("subspaces live in different ambient spaces")
+        if any(w.dim != first.dim for w in words):
+            raise DomainError("the brute-force distance requires a constant dimension code")
     if len(words) < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    first = words[0]
-    if any(w.ambient != first.ambient or w.field != first.field for w in words):
-        raise DomainError("subspaces live in different ambient spaces")
-    if any(w.dim != first.dim for w in words):
-        raise DomainError("the brute-force distance requires a constant dimension code")
     listed = len(words) * (first.field.order ** first.dim - 1)
     if listed > ORACLE_VECTOR_BUDGET:
         raise DomainError(f"the oracle would list {listed} vectors, above its budget "
                           f"of {ORACLE_VECTOR_BUDGET}")
-    vectors = [list(w.nonzero_vectors()) for w in words]
-    holders: dict[tuple[int, ...], list[int]] = {}
+    span, join = _spanner(first.field, first.ambient)
+    rows = code.rows if isinstance(code, OrbitCode) else [map(join, w.mat.rows) for w in words]
+    vectors = [span(r)[1:] for r in rows]
+    holders: dict[int, list[int]] = {}
     for i, vecs in enumerate(vectors):
         for key in vecs:
             holders.setdefault(key, []).append(i)
@@ -400,7 +410,7 @@ def conjugate_code(u: Subspace, g: Mat, s: Mat) -> tuple[Subspace, Mat]:
 
 def format_code(code: OrbitCode | Iterable[Subspace]) -> str:
     """Serialize a constant dimension code, sorted and bit exact."""
-    words = _codeword_list(code)
+    words = sorted(set(code))
     if not words:
         raise DomainError("cannot export an empty code")
     k, n = words[0].dim, words[0].ambient
@@ -419,8 +429,8 @@ def parse_code(text: str, base_field: FieldSpec | None = None
 
     The base field is reconstructed from the header for prime q; for a
     prime power q the caller must supply the field (the header carries no
-    modulus).  A header with q^n above DESK_SCALE_CAP is refused before any
-    block is read.
+    modulus).  A header with q or q^n above DESK_SCALE_CAP is refused before
+    any block is read.
     """
     lines = text.splitlines()
     if not lines:
@@ -432,6 +442,9 @@ def parse_code(text: str, base_field: FieldSpec | None = None
         q, n, k, size = (int(tok) for tok in head)
     except ValueError:
         raise ParseError("header fields must be integers") from None
+    if q > 1 and n > _max_exponent(q, DESK_SCALE_CAP):  # by exponent: q^n may be huge
+        raise DomainError(f"header says q = {q} and n = {n}: q^n exceeds the "
+                          f"desk-scale cap {DESK_SCALE_CAP}")
     if base_field is None:
         try:
             base_field = FieldSpec(q)
@@ -440,9 +453,6 @@ def parse_code(text: str, base_field: FieldSpec | None = None
                              "field must be supplied explicitly") from None
     elif base_field.order != q:
         raise ParseError(f"header says q = {q} but the field has order {base_field.order}")
-    if n > _max_exponent(q, DESK_SCALE_CAP):  # compared by exponent: q^n may be huge
-        raise DomainError(f"header says q = {q} and n = {n}: q^n exceeds the "
-                          f"desk-scale cap {DESK_SCALE_CAP}")
     blocks = parse_matrix_blocks(base_field, "\n".join(lines[1:]))
     if len(blocks) != size:
         raise ParseError(f"header promises {size} codewords, found {len(blocks)}")

@@ -72,14 +72,6 @@ class Poly:
         inv = self.leading.inv()
         return Poly(self.field, tuple(inv * c for c in self.coeffs))
 
-    def __call__(self, point: FieldElement) -> FieldElement:
-        """Evaluate by Horner's rule."""
-        point = self.field.element(point)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
     # -- ring operations -----------------------------------------------
 
     def _coerce(self, other):
@@ -151,10 +143,6 @@ class Poly:
     def __mod__(self, other):
         res = self.__divmod__(other)
         return res if res is NotImplemented else res[1]
-
-    def __floordiv__(self, other):
-        res = self.__divmod__(other)
-        return res if res is NotImplemented else res[0]
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -144,6 +144,18 @@ class TestSpread:
 
 
 class TestAnalyze:
+    def test_verify_over_the_oracle_budget_exits_3_at_once(self, capsys):
+        # 65535 words of dimension 4: the orbit on vector indices is cheap,
+        # and the oracle refuses its 983025 vectors before listing any.
+        rows = "1000000000000000;0100000000000000;0010000000000000;0000000100000001"
+        started = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "-q", "2", "-p", "x^16+x^5+x^3+x^2+1",
+                             "--start-rows", rows, "--verify")
+        assert time.perf_counter() - started < 2.0
+        assert code == 3 and out == ""
+        assert err == ("error: the oracle would list 983025 vectors, above its "
+                       "budget of 524288\n")
+
     def test_nonprimitive_example(self, capsys):
         code, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x^3+x^2+x+1",
                            "--start-rows", "1000;0011", "--verify")
@@ -266,11 +278,12 @@ class TestOrbitAndDistance:
         code, _, err = run(capsys, "distance", str(bad))
         assert code == 2 and "not prime" in err
 
-    def test_distance_oversized_header_exits_2(self, capsys, tmp_path):
+    def test_distance_oversized_header_q_exits_3(self, capsys, tmp_path):
+        # the desk-scale cap on q is the cap on q^n: one cap, one exit code
         big = tmp_path / "big.code"
         big.write_text("2305843009213693951 2 1 1\n10\n")  # q = 2^61 - 1
         code, _, err = run(capsys, "distance", str(big))
-        assert code == 2 and "cap" in err
+        assert code == 3 and "cap" in err
 
     @pytest.mark.parametrize("n", ["25", "15000", "9" * 4000],
                              ids=["25", "15000", "4000-digits"])

@@ -49,8 +49,8 @@ def _walk_partition(ctx):
 def _walk_tally(ctx, reps, locate, u):
     """Membership and sorted within-orbit exponents of u from a walk."""
     exps = [[] for _ in reps]
-    for v in u.nonzero_vectors():
-        i, b = locate[ctx.phi(v)]
+    for x in u.nonzero_vectors():
+        i, b = locate[ctx.phi(vector_from_index(ctx.base, ctx.n, x))]
         exps[i].append(b)
     return tuple(map(len, exps)), tuple(tuple(sorted(b)) for b in exps)
 
@@ -239,7 +239,8 @@ class TestOrbitPartition:
     def test_locate_consistent_with_exponents(self, ctx16_nonprim, f2):
         u = Subspace(parse_matrix(f2, "1000\n0011"))
         part = ctx16_nonprim.orbit_partition(u)
-        for v in u.nonzero_vectors():
+        for x in u.nonzero_vectors():
+            v = vector_from_index(f2, 4, x)
             i, b = part.locate(ctx16_nonprim.phi(v))
             rep = part.representatives[i]
             assert rep * ctx16_nonprim.alpha ** b == ctx16_nonprim.phi(v)
@@ -402,7 +403,7 @@ class TestIndexRoute:
         u = Subspace(Mat(ctx.base, rows))
         if u.dim == 0:
             return
-        vectors = list(u.nonzero_vectors())
+        vectors = [vector_from_index(ctx.base, ctx.n, x) for x in u.nonzero_vectors()]
         field = ctx.field
         for v in vectors:  # phi(v) = sum v_i alpha^i, by field arithmetic
             terms = (field.element([c]) * ctx.alpha ** i for i, c in enumerate(v))

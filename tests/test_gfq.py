@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from orbitcodes import (DESK_SCALE_CAP, DomainError, FieldSpec, field_make,
                         list_irreducibles, parse_poly)
+from orbitcodes.gfq import _digits
 
 
 def _small_fields():
@@ -128,6 +129,22 @@ class TestArithmetic:
                 want = field._add(a, field._neg(b))
                 assert field._sub(a, b) == want
                 assert (field.from_index(a) - field.from_index(b)).value == want
+
+    @pytest.mark.parametrize("field", FIELDS, ids=[repr(f) for f in FIELDS])
+    def test_add_is_digit_wise(self, field):
+        # Exhaustive against the digits over the level below; in
+        # characteristic 2 that is XOR of the indices at every level.
+        sub = field.subfield
+        for a in range(field.order):
+            for b in range(field.order):
+                if sub is None:
+                    want = (a + b) % field.p
+                else:
+                    want = sum(sub._add(x, y) * sub.order ** j for j, (x, y) in enumerate(
+                        zip(_digits(a, sub.order, field.degree), _digits(b, sub.order, field.degree))))
+                assert field._add(a, b) == want
+                if field.p == 2:
+                    assert want == a ^ b
 
     def test_field_mismatch(self, f2, f3):
         with pytest.raises(DomainError, match="different fields"):

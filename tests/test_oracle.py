@@ -3,11 +3,13 @@ generator, each checked against a slower reference kept here.
 
 `min_distance_pairwise` is the pairwise-rank oracle: one RREF of [U; V]
 for every unordered pair of codewords.  `from_index_vectors` rebuilds
-every vector of a span from its mixed-radix index.  `matrix_order` (in
-the library) finds ord(P) by repeated multiplication.
+every vector of a span from its mixed-radix index.  `walk_orbit` steps
+U <- rs(U P) by matrix product and RREF.  `matrix_order` (in the library)
+finds ord(P) by repeated multiplication.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -46,6 +48,17 @@ def from_index_vectors(u: Subspace) -> list:
             vec = [v + el(c) * el(e) for v, e in zip(vec, row)]
         out.append(tuple(v.value for v in vec))
     return out
+
+
+def walk_orbit(u: Subspace, p: Mat) -> list:
+    """Reference orbit: the sorted words U P^i, one Mat product and RREF
+    per step, until the start returns."""
+    words = [u]
+    v = Subspace(u.mat * p)
+    while v != u:
+        words.append(v)
+        v = Subspace(v.mat * p)
+    return sorted(words)
 
 
 def distinct_orbits(starts, generator):
@@ -114,6 +127,14 @@ class TestIncidenceOracle:
             words = rng.sample(pool, size)
             assert min_distance_brute(words) == min_distance_pairwise(words)
 
+    def test_ambient_space_above_the_cap(self):
+        # Vector indices of GF(2)^40 do not fit 4-byte array entries.
+        rng = random.Random(40)
+        words = [Subspace(Mat(F2, [[rng.randrange(2) for _ in range(40)] for _ in range(2)]))
+                 for _ in range(6)]
+        words.append(Subspace(Mat(F2, [words[0].mat.rows[0], [1] * 40])))
+        assert min_distance_brute(words) == min_distance_pairwise(words) == 2
+
     def test_mixed_dimensions_raise(self):
         words = [Subspace(parse_matrix(F2, "1000")),
                  Subspace(parse_matrix(F2, "0100\n0010"))]
@@ -149,8 +170,63 @@ class TestNonzeroVectors:
             pool = random.Random(n).sample(pool, count)
         for u in pool:
             vectors = list(u.nonzero_vectors())
-            assert vectors == from_index_vectors(u)
+            assert [vector_from_index(field, n, x) for x in vectors] == from_index_vectors(u)
             assert len(set(vectors)) == field.order ** k - 1
+
+
+class TestOrbitEngine:
+    """generate_orbit on vector indices against the Mat-product walk."""
+
+    @pytest.mark.parametrize("field,text,k", [
+        (F2, "x^6+x+1", 2), (F2, "x^6+x+1", 3), (F2, "x^4+x^3+x^2+x+1", 2),
+        (F3, "x^4+x+2", 2), (F3, "x^3+2*x+1", 1), (F4, "x^3+x+[1]", 2), (F4, "x^3+[2]", 1)])
+    def test_matches_the_product_walk(self, field, text, k):
+        rng = random.Random(f"{field!r}:{text}:{k}")
+        g = companion_matrix(parse_poly(field, text))
+        n = g.nrows
+        s = random_invertible(field, n, rng)
+        shift = Mat(field, [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+        starts = rng.sample(list(grassmannian(field, k, n)), 3)
+        for p in (g, s.inverse() * g * s, shift):
+            for u in starts:
+                code, reference = generate_orbit(u, p), walk_orbit(u, p)
+                assert len(code) == len(reference), (u, p)
+                assert list(code.codewords) == reference
+                assert list(code) == reference and all(w in code for w in reference)
+
+    def test_rref_and_products_do_not_grow_with_the_code(self, monkeypatch):
+        calls = []
+        for text in ("x^6+x+1", "x^8+x^4+x^3+x^2+1", "x^10+x^3+1"):
+            f = parse_poly(F2, text)
+            u, P = build_spread_start(2, f.degree, f), companion_matrix(f)
+            counted = Counter()
+            for name in ("rref", "__mul__"):
+                def counting(*args, _op=getattr(Mat, name), _name=name):
+                    counted[_name] += 1
+                    return _op(*args)
+                monkeypatch.setattr(Mat, name, counting)
+            code = generate_orbit(u, P)
+            assert len(code) == (2 ** f.degree - 1) // 3
+            assert min_distance_brute(code) == 4
+            monkeypatch.undo()
+            calls.append(dict(counted))
+        # 21, 85 and 341 words: the walk and the oracle never row-reduce
+        # or multiply a Mat per codeword.
+        assert calls[0] == calls[1] == calls[2], calls
+
+    def test_refuses_above_the_cap_before_the_table(self, monkeypatch):
+        p64 = parse_poly(F2, "x^6+x+1")
+        u, P = build_spread_start(2, 6, p64), companion_matrix(p64)
+        spans = []
+        spanner = orbitcodes.orbitcode._spanner
+        monkeypatch.setattr(orbitcodes.orbitcode, "_spanner",
+                            lambda *args: spans.append(args) or spanner(*args))
+        monkeypatch.setattr(orbitcodes.orbitcode, "DESK_SCALE_CAP", 63)
+        with pytest.raises(DomainError, match="cardinality 64 exceeds the desk-scale cap 63"):
+            generate_orbit(u, P)
+        assert spans == []
+        monkeypatch.setattr(orbitcodes.orbitcode, "DESK_SCALE_CAP", 64)
+        assert len(generate_orbit(u, P)) == 21 and len(spans) == 1
 
 
 class TestGeneratorOrder:
