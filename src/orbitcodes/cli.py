@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from . import __version__
 from .errors import DomainError, ParseError
 from .fieldmap import ExtensionContext
-from .gfq import DESK_SCALE_CAP, FieldSpec, _prime_factors
+from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
 from .matspace import Subspace, format_matrix, parse_matrix
 from .orbitcode import (AnalysisReport, analyze, build_spread_start,
                         check_sidon_condition, find_sidon_subspace,
@@ -208,9 +208,7 @@ def _base_field(q: int, base_modulus: str | None) -> FieldSpec:
     if len(primes) != 1:
         raise DomainError(f"field order {q} is not a prime power")
     p = primes[0]
-    r = 0
-    while q % p ** (r + 1) == 0:
-        r += 1
+    r = _max_exponent(p, q)
     prime = FieldSpec(p)
     if r == 1:
         if base_modulus:

@@ -12,17 +12,19 @@ elements into orbits of multiplication by alpha.
 Both rest on one dense int array, indexed by element index.  With
 e = ord(alpha), the c = (q^n - 1)/e orbits are the cosets gamma^i<alpha>,
 i in [0, c).  The array holds i + c*b for the element gamma^i * alpha^b.
-It is filled by walking each coset with alpha-steps on indices (a digit
-shift plus a fold at the modulus' nonzero terms), so its only field
-products are the coset representatives and gamma^c.  With
+It is filled on indices: each coset is walked with alpha-steps (a digit
+shift plus a fold at the modulus' nonzero terms) from its representative,
+a power of gamma, which is found with the field's int power; e trusts the
+irreducibility proof that FieldSpec.extend made.  With
 gamma^c = alpha^s and alpha = gamma^t, t = c * (s^-1 mod e), so
 gamma^i * alpha^b = gamma^j for j = i + c * (b * s^-1 mod e).
 
 The predictor's data is one partition read, orbit_partition(u): a
 subspace vector's index is already its element index (phi is a change of
-radix), and the array entry there gives its orbit and alpha-steps; no
-element is built.  A primitive context is the
-one-coset case c = 1, gamma = alpha: its exponent profile is orbit 0's.
+radix), and the array entry there gives its orbit and alpha-steps.  A
+primitive context is the one-coset case c = 1, gamma = alpha: its
+exponent profile is orbit 0's.  Elements are built only for the alpha,
+gamma and representatives views and in phi, phi_inv, dlog and locate.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from math import gcd
 from .errors import DomainError
 from .gfq import FieldElement, FieldSpec, _prime_factors
 from .matspace import Subspace, vector_from_index
-from .polyring import Poly, order_of_polynomial
+from .polyring import Poly, _order
 
 
 @dataclass(frozen=True)
@@ -98,30 +100,26 @@ class ExtensionContext:
         self.n = n = field.degree
         self.q = q = base.order
         self.modulus = modulus
-        self.order = e = order_of_polynomial(modulus)
+        self.order = e = _order(modulus)  # field.extend proved it irreducible
         self.primitive = e == field.order - 1
 
-        if n == 1:
-            # x = -c_0 in the quotient by x + c_0.
-            self.alpha = field.element([-modulus.coeffs[0]])
-        else:
-            self.alpha = field.element([0, 1])
-
+        # alpha, the residue class of x, has digits (0, 1); x = -c_0 when n = 1.
+        alpha = base._neg(modulus.coeffs[0].value) if n == 1 else q
         big = field.order - 1
         if self.primitive:
-            self.gamma = self.alpha
+            gamma = alpha
         else:
             primes = _prime_factors(big)
-            self.gamma = next(
-                g for g in field.elements()
-                if g and all(g ** (big // ell) != field.one() for ell in primes))
+            gamma = next(g for g in range(1, field.order)
+                         if all(field._pow(g, big // ell) != 1 for ell in primes))
         self._cosets = c = big // e
-        reps = [field.one()]
+        reps = [1]
         for _ in range(c):
-            reps.append(reps[-1] * self.gamma)
-        self._reps = tuple(reps[:c])
+            reps.append(field._mul(reps[-1], gamma))
+        self.alpha, self.gamma = field.from_index(alpha), field.from_index(gamma)
+        self._reps = tuple(map(field.from_index, reps[:c]))
 
-        # coords[x.value] = i + c*b for x = gamma^i * alpha^b.  Walk each coset
+        # coords[x] = i + c*b for x = gamma^i * alpha^b.  Walk each coset
         # by alpha-steps on indices: one step shifts the digits up one place
         # and adds -h * m_j, h the digit shifted out, at the nonzero
         # positions j of the monic modulus.
@@ -129,8 +127,7 @@ class ExtensionContext:
         fold = [(q ** j, base._neg(m.value)) for j, m in enumerate(modulus.coeffs[:-1]) if m]
         top = q ** (n - 1)
         coords = array("i", [-1]) * field.order
-        for i, rep in enumerate(self._reps):
-            x = rep.value
+        for i, x in enumerate(reps[:c]):
             for a in range(i, big, c):
                 coords[x] = a
                 h, x = divmod(x, top)
@@ -139,13 +136,13 @@ class ExtensionContext:
                     for w, m in fold:
                         digit = x // w % q
                         x += (add(digit, mul(h, m)) - digit) * w
-            if x != rep.value:
+            if x != reps[i]:
                 raise RuntimeError(f"alpha does not have order {e}")
         if coords.count(-1) != 1:
             raise RuntimeError("gamma does not generate the nonzero elements")
         self._coords = coords
         # gamma^c = alpha^s for a unit s mod e, and alpha = gamma^(c * s^-1).
-        s, i = divmod(coords[reps[c].value], c)
+        s, i = divmod(coords[reps[c]], c)
         if i or gcd(s, e) != 1:
             raise RuntimeError(f"alpha does not have order {e}")
         self._unit = pow(s, -1, e)

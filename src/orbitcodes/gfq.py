@@ -11,7 +11,9 @@ sum_i index(c_i) * |subfield|^i, and prime residues are their own index.
 An element stores that index, an int in [0, order), at every level.  Each
 field has int add, sub, neg and mul on indices: residues mod p, or digit-wise
 sums and a schoolbook product reduced mod the modulus over the level
-below.  All values are immutable and safe to share between threads.
+below, and FieldSpec._pow gives int powers and inverses.  Elements are built
+only at the public API, in the text formats and inside Poly.  All values are
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -223,6 +225,23 @@ class FieldSpec:
         """All elements in enumeration order."""
         return map(self.from_index, range(self.order))
 
+    def _pow(self, a: int, e: int) -> int:
+        """Index of a^e for the element with index a; any int e when a != 0."""
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inversion of zero")
+            return 1 if e == 0 else 0
+        # Nonzero elements have order dividing |F| - 1 (Lagrange), so any
+        # integer exponent, negative included, reduces into [0, |F| - 1).
+        e %= self.order - 1
+        mul, result = self._mul, 1
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a = mul(a, a)
+            e >>= 1
+        return result
+
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
@@ -325,22 +344,8 @@ class FieldElement:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        if not self:
-            if e < 0:
-                raise ZeroDivisionError("inversion of zero")
-            return self.field.one() if e == 0 else self
-        # Nonzero elements have order dividing |F| - 1 (Lagrange), so any
-        # integer exponent, negative included, reduces into [0, |F| - 1).
-        e %= self.field.order - 1
-        mul = self.field._mul
-        result, base = 1, self.value
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            e >>= 1
-        return FieldElement(self.field, result)
+        return FieldElement(self.field, self.field._pow(self.value, e))
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        return self ** -1
+        return FieldElement(self.field, self.field._pow(self.value, -1))

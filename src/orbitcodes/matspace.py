@@ -2,14 +2,14 @@
 
 Matrix entries are element indices, ints in [0, q) in the field's
 mixed-radix enumeration, and every routine computes on the field's int
-add, sub and mul; only pivot inverses go through elements.  Below the
-matrix rows a vector of F_q^n is one int, the mixed-radix index of its
-digits, and one span routine lists a subspace's vectors and a matrix's
-image table on those ints.  Subspaces are identified with their unique
-reduced row echelon basis, so equality, hashing and sorting are tuple
-comparisons on the canonical matrix.  The subspace metric is
-d_S(U, V) = 2 rank([U; V]) - dim U - dim V, and invertible matrices act on
-subspaces from the right through rs(U A).
+add, sub, mul and power; the Mat input coercion is the only element
+bridge.  Below the matrix rows a vector of F_q^n is one int, the
+mixed-radix index of its digits, and one span routine lists a subspace's
+vectors and a matrix's image table on those ints.  Subspaces are
+identified with their unique reduced row echelon basis, so equality,
+hashing and sorting are tuple comparisons on the canonical matrix.  The
+subspace metric is d_S(U, V) = 2 rank([U; V]) - dim U - dim V, and
+invertible matrices act on subspaces from the right through rs(U A).
 
 Matrix text format: one row per line as a contiguous string of base-field
 element indices (digits 0-9a-z, so base fields up to order 36), blocks of
@@ -126,7 +126,7 @@ class Mat:
             if hit is None:
                 continue
             rows[piv], rows[hit] = rows[hit], rows[piv]
-            inv = self.field.from_index(rows[piv][col]).inv().value
+            inv = self.field._pow(rows[piv][col], -1)
             rows[piv] = [mul(inv, e) for e in rows[piv]]
             for r in range(nr):
                 if r != piv and rows[r][col]:
@@ -276,8 +276,8 @@ def subspace_apply(u: Subspace, a: Mat) -> Subspace:
     return Subspace(u.mat * a)
 
 
-def matrix_order(g: Mat, cap: int = DESK_SCALE_CAP) -> int:
-    """Least m >= 1 with g^m = I, by repeated multiplication."""
+def matrix_order(g: Mat) -> int:
+    """Least m >= 1 with g^m = I, by repeated multiplication, up to DESK_SCALE_CAP."""
     if g.nrows != g.ncols:
         raise DomainError("order requires a square matrix")
     if g.rank() != g.nrows:
@@ -288,8 +288,8 @@ def matrix_order(g: Mat, cap: int = DESK_SCALE_CAP) -> int:
     while power != ident:
         power = power * g
         m += 1
-        if m > cap:
-            raise DomainError(f"matrix order exceeds the cap {cap}")
+        if m > DESK_SCALE_CAP:
+            raise DomainError(f"matrix order exceeds the cap {DESK_SCALE_CAP}")
     return m
 
 
@@ -318,7 +318,7 @@ def char_poly(g: Mat):
             h[piv], h[m] = h[m], h[piv]
             for row in h:
                 row[piv], row[m] = row[m], row[piv]
-        inv = field.from_index(h[m][m - 1]).inv().value
+        inv = field._pow(h[m][m - 1], -1)
         for i in range(m + 1, n):
             u = mul(h[i][m - 1], inv)
             if not u:

@@ -41,7 +41,7 @@ from .matspace import (Mat, Subspace, _spanner, char_poly, format_matrix,
                        grassmannian, matrix_order, parse_matrix_blocks,
                        subspace_apply, subspace_distance, vector_from_index)
 from .polyring import (Poly, companion_matrix, is_primitive,
-                       order_of_polynomial)
+                       order_of_polynomial, poly_powmod)
 
 
 class OrbitCode:
@@ -174,10 +174,10 @@ def min_distance_orbit(code: OrbitCode) -> int:
 def build_spread_start(k: int, n: int, poly: Poly) -> Subspace:
     """Starting subspace whose orbit under companion(poly) is a spread.
 
-    Requires k | n and a primitive poly of degree n over F_q.  With
-    c = (q^n - 1)/(q^k - 1), the rows are phi^-1(alpha^(i c)) for
-    i = 0..k-1, which span the subfield F_{q^k}; the orbit then has
-    cardinality c and minimum distance 2k.
+    Requires k | n and a monic primitive poly of degree n over F_q.  With
+    c = (q^n - 1)/(q^k - 1), the rows are phi^-1(alpha^(i c)), the
+    coefficients of x^(i c) mod poly, for i = 0..k-1; they span the subfield
+    F_{q^k}, and the orbit has cardinality c and minimum distance 2k.
     """
     if k < 1 or n % k != 0:
         raise DomainError(f"spread construction requires k | n, got k={k}, n={n}")
@@ -185,14 +185,13 @@ def build_spread_start(k: int, n: int, poly: Poly) -> Subspace:
         raise DomainError(f"polynomial degree {poly.degree} does not match n = {n}")
     if not is_primitive(poly):
         raise DomainError("spread construction requires a primitive polynomial")
+    if not poly.is_monic:
+        raise DomainError("modulus must be monic")
     base = poly.field
-    field = base.extend(poly)
-    q = base.order
+    q, x = base.order, Poly.x(base)
     c = (q ** n - 1) // (q ** k - 1)
-    alpha = field.element([0, 1]) if n > 1 else field.element([-poly.coeffs[0]])
-    rows = [vector_from_index(base, n, field.index_of(alpha ** (i * c)))
-            for i in range(k)]
-    return Subspace(Mat(base, rows))
+    rows = [poly_powmod(x, i * c, poly).coeffs for i in range(k)]
+    return Subspace(Mat(base, [r + (0,) * (n - len(r)) for r in rows]))  # padded to n
 
 
 def check_sidon_condition(profile: ExponentProfile, modulus: int) -> bool:
@@ -313,12 +312,8 @@ class AnalysisReport:
 
 
 def _int_log(q: int, value: int) -> int:
-    d = 0
-    power = 1
-    while power < value:
-        power *= q
-        d += 1
-    if power != value:
+    d = _max_exponent(q, value)
+    if q ** d != value:
         raise RuntimeError(
             f"multiplicity {value - 1} is not of the form q^d - 1; "
             "the data does not describe subspaces")

@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, ParseError
-from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _max_exponent, _mulmod,
-                  _prime_factors)
+from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _digits, _max_exponent,
+                  _mulmod, _prime_factors)
 
 
 class Poly:
@@ -223,15 +223,19 @@ def order_of_polynomial(f: Poly) -> int:
         raise DomainError("order requires an irreducible polynomial")
     if not f.coeffs[0]:
         raise DomainError("order is undefined when f(0) = 0")
-    g = f.monic()
-    Q = f.field.order
-    n = g.degree
+    Q, n = f.field.order, f.degree
     if Q ** n > DESK_SCALE_CAP:
         raise DomainError(
             f"field cardinality {Q ** n} exceeds the desk-scale cap {DESK_SCALE_CAP}")
-    e = Q ** n - 1
-    x = Poly.x(f.field)
-    one = Poly.one(f.field)
+    return _order(f.monic())
+
+
+def _order(g: Poly) -> int:
+    """order_of_polynomial for a monic g already proven irreducible, with
+    g(0) != 0 and Q^n within the cap."""
+    e = g.field.order ** g.degree - 1
+    x = Poly.x(g.field)
+    one = Poly.one(g.field)
     for ell in _prime_factors(e):
         while e % ell == 0 and poly_powmod(x, e // ell, g) == one:
             e //= ell
@@ -278,8 +282,6 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
     Enumerates x^degree + (low part) with the low part running through the
     field's mixed-radix enumeration, so the output order is fixed.
     """
-    from .matspace import vector_from_index
-
     if degree < 1:
         raise DomainError("degree must be at least 1")
     Q = field.order
@@ -289,7 +291,7 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
                           f"candidates, above the list cap {LIST_CAP}")
     out = []
     for i in range(Q ** degree):
-        f = Poly(field, vector_from_index(field, degree, i) + (1,))
+        f = Poly(field, _digits(i, Q, degree) + [1])
         if is_irreducible(f):
             out.append(f)
     return out

@@ -1,6 +1,25 @@
+from collections import Counter
+
 import pytest
 
-from orbitcodes import ExtensionContext, FieldSpec, parse_poly
+from orbitcodes import ExtensionContext, FieldElement, FieldSpec, parse_poly
+
+
+@pytest.fixture
+def element_powers(monkeypatch):
+    """element_powers(build): the FieldElement.__pow__ and inv calls made
+    while build() runs, by name."""
+    def count(build):
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            for name in ("__pow__", "inv"):
+                def counting(*args, _op=getattr(FieldElement, name), _name=name):
+                    calls[_name] += 1
+                    return _op(*args)
+                patch.setattr(FieldElement, name, counting)
+            build()
+        return calls
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,13 @@ import stat
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import orbitcodes.orbitcode
+import orbitcodes.polyring
 from orbitcodes import FieldSpec, ParseError, min_distance_brute, parse_code
 from orbitcodes import cli
 from orbitcodes.cli import ReportDocument, main, parse_report, render_report
@@ -101,6 +103,27 @@ class TestSpread:
         assert "verified_agrees = true" in out
         _, words = parse_code(out_file.read_text())
         assert len(words) == 9
+
+    def test_verify_proves_irreducibility_three_times(self, capsys, monkeypatch):
+        # The spread start's primitivity test, the field behind the context
+        # and the orbit's characteristic polynomial: one proof each.
+        calls = Counter()
+        irreducible, extend = orbitcodes.polyring.is_irreducible, FieldSpec.extend
+
+        def counting_irreducible(f):
+            calls["is_irreducible"] += 1
+            return irreducible(f)
+
+        def counting_extend(field, modulus):
+            calls["extend"] += 1
+            return extend(field, modulus)
+
+        monkeypatch.setattr(orbitcodes.polyring, "is_irreducible", counting_irreducible)
+        monkeypatch.setattr(FieldSpec, "extend", counting_extend)
+        code, _, _ = run(capsys, "spread", "-q", "2", "-p", "x^8+x^4+x^3+x^2+1", "-k", "4",
+                         "--verify")
+        assert code == 0
+        assert calls == {"is_irreducible": 3, "extend": 1}
 
     def test_verify_and_out_generate_the_orbit_once(self, capsys, tmp_path, monkeypatch):
         calls = []

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitcodes.fieldmap
-from orbitcodes.gfq import _prime_factors
+import orbitcodes.polyring
+from orbitcodes.gfq import _digits, _prime_factors
 from orbitcodes import (DomainError, ExtensionContext, FieldElement, FieldSpec,
-                        Mat, Subspace, analyze, companion_matrix,
-                        list_irreducibles, parse_matrix, parse_poly,
+                        Mat, Poly, Subspace, analyze, build_spread_start,
+                        companion_matrix, is_irreducible, list_irreducibles,
+                        order_of_polynomial, parse_matrix, parse_poly,
                         row_times_mat, vector_from_index)
 
 F2 = FieldSpec(2)
@@ -102,14 +104,14 @@ class TestContext:
     def test_order_too_large_for_alpha_rejected(self, monkeypatch, p5):
         # Told that ord(alpha) = 15, the context takes gamma = alpha, whose
         # powers reach only 5 elements.
-        monkeypatch.setattr(orbitcodes.fieldmap, "order_of_polynomial", lambda f: 15)
+        monkeypatch.setattr(orbitcodes.fieldmap, "_order", lambda g: 15)
         with pytest.raises(RuntimeError, match="gamma does not generate"):
             ExtensionContext.from_modulus(p5)
 
     def test_order_not_matching_dlog_of_alpha_rejected(self, monkeypatch, p64):
         # Told that ord(alpha) = 7, the context picks a primitive gamma, but
         # alpha = gamma^t has gcd(t, 63) = 1, not 63 / 7 = 9.
-        monkeypatch.setattr(orbitcodes.fieldmap, "order_of_polynomial", lambda f: 7)
+        monkeypatch.setattr(orbitcodes.fieldmap, "_order", lambda g: 7)
         with pytest.raises(RuntimeError, match="does not have order 7"):
             ExtensionContext.from_modulus(p64)
 
@@ -437,3 +439,88 @@ class TestIndexRoute:
         assert sum(report.membership) == vectors
         # Building an element per vector (or per coordinate) is at least 31.
         assert sum(calls.values()) < vectors, calls
+
+
+class TestContextOnIndices:
+    """The context finds alpha, gamma and the coset representatives on ints."""
+
+    @pytest.mark.parametrize("base,text", [
+        (F2, "x^6+x+1"), (F2, "x^4+x^3+x^2+x+1"), (F2, "x^12+x^11+x^2+x+1"),
+        (F3, "x^4+x+2"), (F4, "x^3+[2]"), (FieldSpec(5), "x+3")],
+        ids=lambda v: repr(v) if isinstance(v, FieldSpec) else v)
+    def test_no_element_power_during_the_build(self, element_powers, base, text):
+        field = base.extend(parse_poly(base, text))
+        assert element_powers(lambda: ExtensionContext(field)) == {}
+
+    def test_no_irreducibility_test_during_the_build(self, monkeypatch):
+        field = F2.extend(parse_poly(F2, "x^12+x^11+x^2+x+1"))
+        calls = []
+        monkeypatch.setattr(orbitcodes.polyring, "is_irreducible", calls.append)
+        ExtensionContext(field)
+        assert calls == []
+
+
+def _element_built_context(field):
+    """alpha, gamma and the coset representatives as the context used to
+    build them: from elements, with the gamma search over field.elements()."""
+    modulus = field.modulus
+    if field.degree == 1:
+        alpha = field.element([-modulus.coeffs[0]])
+    else:
+        alpha = field.element([0, 1])
+    big = field.order - 1
+    e = order_of_polynomial(modulus)
+    if e == big:
+        gamma = alpha
+    else:
+        primes = _prime_factors(big)
+        gamma = next(g for g in field.elements()
+                     if g and all(g ** (big // ell) != field.one() for ell in primes))
+    reps = [field.one()]
+    for _ in range(big // e - 1):
+        reps.append(reps[-1] * gamma)
+    return alpha, gamma, tuple(reps)
+
+
+def _element_built_spread_rows(k, n, poly):
+    """Spread start rows phi^-1(alpha^(i c)) read off the extension field."""
+    base = poly.field
+    field = base.extend(poly)
+    c = (base.order ** n - 1) // (base.order ** k - 1)
+    alpha = field.element([0, 1]) if n > 1 else field.element([-poly.coeffs[0]])
+    return [vector_from_index(base, n, field.index_of(alpha ** (i * c))) for i in range(k)]
+
+
+def _reference_moduli():
+    """Per field and degree n <= 6, the first primitive and the first
+    non-primitive irreducible modulus with f(0) != 0 in enumeration order;
+    over GF(5) every degree-1 modulus with f(0) != 0."""
+    out = [Poly(FieldSpec(5), (c, 1)) for c in range(1, 5)]
+    for base in (F2, F3, F4):
+        for n in range(1, 7):
+            found = {}
+            for i in range(1, base.order ** n):
+                f = Poly(base, _digits(i, base.order, n) + [1])
+                if f.coeffs[0] and is_irreducible(f):
+                    found.setdefault(order_of_polynomial(f) == base.order ** n - 1, f)
+                if len(found) == 2:
+                    break
+            out.extend(found.values())
+    return out
+
+
+class TestAgainstElementBuiltReference:
+    @pytest.mark.parametrize("modulus", _reference_moduli(),
+                             ids=lambda f: f"{f.field!r}:{f}")
+    def test_views_and_spread_rows_match(self, modulus):
+        field = modulus.field.extend(modulus)
+        ctx = ExtensionContext(field)
+        alpha, gamma, reps = _element_built_context(field)
+        assert (ctx.alpha, ctx.gamma) == (alpha, gamma)
+        assert ctx.orbit_partition().representatives == reps
+        if not ctx.primitive:
+            return
+        for k in range(1, ctx.n + 1):
+            if ctx.n % k == 0:
+                rows = _element_built_spread_rows(k, ctx.n, modulus)
+                assert build_spread_start(k, ctx.n, modulus) == Subspace(Mat(ctx.base, rows))

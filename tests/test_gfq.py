@@ -114,6 +114,20 @@ class TestArithmetic:
         a = ctx64.alpha
         assert (a ** -9) * (a ** 9) == ctx64.field.one()
 
+    @pytest.mark.parametrize("field", FIELDS[:6], ids=lambda f: f"order{f.order}")
+    def test_int_pow_matches_repeated_products(self, field):
+        size = field.order
+        for a in range(1, size):
+            inverse = next(b for b in range(1, size) if field._mul(a, b) == 1)
+            for e in range(-2 * size, 2 * size + 1):
+                want, factor = 1, (a if e >= 0 else inverse)
+                for _ in range(abs(e)):
+                    want = field._mul(want, factor)
+                assert field._pow(a, e) == want, (a, e)
+        assert [field._pow(0, e) for e in range(2 * size + 1)] == [1] + [0] * 2 * size
+        with pytest.raises(ZeroDivisionError):
+            field._pow(0, -1)
+
     def test_division(self, f3):
         f9 = f3.extend(parse_poly(f3, "x^2+1"))
         a, b = f9.from_index(5), f9.from_index(7)

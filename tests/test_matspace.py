@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcodes.matspace
 from orbitcodes import (DomainError, FieldSpec, Mat, ParseError, Poly, Subspace,
                         char_poly, companion_matrix, format_matrix,
                         gaussian_binomial, grassmannian, groups_conjugate,
@@ -256,6 +257,23 @@ class TestMatrixBasics:
                 Mat(F3, [[bad, 0]])
 
 
+class TestPivotsOnIndices:
+    @pytest.mark.parametrize("field", [F3, F4], ids=["GF3", "F4"])
+    def test_no_element_power_in_rref_inverse_or_char_poly(self, element_powers, field):
+        rng = random.Random(field.order)
+        mats = [Mat(field, [[rng.randrange(field.order) for _ in range(5)] for _ in range(5)])
+                for _ in range(20)]
+
+        def reduce_all():
+            for m in mats:
+                Subspace(m)
+                char_poly(m)
+                if m.rank() == 5:
+                    m.inverse()
+
+        assert element_powers(reduce_all) == {}
+
+
 class TestMatrixOrder:
     def test_order_five(self):
         p = companion_matrix(parse_poly(F2, "x^4+x^3+x^2+x+1"))
@@ -272,10 +290,11 @@ class TestMatrixOrder:
         with pytest.raises(DomainError, match="singular"):
             matrix_order(Mat(F2, [[0, 0], [0, 0]]))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(orbitcodes.matspace, "DESK_SCALE_CAP", 10)
         p = companion_matrix(parse_poly(F2, "x^4+x+1"))
         with pytest.raises(DomainError, match="cap"):
-            matrix_order(p, cap=10)
+            matrix_order(p)
 
     def test_matches_polynomial_order(self):
         from orbitcodes import order_of_polynomial

@@ -125,6 +125,13 @@ class TestBuildSpreadStart:
         with pytest.raises(DomainError, match="primitive"):
             build_spread_start(2, 4, p5)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_monic_modulus_refused(self, k):
+        poly = parse_poly(F3, "2*x^2+2*x+1")
+        assert is_primitive(poly)
+        with pytest.raises(DomainError, match="modulus must be monic"):
+            build_spread_start(k, 2, poly)
+
     @pytest.mark.parametrize("q,k,n,text", [
         (2, 2, 4, "x^4+x+1"),
         (2, 2, 6, "x^6+x+1"),
