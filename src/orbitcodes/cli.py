@@ -16,6 +16,7 @@ render exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -366,9 +367,10 @@ def _cmd_orbit(args) -> int:
     poly = parse_poly(field, args.poly)
     start = _read_start(field, args, poly.degree)
     code = generate_orbit(start, companion_matrix(poly))
+    order = code.generator_order  # before the file, so a failure writes nothing
     _write_file(args.out, format_code(code))
     print(f"cardinality = {len(code)}")
-    print(f"generator_order = {code.generator_order}")
+    print(f"generator_order = {order}")
     print(f"export = {args.out}")
     return 0
 
@@ -568,6 +570,7 @@ def _cmd_selfcheck(_args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+@functools.cache  # built on the first main call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitcodes",
@@ -642,9 +645,8 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:

@@ -5,8 +5,9 @@ mixed-radix enumeration, and every routine computes on the field's int
 add, sub, mul and power; the Mat input coercion is the only element
 bridge.  Below the matrix rows a vector of F_q^n is one int, the
 mixed-radix index of its digits, and one span routine lists a subspace's
-vectors and a matrix's image table on those ints.  Subspaces are
-identified with their unique reduced row echelon basis, so equality,
+vectors and a matrix's image table on those ints; a matrix's order is
+the lcm of the unit vectors' cycle lengths through that table.  Subspaces
+are identified with their unique reduced row echelon basis, so equality,
 hashing and sorting are tuple comparisons on the canonical matrix.  The
 subspace metric is d_S(U, V) = 2 rank([U; V]) - dim U - dim V, and
 invertible matrices act on subspaces from the right through rs(U A).
@@ -22,6 +23,7 @@ import itertools
 import random
 from array import array
 from collections.abc import Iterator, Sequence
+from math import lcm
 
 from .errors import DomainError, ParseError
 from .gfq import DESK_SCALE_CAP, FieldSpec, _digits, _extension_ops
@@ -277,20 +279,25 @@ def subspace_apply(u: Subspace, a: Mat) -> Subspace:
 
 
 def matrix_order(g: Mat) -> int:
-    """Least m >= 1 with g^m = I, by repeated multiplication, up to DESK_SCALE_CAP."""
+    """Least m >= 1 with g^m = I: the lcm of the unit vectors' cycle lengths
+    through g's image table, since g^m = I exactly when e_i g^m = e_i for
+    every i.  Each cycle is walked once, and no matrix is multiplied."""
     if g.nrows != g.ncols:
         raise DomainError("order requires a square matrix")
     if g.rank() != g.nrows:
         raise DomainError("matrix is singular")
-    ident = Mat.identity(g.field, g.nrows)
-    power = g
-    m = 1
-    while power != ident:
-        power = power * g
-        m += 1
-        if m > DESK_SCALE_CAP:
-            raise DomainError(f"matrix order exceeds the cap {DESK_SCALE_CAP}")
-    return m
+    Q, n, N = g.field.order, g.nrows, g.field.order ** g.nrows
+    if N > DESK_SCALE_CAP:  # before the table of N ints
+        raise DomainError(f"field cardinality {N} exceeds the desk-scale cap {DESK_SCALE_CAP}")
+    span, join = _spanner(g.field, n)
+    table, met, order = span(map(join, g.rows)), bytearray(N), 1
+    for x in (Q ** i for i in range(n)):
+        length = 0
+        while not met[x]:  # a cycle no earlier e_i met, walked back to e_i
+            met[x] = 1
+            x, length = table[x], length + 1
+        order = lcm(order, length or 1)
+    return order
 
 
 def char_poly(g: Mat):

@@ -14,11 +14,12 @@ multiplicity M gives the largest codeword intersection dimension
 log_q(M + 1) and hence the minimum distance 2k - 2 log_q(M + 1).
 
 Every prediction can be cross-checked by brute force on vector indices:
-the orbit maps U's rows through P's image table until they return, and
-the oracle lists every codeword's nonzero vectors and reads each pair's
-intersection dimension off the number of vectors it shares.  It sees
-only vectors and codewords, never exponents, the extension field or the
-group, so the two routes stay strictly separate.
+the orbit maps U's rows through P's image table until they return (ord(P),
+when read, is counted on the same table), and the oracle lists every
+codeword's nonzero vectors and reads each pair's intersection dimension
+off the number of vectors it shares.  It sees only vectors and codewords,
+never exponents, the extension field or the group, so the two routes
+stay strictly separate.
 
 Code export format (text, bit exact): a header line "q n k size", then
 `size` blocks, each the canonical k x n matrix of one codeword in the
@@ -37,24 +38,29 @@ from dataclasses import dataclass
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent
-from .matspace import (Mat, Subspace, _spanner, char_poly, format_matrix,
-                       grassmannian, matrix_order, parse_matrix_blocks,
-                       subspace_apply, subspace_distance, vector_from_index)
-from .polyring import (Poly, companion_matrix, is_primitive,
-                       order_of_polynomial, poly_powmod)
+from .matspace import (Mat, Subspace, _spanner, format_matrix, grassmannian,
+                       matrix_order, parse_matrix_blocks, subspace_apply,
+                       subspace_distance, vector_from_index)
+from .polyring import Poly, companion_matrix, is_primitive, poly_powmod
 
 
 class OrbitCode:
     """The orbit of a cyclic matrix group on a starting subspace: rows[i]
-    holds the k row vector indices of U P^i, and codewords, the sorted
-    canonical subspaces, are row-reduced on first use."""
+    holds the k row vector indices of U P^i; codewords, the sorted
+    canonical subspaces, and ord(P) are computed on first use."""
 
     def __init__(self, generator: Mat, start: Subspace,
-                 rows: tuple[tuple[int, ...], ...], generator_order: int):
-        self.generator = generator
-        self.start = start
-        self.rows = rows
-        self.generator_order = generator_order
+                 rows: tuple[tuple[int, ...], ...]):
+        self.generator, self.start, self.rows = generator, start, rows
+
+    @functools.cached_property
+    def generator_order(self) -> int:
+        """ord(P), counted on P's image table; the orbit length divides it."""
+        order = matrix_order(self.generator)
+        if order % len(self.rows):
+            raise RuntimeError(f"orbit length {len(self)} does not divide the "
+                               f"generator order {order}")
+        return order
 
     @functools.cached_property
     def codewords(self) -> tuple[Subspace, ...]:
@@ -76,12 +82,8 @@ class OrbitCode:
 
 def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     """Map U's row vector indices through P's image table (the span of P's
-    rows: entry x is the index of x P) until they lie in U again.
-
-    ord(P) is the order of P's characteristic polynomial when that is
-    irreducible (it is then also the minimal polynomial), and is found by
-    repeated multiplication otherwise; it only checks the orbit length,
-    the number of distinct words met before the start returns.
+    rows: entry x is the index of x P) until they lie in U again.  ord(P)
+    is not needed for this; OrbitCode.generator_order counts it when read.
     """
     if u.dim == 0:
         raise DomainError("orbit codes need a starting subspace of dimension >= 1")
@@ -90,10 +92,8 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     if p.field.order ** p.ncols > DESK_SCALE_CAP:  # before the table of q^n ints
         raise DomainError(f"field cardinality {p.field.order ** p.ncols} exceeds "
                           f"the desk-scale cap {DESK_SCALE_CAP}")
-    try:
-        order = order_of_polynomial(char_poly(p))
-    except DomainError:  # reducible, singular (refused there) or above the cap
-        order = matrix_order(p)
+    if p.rank() != p.nrows:
+        raise DomainError("matrix is singular")
     span, join = _spanner(p.field, p.ncols)
     table = span(map(join, p.rows))
     rows = tuple(map(join, u.mat.rows))
@@ -101,10 +101,7 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     while not words or not start.issuperset(rows):
         words.append(rows)
         rows = tuple(map(table.__getitem__, rows))
-    if order % len(words):
-        raise RuntimeError(f"orbit length {len(words)} does not divide the "
-                           f"generator order {order}")
-    return OrbitCode(p, u, tuple(words), order)
+    return OrbitCode(p, u, tuple(words))
 
 
 #: Most nonzero vectors, |C| (q^k - 1), that min_distance_brute lists.

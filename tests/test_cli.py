@@ -1,4 +1,5 @@
 
+import argparse
 import errno
 import io
 import os
@@ -23,6 +24,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_proofs(monkeypatch) -> Counter:
+    """Count irreducibility proofs and field extensions from here on."""
+    calls = Counter()
+    irreducible, extend = orbitcodes.polyring.is_irreducible, FieldSpec.extend
+
+    def counting_irreducible(f):
+        calls["is_irreducible"] += 1
+        return irreducible(f)
+
+    def counting_extend(field, modulus):
+        calls["extend"] += 1
+        return extend(field, modulus)
+
+    monkeypatch.setattr(orbitcodes.polyring, "is_irreducible", counting_irreducible)
+    monkeypatch.setattr(FieldSpec, "extend", counting_extend)
+    return calls
 
 
 class TestPoly:
@@ -104,26 +123,14 @@ class TestSpread:
         _, words = parse_code(out_file.read_text())
         assert len(words) == 9
 
-    def test_verify_proves_irreducibility_three_times(self, capsys, monkeypatch):
-        # The spread start's primitivity test, the field behind the context
-        # and the orbit's characteristic polynomial: one proof each.
-        calls = Counter()
-        irreducible, extend = orbitcodes.polyring.is_irreducible, FieldSpec.extend
-
-        def counting_irreducible(f):
-            calls["is_irreducible"] += 1
-            return irreducible(f)
-
-        def counting_extend(field, modulus):
-            calls["extend"] += 1
-            return extend(field, modulus)
-
-        monkeypatch.setattr(orbitcodes.polyring, "is_irreducible", counting_irreducible)
-        monkeypatch.setattr(FieldSpec, "extend", counting_extend)
+    def test_verify_proves_irreducibility_twice(self, capsys, monkeypatch):
+        # The spread start's primitivity test and the field behind the
+        # context: one proof each.  The orbit needs no order, so none.
+        calls = count_proofs(monkeypatch)
         code, _, _ = run(capsys, "spread", "-q", "2", "-p", "x^8+x^4+x^3+x^2+1", "-k", "4",
                          "--verify")
         assert code == 0
-        assert calls == {"is_irreducible": 3, "extend": 1}
+        assert calls == {"is_irreducible": 2, "extend": 1}
 
     def test_verify_and_out_generate_the_orbit_once(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -167,6 +174,14 @@ class TestSpread:
 
 
 class TestAnalyze:
+    def test_verify_proves_irreducibility_once(self, capsys, monkeypatch):
+        # Only the field behind the context.
+        calls = count_proofs(monkeypatch)
+        code, _, _ = run(capsys, "analyze", "-q", "2", "-p", "x^6+x+1",
+                         "--start-rows", "100000;011010;000110", "--verify")
+        assert code == 0
+        assert calls == {"is_irreducible": 1, "extend": 1}
+
     def test_verify_over_the_oracle_budget_exits_3_at_once(self, capsys):
         # 65535 words of dimension 4: the orbit on vector indices is cheap,
         # and the oracle refuses its 983025 vectors before listing any.
@@ -269,6 +284,16 @@ class TestOrbitAndDistance:
         assert "cardinality = 5" in out and "generator_order = 5" in out
         code, out, _ = run(capsys, "distance", str(out_file))
         assert code == 0 and out.strip() == "4"
+
+    @pytest.mark.parametrize("field,poly,rows", [
+        (("-q", "2"), "x^4+1", "1000;0100"),
+        (("-q", "3"), "x^4+2", "1000"),
+    ], ids=["gf2-x4+1", "gf3-x4+2"])
+    def test_orbit_on_a_reducible_modulus(self, capsys, tmp_path, field, poly, rows):
+        # Both moduli are x^4 - 1: the least e with x^4 - 1 | x^e - 1 is 4.
+        code, out, _ = run(capsys, "orbit", *field, "-p", poly, "--start-rows", rows,
+                           "--out", str(tmp_path / "f"))
+        assert code == 0 and "generator_order = 4" in out
 
     @pytest.mark.parametrize("field,poly,n", [
         (("-q", "2"), "x^25+x^3+1", 25),
@@ -477,3 +502,32 @@ class TestUsage:
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0 and out.startswith("orbitcodes ")
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        assert run(capsys, "poly", "order", "-q", "2", "x^4+x+1")[0] == 0
+        assert run(capsys, "frobnicate")[0] == 2
+        assert built.count("orbitcodes") == 1 and "orbitcodes poly" in built
+
+    def test_import_builds_no_parser(self):
+        probe = ("import argparse\n"
+                 "built = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "argparse.ArgumentParser.__init__ = "
+                 "lambda p, *a, **k: built.append(1) or init(p, *a, **k)\n"
+                 "import orbitcodes.cli\n"
+                 "print(len(built))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"

@@ -21,6 +21,17 @@ F3 = FieldSpec(3)
 F4 = F2.extend(parse_poly(F2, "x^2+x+1"))
 
 
+def _order_by_multiplication(g: Mat) -> int:
+    """Least m >= 1 with g^m = I, by repeated products: O(ord(g) n^3)."""
+    ident = Mat.identity(g.field, g.nrows)
+    power = g
+    m = 1
+    while power != ident:
+        power = power * g
+        m += 1
+    return m
+
+
 def _leibniz_char_poly(g: Mat):
     """det(xI - g) as the signed sum over all permutations."""
     field, n = g.field, g.nrows
@@ -292,9 +303,51 @@ class TestMatrixOrder:
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(orbitcodes.matspace, "DESK_SCALE_CAP", 10)
+        spans = []
+        spanner = orbitcodes.matspace._spanner
+        monkeypatch.setattr(orbitcodes.matspace, "_spanner",
+                            lambda *args: spans.append(args) or spanner(*args))
         p = companion_matrix(parse_poly(F2, "x^4+x+1"))
-        with pytest.raises(DomainError, match="cap"):
+        with pytest.raises(DomainError,
+                           match="field cardinality 16 exceeds the desk-scale cap 10"):
             matrix_order(p)
+        assert spans == []
+        monkeypatch.setattr(orbitcodes.matspace, "DESK_SCALE_CAP", 16)
+        assert matrix_order(p) == 15 and len(spans) == 1
+
+    def test_multiplies_no_matrices(self, monkeypatch):
+        def no_product(*args):
+            raise AssertionError("matrix product")
+        monkeypatch.setattr(Mat, "__mul__", no_product)
+        assert matrix_order(companion_matrix(parse_poly(F2, "x^10+x^3+1"))) == 1023
+
+    @pytest.mark.parametrize("field,n", [(F2, 3), (F3, 2)], ids=["GL(3,2)", "GL(2,3)"])
+    def test_every_element_of_a_small_group(self, field, n):
+        checked = 0
+        for entries in itertools.product(range(field.order), repeat=n * n):
+            g = Mat(field, [entries[i * n:(i + 1) * n] for i in range(n)])
+            if g.rank() == n:
+                assert matrix_order(g) == _order_by_multiplication(g), g.rows
+                checked += 1
+        assert checked == {2: 168, 3: 48}[field.order]
+
+    @pytest.mark.parametrize("field,n", [(F3, 4), (F4, 3)], ids=["GF(3)^4", "F4^3"])
+    def test_random_invertible_matrices(self, field, n):
+        rng = random.Random(13)
+        for _ in range(50):
+            g = random_invertible(field, n, rng)
+            assert matrix_order(g) == _order_by_multiplication(g), g.rows
+
+    def test_non_cyclic_and_reducible_matrices(self):
+        c3, c5 = (companion_matrix(parse_poly(F2, f)) for f in ("x^2+x+1", "x^4+x^3+x^2+x+1"))
+        cases = [(Mat.identity(F2, 4), 1),
+                 (Mat(F3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]]), 2),
+                 (Mat(F2, [r + (0,) * 4 for r in c3.rows] + [(0, 0) + r for r in c5.rows]), 15)]
+        for g, expected in cases:
+            assert matrix_order(g) == _order_by_multiplication(g) == expected, g.rows
+        for perm in itertools.permutations(range(4)):
+            g = Mat(F3, [[int(j == perm[i]) for j in range(4)] for i in range(4)])
+            assert matrix_order(g) == _order_by_multiplication(g), perm
 
     def test_matches_polynomial_order(self):
         from orbitcodes import order_of_polynomial

@@ -5,7 +5,8 @@ generator, each checked against a slower reference kept here.
 for every unordered pair of codewords.  `from_index_vectors` rebuilds
 every vector of a span from its mixed-radix index.  `walk_orbit` steps
 U <- rs(U P) by matrix product and RREF.  `matrix_order` (in the library)
-finds ord(P) by repeated multiplication.
+counts ord(P) on P's image table; its repeated-multiplication reference
+is in test_matspace.
 """
 
 import random
@@ -13,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+import orbitcodes.matspace
 import orbitcodes.orbitcode
 import orbitcodes.polyring
 from orbitcodes import (DomainError, ExtensionContext, FieldSpec, Mat,
@@ -228,6 +230,17 @@ class TestOrbitEngine:
         monkeypatch.setattr(orbitcodes.orbitcode, "DESK_SCALE_CAP", 64)
         assert len(generate_orbit(u, P)) == 21 and len(spans) == 1
 
+    def test_refuses_a_singular_generator_before_the_table(self, monkeypatch):
+        u = Subspace(Mat(F2, [[1, 0, 0]]))
+        spans = []
+        spanner = orbitcodes.orbitcode._spanner
+        monkeypatch.setattr(orbitcodes.orbitcode, "_spanner",
+                            lambda *args: spans.append(args) or spanner(*args))
+        singular = Mat(F2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # companion(x^3)
+        with pytest.raises(DomainError, match="matrix is singular"):
+            generate_orbit(u, singular)
+        assert spans == []
+
 
 class TestGeneratorOrder:
     def test_companions_of_irreducibles_up_to_degree_six(self):
@@ -252,22 +265,26 @@ class TestGeneratorOrder:
             v, h = conjugate_code(Subspace(Mat(F2, [[1] + [0] * (f.degree - 1)])), g, s)
             assert generate_orbit(v, h).generator_order == matrix_order(h)
 
-    def test_above_the_desk_scale_cap_falls_back_to_multiplication(self, monkeypatch):
+    def test_the_first_read_counts_the_order_once(self, monkeypatch):
         p64 = parse_poly(F2, "x^6+x+1")
         u, P = build_spread_start(3, 6, p64), companion_matrix(p64)
-        monkeypatch.setattr(orbitcodes.polyring, "DESK_SCALE_CAP", 16)
         calls = []
         monkeypatch.setattr(orbitcodes.orbitcode, "matrix_order",
                             lambda g: calls.append(g) or matrix_order(g))
-        assert generate_orbit(u, P).generator_order == 63
+        code = generate_orbit(u, P)
+        assert calls == []
+        assert code.generator_order == 63
         assert calls == [P]
+        assert code.generator_order == 63 and calls == [P]
 
     def test_orbit_length_must_divide_the_order(self, monkeypatch):
         p64 = parse_poly(F2, "x^6+x+1")
         u = build_spread_start(3, 6, p64)
-        monkeypatch.setattr(orbitcodes.orbitcode, "order_of_polynomial", lambda f: 7)
-        with pytest.raises(RuntimeError, match="does not divide"):
-            generate_orbit(u, companion_matrix(p64))
+        monkeypatch.setattr(orbitcodes.orbitcode, "matrix_order", lambda g: 7)
+        code = generate_orbit(u, companion_matrix(p64))
+        assert len(code) == 9
+        with pytest.raises(RuntimeError, match="orbit length 9 does not divide"):
+            code.generator_order
 
 
 class TestIndependence:
@@ -300,10 +317,20 @@ class TestIndependence:
     def test_orbit_of_a_companion_never_walks_the_group(self, monkeypatch):
         p = parse_poly(F2, "x^8+x^4+x^3+x^2+1")
         u, P = build_spread_start(2, 8, p), companion_matrix(p)
-        calls = dict.fromkeys(["matrix_order", *self.FORBIDDEN], 0)
+        calls = dict.fromkeys(["matrix_order", "__mul__", "char_poly", "order_of_polynomial",
+                               "is_irreducible", *self.FORBIDDEN], 0)
         self._count(monkeypatch, orbitcodes.orbitcode, "matrix_order", calls)
+        self._count(monkeypatch, Mat, "__mul__", calls)
+        self._count(monkeypatch, orbitcodes.matspace, "char_poly", calls)
+        for name in ("order_of_polynomial", "is_irreducible"):
+            self._count(monkeypatch, orbitcodes.polyring, name, calls)
         for name in self.FORBIDDEN:
             self._count(monkeypatch, ExtensionContext, name, calls)
         code = generate_orbit(u, P)
-        assert (len(code), code.generator_order) == (85, 255)
+        assert len(code) == 85
+        assert set(calls.values()) == {0}, calls
+        # The order, read later, is one table walk: no product, no
+        # polynomial and no extension field.
+        assert code.generator_order == 255
+        assert calls.pop("matrix_order") == 1
         assert set(calls.values()) == {0}, calls
