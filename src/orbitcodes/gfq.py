@@ -12,8 +12,16 @@ An element stores that index, an int in [0, order), at every level.  Each
 field has int add, sub, neg and mul on indices: residues mod p, or digit-wise
 sums and a schoolbook product reduced mod the modulus over the level
 below, and FieldSpec._pow gives int powers and inverses.  Elements are built
-only at the public API, in the text formats and inside Poly.  All values are
-immutable and safe to share between threads.
+only at the public API, in the text formats and inside Poly.
+
+An extension field of order Q with Q^2 within DESK_SCALE_CAP swaps its
+schoolbook product for two reads of a log and an antilog table the first
+time it is the coefficient field of a product modulo a polynomial
+(_mulmod: Poly powers and irreducibility tests over it, and the product of
+the next tower level).  The tables are a once-only cache outside the
+field's identity.  Two threads that race on it build identical arrays and
+either assignment is correct, so all values are immutable in effect and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ from .errors import DomainError
 #: (x^20+x^3+1) and at the cap 2^24 (x^24+x^7+x^2+x+1), Python 3.11.7, 2 vCPU
 #: Xeon, interpreter alone 13 MB: ExtensionContext 0.36 s at 20 MB max RSS and
 #: 8.4 s at 80 MB; the companion matrix's image table 0.13 s at 21 MB and 2.1 s at 111 MB.
+#: The largest coefficient field given log/antilog tables has Q = 2^12 (Q^2 at
+#: the cap): 321 KiB of lists, filled by Q - 2 schoolbook products in 55 ms
+#: under x^12+x^6+x^4+x+1 and 62 ms under x^12+x^3+1 (best of five on a shared
+#: 2 vCPU host where list_irreducibles(GF(2), 12) takes 1.1 s).
 DESK_SCALE_CAP = 1 << 24
 
 
@@ -68,7 +80,10 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
     """Product of two lists of int coefficients over sub, reduced mod the
     monic polynomial whose coefficients below its leading 1 have the indices
     in tail.  Lists are lowest degree first; the result has at most
-    len(tail) entries and may keep high zeros."""
+    len(tail) entries and may keep high zeros.  The first call over an
+    extension field sub with |sub|^2 within the cap tabulates sub."""
+    if sub.level and sub._exp is None and sub.order * sub.order <= DESK_SCALE_CAP:
+        _tabulate(sub)
     add, mul = sub._add, sub._mul
     d = len(tail)
     # The modulus is monic: x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1}).
@@ -89,6 +104,26 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
         return prod[:d]
 
     return mulmod
+
+
+def _tabulate(field: "FieldSpec") -> None:
+    """Make field._mul two table reads, exp[log[a] + log[b]], with logs to
+    g, the first element in enumeration order of order |field| - 1; the
+    powers of g are |field| - 2 schoolbook products.  Called once, by
+    _mulmod."""
+    big = field.order - 1
+    primes = _prime_factors(big)
+    g = next(g for g in range(1, field.order)
+             if all(field._pow(g, big // ell) != 1 for ell in primes))
+    exp = [1]
+    for _ in range(big - 1):
+        exp.append(field._mul(exp[-1], g))
+    log = [0] * field.order
+    for i, a in enumerate(exp):
+        log[a] = i
+    exp += exp  # log[a] + log[b] < 2 * big needs no reduction
+    field._exp = exp
+    field._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
 
 
 def _extension_ops(sub: "FieldSpec", tail: list[int]):
@@ -122,10 +157,16 @@ def _extension_ops(sub: "FieldSpec", tail: list[int]):
 
 
 class FieldSpec:
-    """A finite field: Z_p, or a quotient of the field one level below."""
+    """A finite field: Z_p, or a quotient of the field one level below.
+
+    _exp stays None until _mulmod first uses an extension field as a
+    coefficient field (within the cap); then it holds the antilog table that
+    _mul reads with the log table.  The tables are a once-only cache: _key,
+    the hash and the pickle ignore them.
+    """
 
     __slots__ = ("p", "subfield", "modulus", "degree", "order", "level",
-                 "_add", "_sub", "_neg", "_mul", "_join", "_key", "_hash")
+                 "_add", "_sub", "_neg", "_mul", "_join", "_exp", "_key", "_hash")
 
     def __init__(self, p: int):
         """Create the prime field Z_p."""
@@ -145,6 +186,7 @@ class FieldSpec:
         self._sub = lambda a, b: (a - b) % p
         self._neg = lambda a: -a % p
         self._mul = lambda a, b: a * b % p
+        self._exp = None
         self._key = ("prime", p)
         self._hash = hash(self._key)
 
@@ -179,6 +221,7 @@ class FieldSpec:
         coeffs = [self.index_of(c) for c in modulus.coeffs]
         spec._add, spec._sub, spec._neg, spec._mul, spec._join = _extension_ops(
             self, coeffs[:-1])
+        spec._exp = None
         spec._key = ("ext", self._key, tuple(coeffs))
         spec._hash = hash(spec._key)
         return spec

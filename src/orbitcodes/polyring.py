@@ -270,9 +270,11 @@ def companion_matrix(f: Poly):
 #: Most candidates list_irreducibles tests, one irreducibility test each.
 #: Measured whole calls (Python 3.11.7, 2 vCPU Xeon, single runs): GF(2)
 #: n = 12 and 13 in 0.45 and 0.92 s (111 us a candidate), GF(3) n = 7 and 8
-#: in 0.18 and 0.81 s, F_4 n = 5 and 6 in 0.61 and 5.1 s (1.2 ms a candidate
-#: at n = 6), F_8 n = 4 in 4.3 s, F_9 n = 4 in 8.4 s.  At 2^24 candidates
-#: GF(2) would take about half an hour and F_4 hours.
+#: in 0.18 and 0.81 s.  Best of three on a slower shared 2 vCPU host, where
+#: GF(2) n = 12 takes 1.1 s: F_4 n = 5 and 6 in 0.12 and 0.95 s (0.23 ms a
+#: candidate at n = 6; n = 5 took 0.91 s there before the coefficient field's
+#: log tables), F_8 n = 4 in 0.72 s, F_9 n = 4 in 4.6 s.  At 2^24 candidates
+#: GF(2) and F_4 would each take about half an hour.
 LIST_CAP = 1 << 13
 
 

@@ -1,12 +1,13 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcodes import (DESK_SCALE_CAP, DomainError, FieldSpec, field_make,
-                        list_irreducibles, parse_poly)
-from orbitcodes.gfq import _digits
+from orbitcodes import (DESK_SCALE_CAP, DomainError, FieldSpec, Poly, cli, field_make,
+                        list_irreducibles, parse_poly, poly_powmod)
+from orbitcodes.gfq import _digits, _extension_ops, _mulmod, _prime_factors
 
 
 def _small_fields():
@@ -212,3 +213,159 @@ def test_field_axioms(field, data):
     assert a * field.one() == a
     if a:
         assert a * a.inv() == field.one()
+
+
+def _fresh(p, modulus):
+    """A new, untabulated extension of Z_p by the given modulus."""
+    base = FieldSpec(p)
+    return base.extend(parse_poly(base, modulus))
+
+
+def _tail(field):
+    return [c.value for c in field.modulus.coeffs[:-1]]
+
+
+def _first_generator(field):
+    """Index of the first element in enumeration order of order |F| - 1."""
+    big = field.order - 1
+    return next(g for g in range(1, field.order)
+                if all(field._pow(g, big // ell) != 1 for ell in _prime_factors(big)))
+
+
+def _assert_tables_match_schoolbook(field, twin):
+    """Tabulate field and compare it with the schoolbook product of a fresh
+    _extension_ops on every pair, and with the untabulated twin's powers."""
+    schoolbook = _extension_ops(field.subfield, _tail(field))[3]
+    assert field._exp is None
+    _mulmod(field, [0, 0])
+    assert field._exp is not None and twin._exp is None
+    size = field.order
+    for a in range(size):
+        for b in range(size):
+            assert field._mul(a, b) == schoolbook(a, b), (a, b)
+        for e in range(-size, size + 1):
+            if a or e >= 0:
+                assert field._pow(a, e) == twin._pow(a, e), (a, e)
+        if a:
+            assert field._mul(a, field._pow(a, -1)) == 1
+
+
+class TestLogTables:
+    """An extension field swaps its schoolbook product for log/antilog
+    reads the first time _mulmod uses it as a coefficient field."""
+
+    @pytest.mark.parametrize("p, modulus, alpha_generates", [
+        (2, "x^2+x+1", True),
+        (2, "x^3+x+1", True),
+        (3, "x^2+1", False),  # alpha has order 4: the generator search runs
+        (2, "x^4+x+1", True),
+        (2, "x^4+x^3+x^2+x+1", False),  # alpha has order 5
+        (5, "x^2+x+2", True),
+        (3, "x^3+2*x+1", True),
+    ], ids=lambda v: str(v))
+    def test_table_product_and_powers_match_schoolbook(self, p, modulus, alpha_generates):
+        field, twin = _fresh(p, modulus), _fresh(p, modulus)
+        _assert_tables_match_schoolbook(field, twin)
+        # Logs are to the first generator in enumeration order; at degree >= 2
+        # no base element generates, so that is alpha, index q, when alpha does.
+        assert field._exp[1] == _first_generator(twin)
+        assert (field._exp[1] == field.subfield.order) == alpha_generates
+
+    @pytest.mark.parametrize("p, modulus", [(2, "x"), (2, "x+1"), (3, "x"), (5, "x+3")])
+    def test_degree_one_extensions(self, p, modulus):
+        # alpha is a base element here, 0 under the modulus x.
+        _assert_tables_match_schoolbook(_fresh(p, modulus), _fresh(p, modulus))
+        f4 = _fresh(2, "x^2+x+1")
+        _assert_tables_match_schoolbook(f4.extend(parse_poly(f4, "x")),
+                                        f4.extend(parse_poly(f4, "x")))
+
+    def test_poly_products_over_a_level_two_field(self):
+        f4 = _fresh(2, "x^2+x+1")
+        top = f4.extend(parse_poly(f4, "x^3+[2]"))  # F_{4^3}, level 2
+        assert f4._exp is not None and top._exp is None
+        rng = random.Random(14)
+        pairs = [(Poly(top, [rng.randrange(64) for _ in range(rng.randrange(1, 7))]),
+                  Poly(top, [rng.randrange(64) for _ in range(rng.randrange(1, 5))]))
+                 for _ in range(40)]
+        before = [(a * b, divmod(a, b) if not b.is_zero else None) for a, b in pairs]
+        _mulmod(top, [0, 0])
+        assert top._exp is not None
+        assert [(a * b, divmod(a, b) if not b.is_zero else None) for a, b in pairs] == before
+
+    @pytest.mark.parametrize("argv", [
+        ("spread", "-q", "2", "-k", "2", "-p", "x^6+x+1", "--verify"),
+        ("analyze", "-q", "2", "-p", "x^6+x+1", "--start-rows", "100000;010000", "--verify"),
+        ("spread", "-q", "3", "-k", "2", "-p", "x^4+x+2", "--verify"),
+        ("analyze", "-q", "3", "-p", "x^4+x+2", "--start-rows", "1000;0100", "--verify"),
+        ("spread", "-q", "4", "--base-modulus", "x^2+x+1", "-k", "2",
+         "-p", "x^4+x^2+[2]*x+[3]", "--verify"),
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_top_field_stays_untabulated(self, monkeypatch, capsys, argv):
+        # Over a prime field no field is a coefficient field of a product
+        # mod a polynomial; over F_4 only F_4 is.
+        built, extend = [], FieldSpec.extend
+
+        def recording(field, modulus):
+            built.append(extend(field, modulus))
+            return built[-1]
+
+        monkeypatch.setattr(FieldSpec, "extend", recording)
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        tabulated = [f.order for f in built if f._exp is not None]
+        assert built and built[-1].order > 4
+        assert tabulated == ([4] if "--base-modulus" in argv else [])
+
+    def test_no_table_above_the_square_root_of_the_cap(self):
+        big = _fresh(2, "x^13+x^4+x^3+x+1")
+        assert big.order ** 2 > DESK_SCALE_CAP
+        m, x = parse_poly(big, "x^2+x+[3]"), Poly.x(big)
+        assert poly_powmod(x, 5, m) == x * x * x * x * x % m
+        assert big._exp is None
+        edge = _fresh(2, "x^12+x^6+x^4+x+1")
+        assert edge.order ** 2 == DESK_SCALE_CAP
+        poly_powmod(Poly.x(edge), 5, parse_poly(edge, "x^2+x+[3]"))
+        assert edge._exp is not None and len(edge._exp) == 2 * 4095
+
+    def test_equal_fields_build_their_own_tables(self):
+        a, b = _fresh(2, "x^2+x+1"), _fresh(2, "x^2+x+1")
+        assert a == b and a is not b
+        _mulmod(a, [0, 0])
+        assert a._exp is not None and b._exp is None
+        _mulmod(b, [0, 0])
+        assert b._exp is not None and b._exp is not a._exp and b._exp == a._exp
+
+    def test_tables_stay_out_of_identity_and_pickle(self):
+        field, twin = _fresh(2, "x^3+x+1"), _fresh(2, "x^3+x+1")
+        key, code, pickled = field._key, hash(field), pickle.dumps(field)
+        _mulmod(field, [0, 0])
+        assert field._key == key and hash(field) == code and field == twin
+        assert pickle.dumps(field) == pickled
+        back = pickle.loads(pickled)
+        assert back == field and hash(back) == code
+        x = field.from_index(5)
+        assert pickle.loads(pickle.dumps(x)) * x == x * x
+
+    @pytest.mark.parametrize("p, modulus, degree, count", [
+        (2, "x^2+x+1", 4, (4 ** 4 - 4 ** 2) // 4),
+        (3, "x^2+1", 3, (9 ** 3 - 9) // 3),
+    ], ids=["F4", "F9"])
+    def test_schoolbook_products_bounded_by_the_table_build(self, p, modulus, degree, count):
+        # Structural, no clock: once the tables exist no product decodes
+        # digits, so listing every candidate costs at most the fill (|F| - 2
+        # products) plus the generator search (each try at most one power
+        # per prime factor of |F| - 1), whatever the candidate count.
+        field = _fresh(p, modulus)
+        calls, schoolbook = [0], field._mul
+
+        def counting(a, b):
+            calls[0] += 1
+            return schoolbook(a, b)
+
+        field._mul = counting
+        found = list_irreducibles(field, degree)
+        size = field.order
+        fill = size - 2
+        search = (size - 2) * len(_prime_factors(size - 1)) * 2 * (size - 1).bit_length()
+        assert calls[0] <= fill + search < size ** degree
+        assert len(found) == count  # Gauss's count of monic irreducibles
