@@ -3,21 +3,14 @@
 An ExtensionContext fixes an irreducible modulus p over a base field F_q
 and makes the canonical isomorphism phi((v_1,...,v_n)) = sum v_i alpha^(i-1)
 explicit, where alpha is the residue class of x.  It carries discrete
-logarithms with respect to a primitive element gamma (gamma is alpha itself
-when p is primitive; otherwise the first element in enumeration order of
-maximal multiplicative order), the exponent profile of a subspace (the
-dlogs of its nonzero vectors), and the partition of the nonzero field
-elements into orbits of multiplication by alpha.
+logarithms with respect to gfq._coset_walk's primitive element gamma (alpha
+itself when p is primitive), the exponent profile of a subspace (the dlogs
+of its nonzero vectors), and the partition of the nonzero field elements
+into orbits of multiplication by alpha.
 
-Both rest on one dense int array, indexed by element index.  With
+Both rest on the walk's dense int array, indexed by element index: with
 e = ord(alpha), the c = (q^n - 1)/e orbits are the cosets gamma^i<alpha>,
-i in [0, c).  The array holds i + c*b for the element gamma^i * alpha^b.
-It is filled on indices: each coset is walked with alpha-steps (a digit
-shift plus a fold at the modulus' nonzero terms) from its representative,
-a power of gamma, which is found with the field's int power; e trusts the
-irreducibility proof that FieldSpec.extend made.  With
-gamma^c = alpha^s and alpha = gamma^t, t = c * (s^-1 mod e), so
-gamma^i * alpha^b = gamma^j for j = i + c * (b * s^-1 mod e).
+i in [0, c), and the array holds i + c*b for the element gamma^i * alpha^b.
 
 The predictor's data is one partition read, orbit_partition(u): a
 subspace vector's index is already its element index (phi is a change of
@@ -29,14 +22,12 @@ gamma and representatives views and in phi, phi_inv, dlog and locate.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import DomainError
-from .gfq import FieldElement, FieldSpec, _prime_factors
+from .gfq import FieldElement, FieldSpec, _coset_walk
 from .matspace import Subspace, vector_from_index
-from .polyring import Poly, _order
+from .polyring import Poly
 
 
 @dataclass(frozen=True)
@@ -95,57 +86,14 @@ class ExtensionContext:
         modulus: Poly = field.modulus
         if not modulus.coeffs[0]:
             raise DomainError("modulus must have a nonzero constant term")
-        self.field = field
-        self.base = base = field.subfield
-        self.n = n = field.degree
-        self.q = q = base.order
-        self.modulus = modulus
-        self.order = e = _order(modulus)  # field.extend proved it irreducible
-        self.primitive = e == field.order - 1
-
-        # alpha, the residue class of x, has digits (0, 1); x = -c_0 when n = 1.
-        alpha = base._neg(modulus.coeffs[0].value) if n == 1 else q
-        big = field.order - 1
-        if self.primitive:
-            gamma = alpha
-        else:
-            primes = _prime_factors(big)
-            gamma = next(g for g in range(1, field.order)
-                         if all(field._pow(g, big // ell) != 1 for ell in primes))
-        self._cosets = c = big // e
-        reps = [1]
-        for _ in range(c):
-            reps.append(field._mul(reps[-1], gamma))
-        self.alpha, self.gamma = field.from_index(alpha), field.from_index(gamma)
+        self.field, self.base, self.modulus = field, field.subfield, modulus
+        self.n, self.q = field.degree, field.subfield.order
+        self._coords, reps, alpha, self._unit = _coset_walk(field)
+        self._cosets = c = len(reps) - 1
+        self.order = (field.order - 1) // c
+        self.primitive = c == 1
+        self.alpha, self.gamma = field.from_index(alpha), field.from_index(reps[1])
         self._reps = tuple(map(field.from_index, reps[:c]))
-
-        # coords[x] = i + c*b for x = gamma^i * alpha^b.  Walk each coset
-        # by alpha-steps on indices: one step shifts the digits up one place
-        # and adds -h * m_j, h the digit shifted out, at the nonzero
-        # positions j of the monic modulus.
-        add, mul = base._add, base._mul
-        fold = [(q ** j, base._neg(m.value)) for j, m in enumerate(modulus.coeffs[:-1]) if m]
-        top = q ** (n - 1)
-        coords = array("i", [-1]) * field.order
-        for i, x in enumerate(reps[:c]):
-            for a in range(i, big, c):
-                coords[x] = a
-                h, x = divmod(x, top)
-                x *= q
-                if h:
-                    for w, m in fold:
-                        digit = x // w % q
-                        x += (add(digit, mul(h, m)) - digit) * w
-            if x != reps[i]:
-                raise RuntimeError(f"alpha does not have order {e}")
-        if coords.count(-1) != 1:
-            raise RuntimeError("gamma does not generate the nonzero elements")
-        self._coords = coords
-        # gamma^c = alpha^s for a unit s mod e, and alpha = gamma^(c * s^-1).
-        s, i = divmod(coords[reps[c]], c)
-        if i or gcd(s, e) != 1:
-            raise RuntimeError(f"alpha does not have order {e}")
-        self._unit = pow(s, -1, e)
 
     @classmethod
     def from_modulus(cls, modulus: Poly) -> "ExtensionContext":

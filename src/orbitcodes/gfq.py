@@ -18,7 +18,8 @@ An extension field of order Q with Q^2 within DESK_SCALE_CAP swaps its
 schoolbook product for two reads of a log and an antilog table the first
 time it is the coefficient field of a product modulo a polynomial
 (_mulmod: Poly powers and irreducibility tests over it, and the product of
-the next tower level).  The tables are a once-only cache outside the
+the next tower level).  The logs are an ExtensionContext's, read off the
+one coset walk, _coset_walk.  The tables are a once-only cache outside the
 field's identity.  Two threads that race on it build identical arrays and
 either assignment is correct, so all values are immutable in effect and
 safe to share between threads.
@@ -26,7 +27,9 @@ safe to share between threads.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator, Sequence
+from math import gcd
 from operator import pos, xor
 
 from .errors import DomainError
@@ -38,9 +41,8 @@ from .errors import DomainError
 #: Xeon, interpreter alone 13 MB: ExtensionContext 0.36 s at 20 MB max RSS and
 #: 8.4 s at 80 MB; the companion matrix's image table 0.13 s at 21 MB and 2.1 s at 111 MB.
 #: The largest coefficient field given log/antilog tables has Q = 2^12 (Q^2 at
-#: the cap): 321 KiB of lists, filled by Q - 2 schoolbook products in 55 ms
-#: under x^12+x^6+x^4+x+1 and 62 ms under x^12+x^3+1 (best of five on a shared
-#: 2 vCPU host where list_irreducibles(GF(2), 12) takes 1.1 s).
+#: the cap): 321 KiB of lists, read off the coset walk in 4.5 ms under
+#: x^12+x^6+x^4+x+1 and 5.4 ms under x^12+x^3+1 (best of five, same host).
 DESK_SCALE_CAP = 1 << 24
 
 
@@ -57,6 +59,13 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _check_cap(order: int) -> None:
+    """Refuse a field cardinality above DESK_SCALE_CAP, read at call time."""
+    if order > DESK_SCALE_CAP:
+        raise DomainError(
+            f"field cardinality {order} exceeds the desk-scale cap {DESK_SCALE_CAP}")
 
 
 def _max_exponent(base: int, cap: int) -> int:
@@ -81,8 +90,9 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
     monic polynomial whose coefficients below its leading 1 have the indices
     in tail.  Lists are lowest degree first; the result has at most
     len(tail) entries and may keep high zeros.  The first call over an
-    extension field sub with |sub|^2 within the cap tabulates sub."""
-    if sub.level and sub._exp is None and sub.order * sub.order <= DESK_SCALE_CAP:
+    extension field sub with |sub|^2 within the cap and m(0) != 0 tabulates sub."""
+    if (sub.level and sub._exp is None and sub.order * sub.order <= DESK_SCALE_CAP
+            and sub.modulus.coeffs[0].value):
         _tabulate(sub)
     add, mul = sub._add, sub._mul
     d = len(tail)
@@ -106,21 +116,73 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
     return mulmod
 
 
+def _coset_walk(field: "FieldSpec"):
+    """Walk the nonzero elements of the extension field F[x]/(m), m(0) != 0,
+    coset by coset: (coords, reps, alpha, unit), all on indices.
+
+    alpha is the residue class of x, of order e read off m by polyring._order
+    (trusting FieldSpec.extend's irreducibility proof).  The c = (|F| - 1)/e
+    cosets gamma^i<alpha>, i in [0, c), have reps gamma^0, ..., gamma^c, for
+    gamma = alpha when e = |F| - 1, else the first element in enumeration
+    order of order |F| - 1.  coords holds i + c*b at gamma^i * alpha^b, filled
+    by alpha-steps from each representative: a step shifts the digits up one
+    place and adds -h * m_j, h the digit shifted out, at the nonzero positions
+    j of m, so it makes no product in F.  With gamma^c = alpha^s and
+    unit = s^-1 mod e, alpha = gamma^(c * unit), so gamma^i * alpha^b = gamma^j
+    for j = i + c * (b * unit mod e).
+    """
+    from . import polyring
+
+    sub, modulus = field.subfield, field.modulus
+    q, n, big = sub.order, field.degree, field.order - 1
+    e = polyring._order(modulus)
+    # alpha has digits (0, 1); x = -m_0 when n = 1.
+    alpha = sub._neg(modulus.coeffs[0].value) if n == 1 else q
+    if e == big:
+        gamma = alpha
+    else:
+        primes = _prime_factors(big)
+        gamma = next(g for g in range(1, field.order)
+                     if all(field._pow(g, big // ell) != 1 for ell in primes))
+    c = big // e
+    reps = [1]
+    for _ in range(c):
+        reps.append(field._mul(reps[-1], gamma))
+    add, mul = sub._add, sub._mul
+    fold = [(q ** j, sub._neg(m.value)) for j, m in enumerate(modulus.coeffs[:-1]) if m]
+    top = q ** (n - 1)
+    coords = array("i", [-1]) * field.order
+    for i, x in enumerate(reps[:c]):
+        for a in range(i, big, c):
+            coords[x] = a
+            h, x = divmod(x, top)
+            x *= q
+            if h:
+                for w, m in fold:
+                    digit = x // w % q
+                    x += (add(digit, mul(h, m)) - digit) * w
+        if x != reps[i]:
+            raise RuntimeError(f"alpha does not have order {e}")
+    if coords.count(-1) != 1:
+        raise RuntimeError("gamma does not generate the nonzero elements")
+    s, i = divmod(coords[reps[c]], c)
+    if i or gcd(s, e) != 1:
+        raise RuntimeError(f"alpha does not have order {e}")
+    return coords, reps, alpha, pow(s, -1, e)
+
+
 def _tabulate(field: "FieldSpec") -> None:
     """Make field._mul two table reads, exp[log[a] + log[b]], with logs to
-    g, the first element in enumeration order of order |field| - 1; the
-    powers of g are |field| - 2 schoolbook products.  Called once, by
-    _mulmod."""
-    big = field.order - 1
-    primes = _prime_factors(big)
-    g = next(g for g in range(1, field.order)
-             if all(field._pow(g, big // ell) != 1 for ell in primes))
-    exp = [1]
-    for _ in range(big - 1):
-        exp.append(field._mul(exp[-1], g))
-    log = [0] * field.order
-    for i, a in enumerate(exp):
-        log[a] = i
+    _coset_walk's gamma (an ExtensionContext's dlog), read off its coset
+    coordinates.  Called once, by _mulmod, when m(0) != 0."""
+    coords, reps, _, unit = _coset_walk(field)
+    big, c = field.order - 1, len(reps) - 1
+    e = big // c
+    exp, log = [0] * big, [0] * field.order
+    for x in range(1, field.order):
+        b, i = divmod(coords[x], c)
+        log[x] = j = i + c * (b * unit % e)
+        exp[j] = x
     exp += exp  # log[a] + log[b] < 2 * big needs no reduction
     field._exp = exp
     field._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
@@ -171,9 +233,7 @@ class FieldSpec:
     def __init__(self, p: int):
         """Create the prime field Z_p."""
         # The cap comes first: it bounds the trial division below.
-        if p > DESK_SCALE_CAP:
-            raise DomainError(
-                f"field cardinality {p} exceeds the desk-scale cap {DESK_SCALE_CAP}")
+        _check_cap(p)
         if _prime_factors(p) != [p]:
             raise DomainError(f"characteristic {p} is not prime")
         self.p = p
@@ -205,9 +265,7 @@ class FieldSpec:
         if not modulus.is_monic:
             raise DomainError("modulus must be monic")
         order = self.order ** modulus.degree
-        if order > DESK_SCALE_CAP:
-            raise DomainError(
-                f"field cardinality {order} exceeds the desk-scale cap {DESK_SCALE_CAP}")
+        _check_cap(order)
         if not polyring.is_irreducible(modulus):
             raise DomainError(f"modulus {modulus} is reducible")
 

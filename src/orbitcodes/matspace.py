@@ -26,7 +26,7 @@ from collections.abc import Iterator, Sequence
 from math import lcm
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldSpec, _digits, _extension_ops
+from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digits, _extension_ops
 
 
 def _indices(field: FieldSpec, v) -> tuple[int, ...]:
@@ -287,8 +287,7 @@ def matrix_order(g: Mat) -> int:
     if g.rank() != g.nrows:
         raise DomainError("matrix is singular")
     Q, n, N = g.field.order, g.nrows, g.field.order ** g.nrows
-    if N > DESK_SCALE_CAP:  # before the table of N ints
-        raise DomainError(f"field cardinality {N} exceeds the desk-scale cap {DESK_SCALE_CAP}")
+    _check_cap(N)  # before the table of N ints
     span, join = _spanner(g.field, n)
     table, met, order = span(map(join, g.rows)), bytearray(N), 1
     for x in (Q ** i for i in range(n)):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
-from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent
+from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _max_exponent
 from .matspace import (Mat, Subspace, _spanner, format_matrix, grassmannian,
                        matrix_order, parse_matrix_blocks, subspace_apply,
                        subspace_distance, vector_from_index)
@@ -89,9 +89,7 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
         raise DomainError("orbit codes need a starting subspace of dimension >= 1")
     if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
         raise DomainError("generator does not act on the starting subspace")
-    if p.field.order ** p.ncols > DESK_SCALE_CAP:  # before the table of q^n ints
-        raise DomainError(f"field cardinality {p.field.order ** p.ncols} exceeds "
-                          f"the desk-scale cap {DESK_SCALE_CAP}")
+    _check_cap(p.field.order ** p.ncols)  # before the table of q^n ints
     if p.rank() != p.nrows:
         raise DomainError("matrix is singular")
     span, join = _spanner(p.field, p.ncols)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, ParseError
-from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _digits, _max_exponent,
-                  _mulmod, _prime_factors)
+from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _check_cap, _digits,
+                  _max_exponent, _mulmod, _prime_factors)
 
 
 class Poly:
@@ -223,10 +223,7 @@ def order_of_polynomial(f: Poly) -> int:
         raise DomainError("order requires an irreducible polynomial")
     if not f.coeffs[0]:
         raise DomainError("order is undefined when f(0) = 0")
-    Q, n = f.field.order, f.degree
-    if Q ** n > DESK_SCALE_CAP:
-        raise DomainError(
-            f"field cardinality {Q ** n} exceeds the desk-scale cap {DESK_SCALE_CAP}")
+    _check_cap(f.field.order ** f.degree)
     return _order(f.monic())
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import orbitcodes.fieldmap
 import orbitcodes.polyring
 from orbitcodes.gfq import _digits, _prime_factors
 from orbitcodes import (DomainError, ExtensionContext, FieldElement, FieldSpec,
@@ -104,14 +103,14 @@ class TestContext:
     def test_order_too_large_for_alpha_rejected(self, monkeypatch, p5):
         # Told that ord(alpha) = 15, the context takes gamma = alpha, whose
         # powers reach only 5 elements.
-        monkeypatch.setattr(orbitcodes.fieldmap, "_order", lambda g: 15)
+        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda g: 15)
         with pytest.raises(RuntimeError, match="gamma does not generate"):
             ExtensionContext.from_modulus(p5)
 
     def test_order_not_matching_dlog_of_alpha_rejected(self, monkeypatch, p64):
         # Told that ord(alpha) = 7, the context picks a primitive gamma, but
         # alpha = gamma^t has gcd(t, 63) = 1, not 63 / 7 = 9.
-        monkeypatch.setattr(orbitcodes.fieldmap, "_order", lambda g: 7)
+        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda g: 7)
         with pytest.raises(RuntimeError, match="does not have order 7"):
             ExtensionContext.from_modulus(p64)
 

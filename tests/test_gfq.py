@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcodes import (DESK_SCALE_CAP, DomainError, FieldSpec, Poly, cli, field_make,
-                        list_irreducibles, parse_poly, poly_powmod)
+import orbitcodes.gfq
+from orbitcodes import (DESK_SCALE_CAP, DomainError, ExtensionContext, FieldSpec, Poly,
+                        build_spread_start, cli, companion_matrix, field_make,
+                        generate_orbit, list_irreducibles, matrix_order,
+                        order_of_polynomial, parse_poly, poly_powmod)
 from orbitcodes.gfq import _digits, _extension_ops, _mulmod, _prime_factors
 
 
@@ -74,6 +77,22 @@ class TestConstruction:
         assert 2 ** 25 > DESK_SCALE_CAP
         with pytest.raises(DomainError, match="cap"):
             FieldSpec(2 ** 61 - 1)  # a prime; rejected before trial division
+
+    def test_one_cap_for_every_structure(self, monkeypatch, f2):
+        # Every structure sized by a field cardinality reads the one
+        # gfq.DESK_SCALE_CAP when called.
+        p = parse_poly(f2, "x^4+x+1")
+        P, u = companion_matrix(p), build_spread_start(2, 4, p)
+        builds = [lambda: FieldSpec(17).order, lambda: f2.extend(p).order,
+                  lambda: order_of_polynomial(p), lambda: matrix_order(P),
+                  lambda: len(generate_orbit(u, P))]
+        monkeypatch.setattr(orbitcodes.gfq, "DESK_SCALE_CAP", 15)
+        for build in builds:
+            with pytest.raises(DomainError,
+                               match=r"cardinality 1[67] exceeds the desk-scale cap 15"):
+                build()
+        monkeypatch.setattr(orbitcodes.gfq, "DESK_SCALE_CAP", 17)
+        assert [build() for build in builds] == [17, 16, 15, 15, 5]
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"order{f.order}")
     def test_pickle_round_trip(self, field):
@@ -266,18 +285,28 @@ class TestLogTables:
     def test_table_product_and_powers_match_schoolbook(self, p, modulus, alpha_generates):
         field, twin = _fresh(p, modulus), _fresh(p, modulus)
         _assert_tables_match_schoolbook(field, twin)
-        # Logs are to the first generator in enumeration order; at degree >= 2
-        # no base element generates, so that is alpha, index q, when alpha does.
+        # Logs are to the context's gamma: alpha (index q) when alpha
+        # generates, else the first generator in enumeration order; at
+        # degree >= 2 no base element generates, so the two agree.
         assert field._exp[1] == _first_generator(twin)
         assert (field._exp[1] == field.subfield.order) == alpha_generates
+        ctx = ExtensionContext(twin)
+        assert [field._exp[ctx.dlog(a)] for a in range(1, field.order)] == \
+            list(range(1, field.order))
 
     @pytest.mark.parametrize("p, modulus", [(2, "x"), (2, "x+1"), (3, "x"), (5, "x+3")])
     def test_degree_one_extensions(self, p, modulus):
-        # alpha is a base element here, 0 under the modulus x.
-        _assert_tables_match_schoolbook(_fresh(p, modulus), _fresh(p, modulus))
+        # alpha is a base element here.  Under the modulus x it is 0, which
+        # has no cosets: the field stays untabulated and multiplies by
+        # schoolbook.
         f4 = _fresh(2, "x^2+x+1")
-        _assert_tables_match_schoolbook(f4.extend(parse_poly(f4, "x")),
-                                        f4.extend(parse_poly(f4, "x")))
+        fields = [_fresh(p, modulus), f4.extend(parse_poly(f4, "x"))]
+        if modulus != "x":
+            _assert_tables_match_schoolbook(fields.pop(0), _fresh(p, modulus))
+        for field in fields:
+            schoolbook = field._mul
+            _mulmod(field, [0, 0])
+            assert field._exp is None and field._mul is schoolbook
 
     def test_poly_products_over_a_level_two_field(self):
         f4 = _fresh(2, "x^2+x+1")
@@ -351,11 +380,17 @@ class TestLogTables:
         (3, "x^2+1", 3, (9 ** 3 - 9) // 3),
     ], ids=["F4", "F9"])
     def test_schoolbook_products_bounded_by_the_table_build(self, p, modulus, degree, count):
-        # Structural, no clock: once the tables exist no product decodes
-        # digits, so listing every candidate costs at most the fill (|F| - 2
-        # products) plus the generator search (each try at most one power
-        # per prime factor of |F| - 1), whatever the candidate count.
-        field = _fresh(p, modulus)
+        # Structural, no clock: the tables are read off the coset walk, whose
+        # alpha-steps make no product in the field, and once they exist no
+        # product decodes digits.  So listing every candidate costs at most
+        # the generator search (none when alpha generates; else each try up
+        # to gamma, one power per prime factor of |F| - 1) plus the c coset
+        # representatives, whatever the candidate count.
+        field, twin = _fresh(p, modulus), _fresh(p, modulus)
+        big = field.order - 1
+        cosets = big // order_of_polynomial(twin.modulus)
+        search = 0 if cosets == 1 else _first_generator(twin) * sum(
+            (big // ell).bit_length() + bin(big // ell).count("1") for ell in _prime_factors(big))
         calls, schoolbook = [0], field._mul
 
         def counting(a, b):
@@ -364,8 +399,6 @@ class TestLogTables:
 
         field._mul = counting
         found = list_irreducibles(field, degree)
-        size = field.order
-        fill = size - 2
-        search = (size - 2) * len(_prime_factors(size - 1)) * 2 * (size - 1).bit_length()
-        assert calls[0] <= fill + search < size ** degree
+        assert field._exp is not None
+        assert calls[0] <= search + cosets
         assert len(found) == count  # Gauss's count of monic irreducibles

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcodes.gfq
 import orbitcodes.matspace
 from orbitcodes import (DomainError, FieldSpec, Mat, ParseError, Poly, Subspace,
                         char_poly, companion_matrix, format_matrix,
@@ -302,7 +303,7 @@ class TestMatrixOrder:
             matrix_order(Mat(F2, [[0, 0], [0, 0]]))
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setattr(orbitcodes.matspace, "DESK_SCALE_CAP", 10)
+        monkeypatch.setattr(orbitcodes.gfq, "DESK_SCALE_CAP", 10)
         spans = []
         spanner = orbitcodes.matspace._spanner
         monkeypatch.setattr(orbitcodes.matspace, "_spanner",
@@ -312,7 +313,7 @@ class TestMatrixOrder:
                            match="field cardinality 16 exceeds the desk-scale cap 10"):
             matrix_order(p)
         assert spans == []
-        monkeypatch.setattr(orbitcodes.matspace, "DESK_SCALE_CAP", 16)
+        monkeypatch.setattr(orbitcodes.gfq, "DESK_SCALE_CAP", 16)
         assert matrix_order(p) == 15 and len(spans) == 1
 
     def test_multiplies_no_matrices(self, monkeypatch):

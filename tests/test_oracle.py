@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+import orbitcodes.gfq
 import orbitcodes.matspace
 import orbitcodes.orbitcode
 import orbitcodes.polyring
@@ -223,11 +224,11 @@ class TestOrbitEngine:
         spanner = orbitcodes.orbitcode._spanner
         monkeypatch.setattr(orbitcodes.orbitcode, "_spanner",
                             lambda *args: spans.append(args) or spanner(*args))
-        monkeypatch.setattr(orbitcodes.orbitcode, "DESK_SCALE_CAP", 63)
+        monkeypatch.setattr(orbitcodes.gfq, "DESK_SCALE_CAP", 63)
         with pytest.raises(DomainError, match="cardinality 64 exceeds the desk-scale cap 63"):
             generate_orbit(u, P)
         assert spans == []
-        monkeypatch.setattr(orbitcodes.orbitcode, "DESK_SCALE_CAP", 64)
+        monkeypatch.setattr(orbitcodes.gfq, "DESK_SCALE_CAP", 64)
         assert len(generate_orbit(u, P)) == 21 and len(spans) == 1
 
     def test_refuses_a_singular_generator_before_the_table(self, monkeypatch):
