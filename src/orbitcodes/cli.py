@@ -28,10 +28,11 @@ from .errors import DomainError, ParseError
 from .fieldmap import ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
 from .matspace import Subspace, format_matrix, parse_matrix
-from .orbitcode import (AnalysisReport, analyze, build_spread_start,
-                        check_sidon_condition, find_sidon_subspace,
-                        format_code, generate_orbit, min_distance_brute,
-                        min_distance_orbit, parse_code, verify_report)
+from .orbitcode import (AnalysisReport, _check_oracle_budget, _header_field,
+                        _read_code_header, _read_code_words, analyze,
+                        build_spread_start, check_sidon_condition,
+                        find_sidon_subspace, format_code, generate_orbit,
+                        min_distance_brute, min_distance_orbit, verify_report)
 from .polyring import (Poly, companion_matrix, format_poly, is_irreducible,
                        is_primitive, list_irreducibles, order_of_polynomial,
                        parse_poly, poly_powmod)
@@ -377,16 +378,13 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_distance(args) -> int:
     with open(args.file, encoding="ascii") as handle:
-        text = handle.read()
-    field = None
-    if args.base_modulus:
-        head = text.split(None, 1)
-        try:
-            q = int(head[0])
-        except (IndexError, ValueError):
-            raise ParseError("code file has no numeric header") from None
-        field = _base_field(q, args.base_modulus)
-    _, words = parse_code(text, field)
+        lines = handle.read().splitlines()
+    field_of = (functools.partial(_base_field, base_modulus=args.base_modulus)
+                if args.base_modulus else functools.partial(_header_field, None))
+    field, n, k, size = _read_code_header(lines, field_of)
+    _check_oracle_budget(size, field.order, k)  # before any block is read
+    words = _read_code_words(field, n, k, size, lines)
+    del lines  # a list of every line of the file: not held while the oracle runs
     print(min_distance_brute(words))
     return 0
 

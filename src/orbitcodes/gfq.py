@@ -11,8 +11,10 @@ sum_i index(c_i) * |subfield|^i, and prime residues are their own index.
 An element stores that index, an int in [0, order), at every level.  Each
 field has int add, sub, neg and mul on indices: residues mod p, or digit-wise
 sums and a schoolbook product reduced mod the modulus over the level
-below, and FieldSpec._pow gives int powers and inverses.  Elements are built
-only at the public API, in the text formats and inside Poly.
+below, and FieldSpec._pow gives int powers and inverses.  Every level of
+characteristic 2, GF(2) included, adds and subtracts by XOR, and GF(2)
+multiplies by AND.  Elements are built only at the public API, in the text
+formats and inside Poly.
 
 An extension field of order Q with Q^2 within DESK_SCALE_CAP swaps its
 schoolbook product for two reads of a log and an antilog table the first
@@ -30,7 +32,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator, Sequence
 from math import gcd
-from operator import pos, xor
+from operator import and_, pos, xor
 
 from .errors import DomainError
 
@@ -40,6 +42,11 @@ from .errors import DomainError
 #: (x^20+x^3+1) and at the cap 2^24 (x^24+x^7+x^2+x+1), Python 3.11.7, 2 vCPU
 #: Xeon, interpreter alone 13 MB: ExtensionContext 0.36 s at 20 MB max RSS and
 #: 8.4 s at 80 MB; the companion matrix's image table 0.13 s at 21 MB and 2.1 s at 111 MB.
+#: The table is kept with its matrix for as long as the matrix lives: 4 bytes
+#: times q^n, 64 MB at the cap.  Keeping it moved max RSS (single runs, same
+#: host) of `spread --verify` (k = 2, 1, 2) at n = 18, 19, 20 from 83.3, 219.9
+#: and 72.8 MB to 83.8, 222.0 and 72.8 MB, and of `analyze --verify` on the
+#: start e1 from 118.0, 219.8 and 124.1 MB to 119.1, 221.9 and 124.5 MB.
 #: The largest coefficient field given log/antilog tables has Q = 2^12 (Q^2 at
 #: the cap): 321 KiB of lists, read off the coset walk in 4.5 ms under
 #: x^12+x^6+x^4+x+1 and 5.4 ms under x^12+x^3+1 (best of five, same host).
@@ -242,10 +249,13 @@ class FieldSpec:
         self.degree = 1
         self.order = p
         self.level = 0
-        self._add = lambda a, b: (a + b) % p
-        self._sub = lambda a, b: (a - b) % p
-        self._neg = lambda a: -a % p
-        self._mul = lambda a, b: a * b % p
+        if p == 2:  # the XOR rule of every characteristic-2 level
+            self._add, self._sub, self._neg, self._mul = xor, xor, pos, and_
+        else:
+            self._add = lambda a, b: (a + b) % p
+            self._sub = lambda a, b: (a - b) % p
+            self._neg = lambda a: -a % p
+            self._mul = lambda a, b: a * b % p
         self._exp = None
         self._key = ("prime", p)
         self._hash = hash(self._key)

@@ -5,10 +5,12 @@ mixed-radix enumeration, and every routine computes on the field's int
 add, sub, mul and power; the Mat input coercion is the only element
 bridge.  Below the matrix rows a vector of F_q^n is one int, the
 mixed-radix index of its digits, and one span routine lists a subspace's
-vectors and a matrix's image table on those ints; a matrix's order is
-the lcm of the unit vectors' cycle lengths through that table.  Subspaces
-are identified with their unique reduced row echelon basis, so equality,
-hashing and sorting are tuple comparisons on the canonical matrix.  The
+vectors and a matrix's image table on those ints.  One gate, _image_table,
+checks an invertible matrix and builds its table once, kept with the
+matrix; the orbit walk and the matrix's order (the lcm of the unit
+vectors' cycle lengths) both read it there.  Subspaces are identified
+with their unique reduced row echelon basis, so equality, hashing and
+sorting are tuple comparisons on the canonical matrix.  The
 subspace metric is d_S(U, V) = 2 rank([U; V]) - dim U - dim V, and
 invertible matrices act on subspaces from the right through rs(U A).
 
@@ -46,9 +48,13 @@ def _dot(field: FieldSpec, u, v) -> int:
 
 class Mat:
     """An immutable dense matrix over one FieldSpec, rows of element indices.
-    Entries may be given as in-range ints or elements of the field."""
+    Entries may be given as in-range ints or elements of the field.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    _table stays None until _image_table first builds the matrix's image
+    table; it is a once-only cache that __eq__ and __hash__ ignore.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "_table")
 
     def __init__(self, field: FieldSpec, rows):
         rows = tuple(_indices(field, row) for row in rows)
@@ -57,6 +63,7 @@ class Mat:
         if any(len(r) != len(rows[0]) for r in rows):
             raise DomainError("matrix rows must all have the same length")
         self.field, self.nrows, self.ncols, self.rows = field, len(rows), len(rows[0]), rows
+        self._table = None
 
     @classmethod
     def _wrap(cls, field: FieldSpec, rows: tuple[tuple[int, ...], ...]) -> "Mat":
@@ -64,6 +71,7 @@ class Mat:
         field's own closures, without coercing them again."""
         m = object.__new__(cls)
         m.field, m.nrows, m.ncols, m.rows = field, len(rows), len(rows[0]), rows
+        m._table = None
         return m
 
     @classmethod
@@ -278,18 +286,27 @@ def subspace_apply(u: Subspace, a: Mat) -> Subspace:
     return Subspace(u.mat * a)
 
 
+def _image_table(g: Mat) -> array | list:
+    """The image table of a square, invertible g: the span of its rows, so
+    entry x is the index of x g.  Built once per matrix, after the cap on
+    its q^n entries and the singularity check, and kept on g."""
+    if g._table is None:
+        _check_cap(g.field.order ** g.ncols)  # before the table of q^n ints
+        if g.rank() != g.nrows:
+            raise DomainError("matrix is singular")
+        span, join = _spanner(g.field, g.ncols)
+        g._table = span(map(join, g.rows))
+    return g._table
+
+
 def matrix_order(g: Mat) -> int:
     """Least m >= 1 with g^m = I: the lcm of the unit vectors' cycle lengths
     through g's image table, since g^m = I exactly when e_i g^m = e_i for
     every i.  Each cycle is walked once, and no matrix is multiplied."""
     if g.nrows != g.ncols:
         raise DomainError("order requires a square matrix")
-    if g.rank() != g.nrows:
-        raise DomainError("matrix is singular")
-    Q, n, N = g.field.order, g.nrows, g.field.order ** g.nrows
-    _check_cap(N)  # before the table of N ints
-    span, join = _spanner(g.field, n)
-    table, met, order = span(map(join, g.rows)), bytearray(N), 1
+    table = _image_table(g)
+    Q, n, met, order = g.field.order, g.nrows, bytearray(len(table)), 1
     for x in (Q ** i for i in range(n)):
         length = 0
         while not met[x]:  # a cycle no earlier e_i met, walked back to e_i
@@ -454,8 +471,8 @@ def parse_matrix_blocks(field: FieldSpec, text: str) -> list[Mat]:
     for raw in text.splitlines() + [""]:
         line = raw.strip()
         if not line:
-            if current:
-                blocks.append(Mat(field, current))
+            if current:  # every digit is range-checked below
+                blocks.append(Mat._wrap(field, tuple(map(tuple, current))))
                 current = []
             continue
         row = []

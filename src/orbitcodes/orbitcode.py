@@ -15,16 +15,22 @@ log_q(M + 1) and hence the minimum distance 2k - 2 log_q(M + 1).
 
 Every prediction can be cross-checked by brute force on vector indices:
 the orbit maps U's rows through P's image table until they return (ord(P),
-when read, is counted on the same table), and the oracle lists every
-codeword's nonzero vectors and reads each pair's intersection dimension
-off the number of vectors it shares.  It sees only vectors and codewords,
-never exponents, the extension field or the group, so the two routes
-stay strictly separate.
+when read, is counted on the same table, which is built once and kept with
+P), and the oracle lists every codeword's nonzero vectors and reads each
+pair's intersection dimension off the number of vectors it shares.  It
+sees only vectors and codewords, never exponents, the extension field or
+the group, so the two routes stay strictly separate.
+
+One routine, _canonical_words, checks a code's words (nonzero, of one
+dimension, field and ambient space), drops duplicates and sorts them once;
+OrbitCode.codewords, the export, the import and the oracle all use it.
 
 Code export format (text, bit exact): a header line "q n k size", then
 `size` blocks, each the canonical k x n matrix of one codeword in the
 matrix text format, blocks separated by one blank line, codewords sorted
-lexicographically by canonical matrix.
+lexicographically by canonical matrix.  The header is read and checked
+before any block, so the distance command refuses a code above the
+oracle's budget from its header alone.
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
-from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _max_exponent
-from .matspace import (Mat, Subspace, _spanner, format_matrix, grassmannian,
-                       matrix_order, parse_matrix_blocks, subspace_apply,
-                       subspace_distance, vector_from_index)
+from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent
+from .matspace import (Mat, Subspace, _image_table, _spanner, format_matrix,
+                       gaussian_binomial, grassmannian, matrix_order, parse_matrix_blocks,
+                       subspace_apply, subspace_distance, vector_from_index)
 from .polyring import Poly, companion_matrix, is_primitive, poly_powmod
 
 
@@ -65,7 +71,7 @@ class OrbitCode:
     @functools.cached_property
     def codewords(self) -> tuple[Subspace, ...]:
         field, n = self.start.field, self.start.ambient
-        return tuple(sorted(
+        return tuple(_canonical_words(
             Subspace(Mat._wrap(field, tuple(vector_from_index(field, n, r) for r in rows)))
             for rows in self.rows))
 
@@ -82,18 +88,16 @@ class OrbitCode:
 
 def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     """Map U's row vector indices through P's image table (the span of P's
-    rows: entry x is the index of x P) until they lie in U again.  ord(P)
-    is not needed for this; OrbitCode.generator_order counts it when read.
+    rows: entry x is the index of x P, built once and kept on P) until they
+    lie in U again.  ord(P) is not needed for this; OrbitCode.generator_order
+    counts it on the same table when read.
     """
     if u.dim == 0:
         raise DomainError("orbit codes need a starting subspace of dimension >= 1")
     if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
         raise DomainError("generator does not act on the starting subspace")
-    _check_cap(p.field.order ** p.ncols)  # before the table of q^n ints
-    if p.rank() != p.nrows:
-        raise DomainError("matrix is singular")
+    table = _image_table(p)
     span, join = _spanner(p.field, p.ncols)
-    table = span(map(join, p.rows))
     rows = tuple(map(join, u.mat.rows))
     start, words = set(span(rows)), []
     while not words or not start.issuperset(rows):
@@ -108,6 +112,15 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
 #: 100 MB to max RSS; at the budget, 8 words with k = 16 in GF(2)^24 (524280
 #: vectors) in 1.5 s, adding 195 MB.
 ORACLE_VECTOR_BUDGET = 1 << 19
+
+
+def _check_oracle_budget(size: int, q: int, k: int) -> None:
+    """Refuse a code of size words of dimension k over GF(q) whose
+    size (q^k - 1) nonzero vectors exceed ORACLE_VECTOR_BUDGET."""
+    listed = size * (q ** k - 1)
+    if listed > ORACLE_VECTOR_BUDGET:
+        raise DomainError(f"the oracle would list {listed} vectors, above its budget "
+                          f"of {ORACLE_VECTOR_BUDGET}")
 
 
 def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
@@ -125,23 +138,14 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     of words that share one, instead of a rank for each of the |C|^2 / 2
     pairs.  Codes of more than ORACLE_VECTOR_BUDGET vectors are refused.
     """
-    if isinstance(code, OrbitCode):
-        first, words = code.start, code.rows
-    else:
-        words = list(set(code))
-        first = words[0] if words else None
-        if any(w.ambient != first.ambient or w.field != first.field for w in words):
-            raise DomainError("subspaces live in different ambient spaces")
-        if any(w.dim != first.dim for w in words):
-            raise DomainError("the brute-force distance requires a constant dimension code")
+    orbit = isinstance(code, OrbitCode)
+    words = code.rows if orbit else _canonical_words(code)
+    first = code.start if orbit else words[0]
     if len(words) < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    listed = len(words) * (first.field.order ** first.dim - 1)
-    if listed > ORACLE_VECTOR_BUDGET:
-        raise DomainError(f"the oracle would list {listed} vectors, above its budget "
-                          f"of {ORACLE_VECTOR_BUDGET}")
+    _check_oracle_budget(len(words), first.field.order, first.dim)
     span, join = _spanner(first.field, first.ambient)
-    rows = code.rows if isinstance(code, OrbitCode) else [map(join, w.mat.rows) for w in words]
+    rows = words if orbit else [map(join, w.mat.rows) for w in words]
     vectors = [span(r)[1:] for r in rows]
     holders: dict[int, list[int]] = {}
     for i, vecs in enumerate(vectors):
@@ -398,31 +402,48 @@ def conjugate_code(u: Subspace, g: Mat, s: Mat) -> tuple[Subspace, Mat]:
 
 # -- export format --------------------------------------------------------
 
+def _canonical_words(code: Iterable[Subspace]) -> list[Subspace]:
+    """The distinct words of a nonzero constant dimension code over one
+    field and ambient space, sorted by canonical matrix.  For words of one
+    dimension the rows order them as Subspace.__lt__ does."""
+    words = sorted(set(code), key=lambda w: w.mat.rows if w.dim else ())
+    if not words:
+        raise DomainError("a code needs at least one codeword")
+    first = words[0]
+    if any(w.ambient != first.ambient or w.field != first.field for w in words):
+        raise DomainError("codewords live in different ambient spaces")
+    if not first.dim or any(w.dim != first.dim for w in words):
+        raise DomainError("codewords must be nonzero and form a constant dimension code")
+    return words
+
+
 def format_code(code: OrbitCode | Iterable[Subspace]) -> str:
     """Serialize a constant dimension code, sorted and bit exact."""
-    words = sorted(set(code))
-    if not words:
-        raise DomainError("cannot export an empty code")
-    k, n = words[0].dim, words[0].ambient
-    field = words[0].field
-    if any(w.dim != k or w.ambient != n or w.field != field for w in words):
-        raise DomainError("export requires a constant dimension code over one field")
-    if k == 0:
-        raise DomainError("cannot export the zero subspace")
-    header = f"{field.order} {n} {k} {len(words)}"
-    return header + "\n" + "\n\n".join(format_matrix(w.mat) for w in words) + "\n"
+    words = code.codewords if isinstance(code, OrbitCode) else _canonical_words(code)
+    head = f"{words[0].field.order} {words[0].ambient} {words[0].dim} {len(words)}\n"
+    return head + "\n\n".join(format_matrix(w.mat) for w in words) + "\n"
 
 
-def parse_code(text: str, base_field: FieldSpec | None = None
-               ) -> tuple[FieldSpec, list[Subspace]]:
-    """Parse the code export format back into sorted canonical subspaces.
+def _header_field(base_field: FieldSpec | None, q: int) -> FieldSpec:
+    """The base field a code file's header names: base_field, which must
+    have order q, or GF(q) for a prime q."""
+    if base_field is None:
+        try:
+            return FieldSpec(q)
+        except DomainError as exc:
+            raise ParseError(f"base field of order {q}: {exc}; a prime-power "
+                             "field must be supplied explicitly") from None
+    if base_field.order != q:
+        raise ParseError(f"header says q = {q} but the field has order {base_field.order}")
+    return base_field
 
-    The base field is reconstructed from the header for prime q; for a
-    prime power q the caller must supply the field (the header carries no
-    modulus).  A header with q or q^n above DESK_SCALE_CAP is refused before
-    any block is read.
-    """
-    lines = text.splitlines()
+
+def _read_code_header(lines: list[str], field_of) -> tuple[FieldSpec, int, int, int]:
+    """(field, n, k, size) from the header "q n k size" of a code file's
+    lines, checked before any block is read: q^n by exponent against
+    DESK_SCALE_CAP, then the field field_of(q), then 1 <= k <= n, so no
+    power of q is built for an invalid field or k, then size against the
+    number of k-dimensional subspaces."""
     if not lines:
         raise ParseError("empty code file")
     head = lines[0].split()
@@ -435,15 +456,19 @@ def parse_code(text: str, base_field: FieldSpec | None = None
     if q > 1 and n > _max_exponent(q, DESK_SCALE_CAP):  # by exponent: q^n may be huge
         raise DomainError(f"header says q = {q} and n = {n}: q^n exceeds the "
                           f"desk-scale cap {DESK_SCALE_CAP}")
-    if base_field is None:
-        try:
-            base_field = FieldSpec(q)
-        except DomainError as exc:
-            raise ParseError(f"base field of order {q}: {exc}; a prime-power "
-                             "field must be supplied explicitly") from None
-    elif base_field.order != q:
-        raise ParseError(f"header says q = {q} but the field has order {base_field.order}")
-    blocks = parse_matrix_blocks(base_field, "\n".join(lines[1:]))
+    field = field_of(q)
+    if not 1 <= k <= n:
+        raise ParseError(f"header says k = {k} and n = {n}: k must lie in [1, n]")
+    if size > gaussian_binomial(n, k, q):  # bounds size (q^k - 1) for the oracle's budget
+        raise ParseError(f"header promises {size} codewords, more than F_{q}^{n} "
+                         f"has subspaces of dimension {k}")
+    return field, n, k, size
+
+
+def _read_code_words(field: FieldSpec, n: int, k: int, size: int,
+                     lines: list[str]) -> list[Subspace]:
+    """The sorted canonical words of the blocks below a checked header."""
+    blocks = parse_matrix_blocks(field, "\n".join(lines[1:]))
     if len(blocks) != size:
         raise ParseError(f"header promises {size} codewords, found {len(blocks)}")
     words = []
@@ -454,7 +479,21 @@ def parse_code(text: str, base_field: FieldSpec | None = None
         if w.dim != k:
             raise ParseError("codeword block is rank deficient")
         words.append(w)
-    out = sorted(set(words))
+    out = _canonical_words(words)
     if len(out) != len(words):
         raise ParseError("duplicate codewords in code file")
-    return base_field, out
+    return out
+
+
+def parse_code(text: str, base_field: FieldSpec | None = None
+               ) -> tuple[FieldSpec, list[Subspace]]:
+    """Parse the code export format back into sorted canonical subspaces.
+
+    The base field is reconstructed from the header for prime q; for a
+    prime power q the caller must supply the field (the header carries no
+    modulus).  A header with q^n above DESK_SCALE_CAP, a field that cannot
+    be built or k outside [1, n] is refused before any block is read.
+    """
+    lines = text.splitlines()
+    field, n, k, size = _read_code_header(lines, functools.partial(_header_field, base_field))
+    return field, _read_code_words(field, n, k, size, lines)

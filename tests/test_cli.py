@@ -353,6 +353,32 @@ class TestOrbitAndDistance:
         code, out, err = run(capsys, "distance", str(out_file))
         assert code == 3 and out == "" and "above its budget of 62" in err
 
+    def test_distance_refuses_an_over_budget_header_before_any_block(
+            self, capsys, tmp_path, monkeypatch):
+        # the full-length n = 16, k = 4 code: 65535 (2^4 - 1) = 983025 vectors
+        big = tmp_path / "k4.code"
+        big.write_text("2 16 4 65535\n" + "\n".join(
+            "".join("1" if i == j else "0" for j in range(16)) for i in range(4)) + "\n")
+        blocks = []
+        monkeypatch.setattr(orbitcodes.orbitcode, "parse_matrix_blocks",
+                            lambda *args: blocks.append(args))
+        code, out, err = run(capsys, "distance", str(big))
+        assert code == 3 and out == "" and blocks == []
+        assert err == ("error: the oracle would list 983025 vectors, above its "
+                       "budget of 524288\n")
+
+    @pytest.mark.parametrize("header", ["-2 999999999 999999999 1", "2 3 999999999 1",
+                                        "1 999999999 999999999 1", "2 4 2 " + "9" * 4300])
+    def test_distance_refuses_a_bad_header_at_once(self, capsys, tmp_path, header):
+        # no power of q is built before the field and k are known to be valid,
+        # and no size is multiplied out that has more words than G(k, n)
+        bad = tmp_path / "bad.code"
+        bad.write_text(header + "\n1\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "distance", str(bad))
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     @pytest.mark.parametrize("argv", [
         ("distance", "{file}"),
         ("analyze", "-q", "2", "-p", "x^2+x+1", "--start", "{file}"),

@@ -73,8 +73,8 @@ ROWS = {"valid": ["1000;0011", "100000;010000", "100000;011010;000110", "100;010
         "wrong_field": ["2000;0100", "z00000", "100000;100000"]}
 START_FILES = ["@start4", "@dense400", "@nonascii", "@empty", "@missing", "@dir"]
 CODE_FILES = ["@spread", "@f4code", "@header_over_cap", "@over_budget", "@q37",
-              "@huge_header", "@size_mismatch", "@nonascii", "@empty", "@missing",
-              "@dir"]
+              "@header_over_budget", "@negative_q", "@huge_size", "@huge_header",
+              "@size_mismatch", "@nonascii", "@empty", "@missing", "@dir"]
 OUT_FILES = ["@out", "@dir", "@missing_dir_out"]
 
 
@@ -145,6 +145,12 @@ def workdir(tmp_path_factory):
                                     Subspace(Mat(f2, [[int(i + 1 == j) for j in range(20)]
                                                       for i in range(19)]))]),
         "q37": "37 2 1 2\n10\n\n01\n",
+        # 65535 words of 2^4 - 1 vectors promised, above the budget; one block given
+        "header_over_budget": "2 16 4 65535\n" + "\n".join(
+            "".join("1" if i == j else "0" for j in range(16)) for i in range(4)) + "\n",
+        "negative_q": "-2 999999999 999999999 1\n1\n",
+        # more words than G(2, 4) holds; size (q^k - 1) has too many digits to print
+        "huge_size": "2 4 2 " + "9" * 4300 + "\n1000\n0100\n",
         "huge_header": "2 " + "9" * 5000 + " 1 1\n1\n",
         "size_mismatch": "2 3 1 5\n100\n",
     }
@@ -176,6 +182,9 @@ def workdir(tmp_path_factory):
 @example(argv=["distance", "@header_over_cap"])
 @example(argv=["distance", "@over_budget"])
 @example(argv=["distance", "@q37"])
+@example(argv=["distance", "@header_over_budget"])
+@example(argv=["distance", "@negative_q"])
+@example(argv=["distance", "@huge_size"])
 # Found by this fuzz: an empty --start-rows once fell through to open(None).
 @example(argv=["analyze", "-q", "2", "-p", "x^6+x+1", "--start-rows", ""])
 def test_exit_code_contract(workdir, argv):

@@ -221,8 +221,8 @@ class TestOrbitEngine:
         p64 = parse_poly(F2, "x^6+x+1")
         u, P = build_spread_start(2, 6, p64), companion_matrix(p64)
         spans = []
-        spanner = orbitcodes.orbitcode._spanner
-        monkeypatch.setattr(orbitcodes.orbitcode, "_spanner",
+        spanner = orbitcodes.matspace._spanner  # the table's, not U's
+        monkeypatch.setattr(orbitcodes.matspace, "_spanner",
                             lambda *args: spans.append(args) or spanner(*args))
         monkeypatch.setattr(orbitcodes.gfq, "DESK_SCALE_CAP", 63)
         with pytest.raises(DomainError, match="cardinality 64 exceeds the desk-scale cap 63"):
@@ -234,8 +234,8 @@ class TestOrbitEngine:
     def test_refuses_a_singular_generator_before_the_table(self, monkeypatch):
         u = Subspace(Mat(F2, [[1, 0, 0]]))
         spans = []
-        spanner = orbitcodes.orbitcode._spanner
-        monkeypatch.setattr(orbitcodes.orbitcode, "_spanner",
+        spanner = orbitcodes.matspace._spanner
+        monkeypatch.setattr(orbitcodes.matspace, "_spanner",
                             lambda *args: spans.append(args) or spanner(*args))
         singular = Mat(F2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # companion(x^3)
         with pytest.raises(DomainError, match="matrix is singular"):
@@ -277,6 +277,25 @@ class TestGeneratorOrder:
         assert code.generator_order == 63
         assert calls == [P]
         assert code.generator_order == 63 and calls == [P]
+
+    def test_the_orbit_and_the_order_share_one_table(self, monkeypatch):
+        p64 = parse_poly(F2, "x^6+x+1")
+        u, P = build_spread_start(3, 6, p64), companion_matrix(p64)
+        spanner = orbitcodes.matspace._spanner
+        tables, spans, rrefs = [], [], []
+        # matspace's binding builds P's table; orbitcode's spans U's rows
+        monkeypatch.setattr(orbitcodes.matspace, "_spanner",
+                            lambda *args: tables.append(args) or spanner(*args))
+        monkeypatch.setattr(orbitcodes.orbitcode, "_spanner",
+                            lambda *args: spans.append(args) or spanner(*args))
+        code = generate_orbit(u, P)
+        assert len(tables) == 1 and len(spans) == 1
+        rref = Mat.rref
+        monkeypatch.setattr(Mat, "rref", lambda m: rrefs.append(m) or rref(m))
+        assert code.generator_order == 63
+        assert len(generate_orbit(u, P)) == 9
+        # neither the order nor a second orbit builds or checks P again
+        assert len(tables) == 1 and rrefs == [] and len(spans) == 2
 
     def test_orbit_length_must_divide_the_order(self, monkeypatch):
         p64 = parse_poly(F2, "x^6+x+1")

@@ -444,6 +444,21 @@ class TestExportFormat:
         assert len(words) == 13
         assert min_distance_brute(words) == 2
 
+    @pytest.mark.parametrize("field,text,rows,k", [
+        (F2, "x^10+x^3+1", "1000000000;0100000000;0010000000", 3),
+        (F3, "x^6+2*x+2", "100000;001000", 2),
+    ], ids=["gf2-n10-k3", "gf3-n6-k2"])
+    def test_round_trip_of_a_full_orbit(self, field, text, rows, k):
+        poly = parse_poly(field, text)
+        u = Subspace(parse_matrix(field, rows.replace(";", "\n")))
+        code = generate_orbit(u, companion_matrix(poly))
+        assert len(code) == (field.order ** poly.degree - 1) // (field.order - 1)
+        text = format_code(code)
+        assert text.startswith(f"{field.order} {poly.degree} {k} {len(code)}\n")
+        parsed, words = parse_code(text)
+        assert parsed == field and words == list(code.codewords)
+        assert format_code(words) == text
+
     def test_codewords_sorted(self, spread3, p64):
         code = generate_orbit(spread3, companion_matrix(p64))
         blocks = format_code(code).split("\n", 1)[1].split("\n\n")
@@ -459,6 +474,9 @@ class TestExportFormat:
             parse_code("2 6 3\n")
         with pytest.raises(ParseError, match="promises"):
             parse_code("2 2 1 3\n10\n\n01\n")
+        for k in ("0", "3", "-1"):
+            with pytest.raises(ParseError, match=r"k must lie in \[1, n\]"):
+                parse_code(f"2 2 {k} 1\n10\n")
 
     def test_rank_deficient_block(self):
         with pytest.raises(ParseError, match="rank deficient"):
@@ -475,6 +493,29 @@ class TestExportFormat:
     def test_field_mismatch(self, f2):
         with pytest.raises(ParseError, match="order"):
             parse_code("3 2 1 1\n10\n", f2)
+
+
+class TestCodeChecks:
+    """One routine checks, deduplicates and sorts a code's words for the
+    export and the oracle alike."""
+
+    @pytest.mark.parametrize("words,match", [
+        ([], "at least one codeword"),
+        ([Subspace(Mat(F2, [[0, 0, 0]]))], "nonzero"),
+        ([Subspace(parse_matrix(F2, "1000")), Subspace(parse_matrix(F2, "0100\n0010"))],
+         "constant dimension"),
+        ([Subspace(parse_matrix(F2, "100")), Subspace(parse_matrix(F2, "0100"))], "ambient"),
+        ([Subspace(parse_matrix(F2, "100")), Subspace(parse_matrix(F3, "010"))], "ambient"),
+    ], ids=["empty", "zero-subspace", "mixed-dimension", "mixed-ambient", "mixed-field"])
+    @pytest.mark.parametrize("consumer", [format_code, min_distance_brute])
+    def test_refusals(self, consumer, words, match):
+        with pytest.raises(DomainError, match=match):
+            consumer(iter(words))
+
+    def test_duplicates_collapse_and_the_order_is_canonical(self):
+        a, b = Subspace(parse_matrix(F2, "0110")), Subspace(parse_matrix(F2, "1001"))
+        assert format_code([a, b, a]) == format_code([b, a]) == "2 4 1 2\n0110\n\n1001\n"
+        assert min_distance_brute([a, b, a]) == 2
 
 
 class TestVerifiedReports:
