@@ -40,16 +40,17 @@ from .errors import DomainError
 #: F_q^n whose image table generate_orbit fills (4 bytes an entry, as in an
 #: extension context's dlog array).  Single runs over GF(2) at 2^20
 #: (x^20+x^3+1) and at the cap 2^24 (x^24+x^7+x^2+x+1), Python 3.11.7, 2 vCPU
-#: Xeon, interpreter alone 13 MB: ExtensionContext 0.36 s at 20 MB max RSS and
-#: 8.4 s at 80 MB; the companion matrix's image table 0.13 s at 21 MB and 2.1 s at 111 MB.
+#: Xeon, interpreter alone 13 MB: ExtensionContext 0.40-0.46 s at 18 MB max RSS
+#: and 7.8-8.1 s at 78 MB; the companion matrix's image table 0.13 s at 21 MB
+#: and 2.1 s at 111 MB.
 #: The table is kept with its matrix for as long as the matrix lives: 4 bytes
 #: times q^n, 64 MB at the cap.  Keeping it moved max RSS (single runs, same
 #: host) of `spread --verify` (k = 2, 1, 2) at n = 18, 19, 20 from 83.3, 219.9
 #: and 72.8 MB to 83.8, 222.0 and 72.8 MB, and of `analyze --verify` on the
 #: start e1 from 118.0, 219.8 and 124.1 MB to 119.1, 221.9 and 124.5 MB.
 #: The largest coefficient field given log/antilog tables has Q = 2^12 (Q^2 at
-#: the cap): 321 KiB of lists, read off the coset walk in 4.5 ms under
-#: x^12+x^6+x^4+x+1 and 5.4 ms under x^12+x^3+1 (best of five, same host).
+#: the cap): 321 KiB of lists, read off the coset walk in 2.1-2.6 ms under
+#: x^12+x^6+x^4+x+1 and 3.1-3.5 ms under x^12+x^3+1 (best of five, same host).
 DESK_SCALE_CAP = 1 << 24
 
 
@@ -133,42 +134,70 @@ def _coset_walk(field: "FieldSpec"):
     gamma = alpha when e = |F| - 1, else the first element in enumeration
     order of order |F| - 1.  coords holds i + c*b at gamma^i * alpha^b, filled
     by alpha-steps from each representative: a step shifts the digits up one
-    place and adds -h * m_j, h the digit shifted out, at the nonzero positions
-    j of m, so it makes no product in F.  With gamma^c = alpha^s and
-    unit = s^-1 mod e, alpha = gamma^(c * unit), so gamma^i * alpha^b = gamma^j
-    for j = i + c * (b * unit mod e).
+    place and adds -h * (m_0, ..., m_{n-1}), h the digit shifted out, so it
+    makes no product in F.  In characteristic 2 that add is one XOR with a
+    vector tabulated per h; otherwise the digits at the nonzero positions of
+    m are folded one by one.
+
+    Coset 0, <alpha>, is walked first, and gamma is searched on its
+    coordinates: g has order |F| - 1 exactly when g^(c/l) lies outside
+    <alpha> for every prime l | c (g has order c modulo <alpha>) and
+    g^c = alpha^b with gcd(b, e) = 1 (g^c has order e).  With gamma^c =
+    alpha^s and unit = s^-1 mod e, alpha = gamma^(c * unit), so
+    gamma^i * alpha^b = gamma^j for j = i + c * (b * unit mod e).
     """
     from . import polyring
 
     sub, modulus = field.subfield, field.modulus
     q, n, big = sub.order, field.degree, field.order - 1
     e = polyring._order(modulus)
+    c = big // e
+    tail = [m.value for m in modulus.coeffs[:-1]]
     # alpha has digits (0, 1); x = -m_0 when n = 1.
-    alpha = sub._neg(modulus.coeffs[0].value) if n == 1 else q
-    if e == big:
+    alpha = sub._neg(tail[0]) if n == 1 else q
+    top = q ** (n - 1)
+    coords = array("i", [-1]) * field.order
+
+    if sub.p == 2:
+        neg, mul = sub._neg, sub._mul
+        shift = [field._join([neg(mul(h, m)) for m in tail]) for h in range(q)]
+
+        def walk(x, i):
+            for a in range(i, big, c):
+                coords[x] = a
+                h, x = divmod(x, top)
+                x = x * q ^ shift[h]
+            return x
+    else:
+        add, mul = sub._add, sub._mul
+        fold = [(q ** j, sub._neg(m)) for j, m in enumerate(tail) if m]
+
+        def walk(x, i):
+            for a in range(i, big, c):
+                coords[x] = a
+                h, x = divmod(x, top)
+                x *= q
+                if h:
+                    for w, m in fold:
+                        digit = x // w % q
+                        x += (add(digit, mul(h, m)) - digit) * w
+            return x
+
+    if walk(1, 0) != 1:
+        raise RuntimeError(f"alpha does not have order {e}")
+    if c == 1:
         gamma = alpha
     else:
-        primes = _prime_factors(big)
+        power, primes = field._pow, _prime_factors(c)
         gamma = next(g for g in range(1, field.order)
-                     if all(field._pow(g, big // ell) != 1 for ell in primes))
-    c = big // e
+                     if coords[g] < 0
+                     and all(coords[power(g, c // ell)] < 0 for ell in primes)
+                     and gcd(coords[power(g, c)] // c, e) == 1)
     reps = [1]
     for _ in range(c):
         reps.append(field._mul(reps[-1], gamma))
-    add, mul = sub._add, sub._mul
-    fold = [(q ** j, sub._neg(m.value)) for j, m in enumerate(modulus.coeffs[:-1]) if m]
-    top = q ** (n - 1)
-    coords = array("i", [-1]) * field.order
-    for i, x in enumerate(reps[:c]):
-        for a in range(i, big, c):
-            coords[x] = a
-            h, x = divmod(x, top)
-            x *= q
-            if h:
-                for w, m in fold:
-                    digit = x // w % q
-                    x += (add(digit, mul(h, m)) - digit) * w
-        if x != reps[i]:
+    for i in range(1, c):
+        if walk(reps[i], i) != reps[i]:
             raise RuntimeError(f"alpha does not have order {e}")
     if coords.count(-1) != 1:
         raise RuntimeError("gamma does not generate the nonzero elements")
@@ -195,18 +224,19 @@ def _tabulate(field: "FieldSpec") -> None:
     field._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
 
 
-def _extension_ops(sub: "FieldSpec", tail: list[int]):
-    """Int add, sub, neg, mul and digit join on the indices of sub[x]/(m),
-    built on sub's; tail holds the indices of m's coefficients below its
-    leading 1.  All but mul are digit-wise, so they serve sub^len(tail) too;
-    in characteristic 2 add and sub are XOR and neg is the identity."""
-    q, d = sub.order, len(tail)
-    add, minus, neg = sub._add, sub._sub, sub._neg
-    mulmod = _mulmod(sub, tail)
+def _digit_ops(sub: "FieldSpec", d: int):
+    """Int add, sub, neg and digit join on the indices of sub^d, built digit
+    by digit on sub's; in characteristic 2 add and sub are XOR and neg is
+    the identity."""
+    q = sub.order
     weights = [q ** i for i in range(d)]
 
     def join(digits):
         return sum(map(int.__mul__, digits, weights))
+
+    if sub.p == 2:
+        return xor, xor, pos, join
+    add, minus, neg = sub._add, sub._sub, sub._neg
 
     def ext_add(a, b):
         return sum([add(a // w % q, b // w % q) * w for w in weights])
@@ -217,12 +247,21 @@ def _extension_ops(sub: "FieldSpec", tail: list[int]):
     def ext_neg(a):
         return sum([neg(a // w % q) * w for w in weights])
 
+    return ext_add, ext_sub, ext_neg, join
+
+
+def _extension_ops(sub: "FieldSpec", tail: list[int]):
+    """Int add, sub, neg, mul and digit join on the indices of sub[x]/(m);
+    tail holds the indices of m's coefficients below its leading 1.  All but
+    mul are _digit_ops on sub^len(tail)."""
+    q, d = sub.order, len(tail)
+    add, minus, neg, join = _digit_ops(sub, d)
+    mulmod = _mulmod(sub, tail)
+
     def ext_mul(a, b):
         return join(mulmod(_digits(a, q, d), _digits(b, q, d)))
 
-    if sub.p == 2:
-        return xor, xor, pos, ext_mul, join
-    return ext_add, ext_sub, ext_neg, ext_mul, join
+    return add, minus, neg, ext_mul, join
 
 
 class FieldSpec:

@@ -28,7 +28,7 @@ from collections.abc import Iterator, Sequence
 from math import lcm
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digits, _extension_ops
+from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digit_ops, _digits
 
 
 def _indices(field: FieldSpec, v) -> tuple[int, ...]:
@@ -238,7 +238,7 @@ def _spanner(field: FieldSpec, n: int):
     and span(rows) lists the indices of sum_j c_j rows[j] for all c in
     mixed-radix order, each row adding one block per scalar to the list so
     far.  On the rows of a square P, entry x is the index of x P."""
-    add, _, _, _, join = _extension_ops(field, [0] * n)  # digit-wise, as for F^n
+    add, _, _, join = _digit_ops(field, n)
     mul, Q = field._mul, field.order
     zero = array("i", [0]) if Q ** n <= DESK_SCALE_CAP else [0]  # a list holds any index
 

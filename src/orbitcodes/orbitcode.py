@@ -236,22 +236,33 @@ class DifferenceMultiset:
         self._counts = dict(counts)
 
     @classmethod
+    def _wrap(cls, modulus: int, counts: dict[int, int]) -> "DifferenceMultiset":
+        """A multiset on counts that no caller holds or changes, uncopied."""
+        ms = object.__new__(cls)
+        ms.modulus, ms._counts = modulus, counts
+        return ms
+
+    @classmethod
     def from_exponents(cls, exponents: Sequence[int], modulus: int) -> "DifferenceMultiset":
         """Differences of exponents that are distinct residues mod modulus."""
         if len({a % modulus for a in exponents}) != len(exponents):
             raise DomainError(f"exponents are not distinct residues mod {modulus}")
-        return cls(modulus, Counter([(b - a) % modulus
-                                     for a in exponents for b in exponents if a != b]))
+        return cls._wrap(modulus, Counter([(b - a) % modulus
+                                           for a in exponents for b in exponents if a != b]))
 
     @classmethod
     def merged(cls, parts: Iterable["DifferenceMultiset"], modulus: int) -> "DifferenceMultiset":
-        """Union of per-orbit multisets: multiplicities of equal shifts add."""
+        """Union of per-orbit multisets: multiplicities of equal shifts add.
+        A single part's counts are shared, not copied."""
+        parts = list(parts)
+        if any(part.modulus != modulus for part in parts):
+            raise DomainError("cannot merge difference multisets of unequal modulus")
+        if len(parts) == 1:
+            return cls._wrap(modulus, parts[0]._counts)
         counts: Counter[int] = Counter()
         for part in parts:
-            if part.modulus != modulus:
-                raise DomainError("cannot merge difference multisets of unequal modulus")
             counts.update(part._counts)
-        return cls(modulus, counts)
+        return cls._wrap(modulus, counts)
 
     def multiplicity(self, a: int) -> int:
         return self._counts.get(a % self.modulus, 0)

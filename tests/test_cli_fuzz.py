@@ -54,7 +54,7 @@ BASE = {"valid": ["x^2+x+1"],
         "non_ascii": ["x²+x+1", "ξ"],
         "wrong_field": ["x^3+1", "x^2+2", "x+1", "x^2+[2]"]}
 POLY = {"valid": ["x^6+x+1", "x^4+x+1", "x^4+x^3+x^2+x+1", "x^4+x+2", "x^3+2*x+1",
-                  "x^3+[2]", "x^2+x+[2]"],
+                  "x^3+[2]", "x^2+x+[2]", "x^12+x^6+x^4+x+1"],
         "malformed": ["", "x^", "x^2+", "x**2", "2x", "x^-1"],
         "oversized": ["x^25+x^3+1", "x^25+x+2", "x^25+x+[2]", "x^26+1",
                       "x^999999999999+1", "x^1+" + "1" * 5000],
@@ -67,8 +67,10 @@ DEGREE = {"valid": ["1", "2", "3", "4"],
 ROWS = {"valid": ["1000;0011", "100000;010000", "100000;011010;000110", "100;010",
                   "1000;0120"],
         "malformed": ["", ";", "10;1", "1 0", "abc"],
+        # rows 8 x 12: under x^12+x^6+x^4+x+1 the orbit has 4095 words of
+        # 255 (2^8 - 1) vectors, above ORACLE_VECTOR_BUDGET
         "oversized": [_identity_rows(400), _identity_rows(6, rows=7),
-                      _identity_rows(7)],
+                      _identity_rows(7), _identity_rows(12, rows=8)],
         "non_ascii": ["1é00", "１000"],
         "wrong_field": ["2000;0100", "z00000", "100000;100000"]}
 START_FILES = ["@start4", "@dense400", "@nonascii", "@empty", "@missing", "@dir"]
@@ -179,6 +181,8 @@ def workdir(tmp_path_factory):
 @example(argv=["analyze", "-q", "2", "-p", "x^6+x+1", "--start-rows", _identity_rows(6, 7)])
 @example(argv=["analyze", "-q", "2", "-p", "x^6+x+1", "--start", "@dense400"])
 @example(argv=["orbit", "-q", "2", "-p", "x^6+x+1", "--start", "@dense400", "--out", "@out"])
+@example(argv=["analyze", "-q", "2", "-p", "x^12+x^6+x^4+x+1", "--start-rows",
+               _identity_rows(12, rows=8), "--verify"])
 @example(argv=["distance", "@header_over_cap"])
 @example(argv=["distance", "@over_budget"])
 @example(argv=["distance", "@q37"])

@@ -325,9 +325,10 @@ class TestTableFill:
         big = ctx.field.order - 1
         assert ctx.orbit_partition().orbit_count == cosets
         # The gamma search tests each candidate up to gamma with one power
-        # per prime factor of q^n - 1; the c coset representatives and
-        # gamma^c cost one product each.
-        search = 0 if ctx.primitive else ctx.gamma.value * len(_prime_factors(big))
+        # per prime factor of c and one for g^c; the c coset representatives
+        # and gamma^c cost one product each.
+        search = 0 if ctx.primitive else ctx.gamma.value * (
+            len(_prime_factors(big // ctx.order)) + 1)
         assert counts["__pow__"] <= search
         assert counts["__mul__"] <= cosets
 

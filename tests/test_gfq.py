@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitcodes.gfq
+import orbitcodes.polyring
 from orbitcodes import (DESK_SCALE_CAP, DomainError, ExtensionContext, FieldSpec, Poly,
                         build_spread_start, cli, companion_matrix, field_make,
                         generate_orbit, list_irreducibles, matrix_order,
                         order_of_polynomial, parse_poly, poly_powmod)
-from orbitcodes.gfq import _digits, _extension_ops, _mulmod, _prime_factors
+from orbitcodes.gfq import _coset_walk, _digits, _extension_ops, _mulmod, _prime_factors
 
 
 def _small_fields():
@@ -251,6 +252,103 @@ def _first_generator(field):
                 if all(field._pow(g, big // ell) != 1 for ell in _prime_factors(big)))
 
 
+def _reference_walk(field):
+    """_coset_walk's (coords, reps, alpha, unit), built by repeated products:
+    alpha is x mod m, its order and every coset walk come from field._mul,
+    and gamma is _first_generator's."""
+    sub, m = field.subfield, field.modulus
+    alpha = field.element((Poly.x(sub) % m).coeffs).value
+    order, x = 1, alpha
+    while x != 1:
+        order, x = order + 1, field._mul(x, alpha)
+    big = field.order - 1
+    gamma = alpha if order == big else _first_generator(field)
+    cosets = big // order
+    reps = [1]
+    for _ in range(cosets):
+        reps.append(field._mul(reps[-1], gamma))
+    coords = [-1] * field.order
+    for i in range(cosets):
+        x = reps[i]
+        for b in range(order):
+            coords[x] = i + cosets * b
+            x = field._mul(x, alpha)
+    return coords, reps, alpha, pow(coords[reps[cosets]] // cosets, -1, order)
+
+
+#: (p, base modulus or None, modulus): primitive and non-primitive moduli
+#: over GF(2), GF(3), GF(5) and F_4, and degree one over each.
+WALK_MODULI = [
+    (2, None, "x^6+x+1"), (2, None, "x^4+x^3+x^2+x+1"),  # c = 1, c = 3
+    (2, None, "x^12+x^11+x^2+x+1"),  # c = 3
+    (2, None, "x^12+x^11+x^10+x^9+x^8+x^7+x^6+x^5+x^4+x^3+x^2+x+1"),  # c = 315
+    (2, None, "x+1"), (3, None, "x^2+1"), (3, None, "x^3+2*x+1"), (3, None, "x^4+x+2"),
+    (3, None, "x+1"), (5, None, "x^2+x+2"), (5, None, "x^2+2"), (5, None, "x+1"),
+    (5, None, "x+3"), (2, "x^2+x+1", "x^3+[2]"), (2, "x^2+x+1", "x^3+[2]*x+[1]"),
+    (2, "x^2+x+1", "x^4+x^2+[2]*x+[3]"), (2, "x^2+x+1", "x+[2]"),
+]
+
+
+def _walk_field(p, base_modulus, modulus):
+    base = FieldSpec(p)
+    if base_modulus:
+        base = base.extend(parse_poly(base, base_modulus))
+    return base.extend(parse_poly(base, modulus))
+
+
+class TestCosetWalk:
+    """_coset_walk's alpha-steps and its gamma search on coset 0 against
+    repeated products and the brute-force generator search."""
+
+    @pytest.mark.parametrize("p, base_modulus, modulus", WALK_MODULI,
+                             ids=lambda v: str(v))
+    def test_walk_matches_repeated_products(self, p, base_modulus, modulus):
+        field = _walk_field(p, base_modulus, modulus)
+        coords, reps, alpha, unit = _coset_walk(field)
+        expected = _reference_walk(field)
+        assert (list(coords), reps, alpha, unit) == expected
+        assert reps[1] == (alpha if len(reps) == 2 else _first_generator(field))
+
+    def test_the_moduli_cover_both_kinds_of_walk(self):
+        cosets = {len(_coset_walk(_walk_field(*m))[1]) - 1 for m in WALK_MODULI}
+        assert {1, 2, 3, 7, 315} <= cosets
+
+    @pytest.mark.parametrize("p, base_modulus, modulus",
+                             [m for m in WALK_MODULI if m[0] == 2], ids=lambda v: str(v))
+    def test_a_char_2_step_makes_no_coefficient_product(self, monkeypatch, p,
+                                                        base_modulus, modulus):
+        # The walk's own products over the coefficient field are the q * n
+        # of its shift table.  gamma's search and the coset representatives
+        # multiply in the field, whose product took its closures at extend,
+        # and ord(alpha) is read before the count starts.
+        field = _walk_field(p, base_modulus, modulus)
+        order = order_of_polynomial(field.modulus)
+        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda m: order)
+        sub, calls = field.subfield, [0]
+        mul = sub._mul
+
+        def counting(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(sub, "_mul", counting)
+        _coset_walk(field)
+        assert calls[0] == sub.order * field.degree
+
+    def test_an_odd_step_folds_with_coefficient_products(self, monkeypatch):
+        # The contrast: over GF(3) a step with a nonzero digit shifted out
+        # makes one product per nonzero term of m below x^n.
+        field = _walk_field(3, None, "x^4+x+2")
+        order = order_of_polynomial(field.modulus)
+        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda m: order)
+        calls = []
+        mul = field.subfield._mul
+        monkeypatch.setattr(field.subfield, "_mul",
+                            lambda a, b: calls.append(a) or mul(a, b))
+        _coset_walk(field)
+        assert len(calls) > field.order
+
+
 def _assert_tables_match_schoolbook(field, twin):
     """Tabulate field and compare it with the schoolbook product of a fresh
     _extension_ops on every pair, and with the untabulated twin's powers."""
@@ -383,14 +481,21 @@ class TestLogTables:
         # Structural, no clock: the tables are read off the coset walk, whose
         # alpha-steps make no product in the field, and once they exist no
         # product decodes digits.  So listing every candidate costs at most
-        # the generator search (none when alpha generates; else each try up
-        # to gamma, one power per prime factor of |F| - 1) plus the c coset
-        # representatives, whatever the candidate count.
+        # the generator search (none when alpha generates; else, for each
+        # try up to gamma outside <alpha>, the powers g^(c/l), l | c prime,
+        # and g^c) plus the c coset representatives, whatever the candidate
+        # count.  A power g^m costs one squaring per bit of m and one
+        # product per set bit.
         field, twin = _fresh(p, modulus), _fresh(p, modulus)
-        big = field.order - 1
-        cosets = big // order_of_polynomial(twin.modulus)
-        search = 0 if cosets == 1 else _first_generator(twin) * sum(
-            (big // ell).bit_length() + bin(big // ell).count("1") for ell in _prime_factors(big))
+        big, order = field.order - 1, order_of_polynomial(twin.modulus)
+        cosets = big // order
+
+        def cost(m):
+            return m.bit_length() + bin(m).count("1")
+
+        tries = sum(twin._pow(g, order) != 1 for g in range(1, _first_generator(twin) + 1))
+        search = 0 if cosets == 1 else tries * (
+            cost(cosets) + sum(cost(cosets // ell) for ell in _prime_factors(cosets)))
         calls, schoolbook = [0], field._mul
 
         def counting(a, b):

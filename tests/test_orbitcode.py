@@ -239,6 +239,18 @@ class TestDifferenceMultiset:
         merged = DifferenceMultiset.merged((d1, d2), 5)
         assert merged.multiplicity(1) == 2 and merged.multiplicity(4) == 2
 
+    def test_only_the_public_constructor_copies(self):
+        counts = {1: 1, 4: 1}
+        public = DifferenceMultiset(5, counts)
+        counts[2] = 9
+        assert public.items() == [(1, 1), (4, 1)]
+        d1 = DifferenceMultiset.from_exponents((0, 1), 5)
+        d2 = DifferenceMultiset.from_exponents((2, 3), 5)
+        assert DifferenceMultiset.merged((d1,), 5)._counts is d1._counts
+        merged = DifferenceMultiset.merged((d1, d2), 5)
+        assert merged._counts is not d1._counts and merged == DifferenceMultiset(5, {1: 2, 4: 2})
+        assert d1 == public and d1.items() == [(1, 1), (4, 1)]
+
     def test_modulus_mismatch(self):
         d1 = DifferenceMultiset.from_exponents((0, 1), 5)
         d2 = DifferenceMultiset.from_exponents((0, 1), 7)
