@@ -28,8 +28,8 @@ from .errors import DomainError, ParseError
 from .fieldmap import ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
 from .matspace import Subspace, format_matrix, parse_matrix
-from .orbitcode import (AnalysisReport, _check_oracle_budget, _header_field,
-                        _read_code_header, _read_code_words, analyze,
+from .orbitcode import (AnalysisReport, _check_oracle_budget, _check_spread_shape,
+                        _header_field, _read_code_header, _read_code_words, analyze,
                         build_spread_start, check_sidon_condition,
                         find_sidon_subspace, format_code, generate_orbit,
                         min_distance_brute, min_distance_orbit, verify_report)
@@ -325,8 +325,9 @@ def _cmd_spread(args) -> int:
     poly = parse_poly(field, args.poly)
     if args.n is not None and poly.degree != args.n:
         raise ParseError(f"polynomial degree {poly.degree} does not match -n {args.n}")
-    start = build_spread_start(args.k, poly.degree, poly)
+    _check_spread_shape(args.k, poly.degree)  # before the context's work
     ctx = ExtensionContext.from_modulus(poly)
+    start = build_spread_start(args.k, poly.degree, ctx)
     report = analyze(start, ctx)
     if args.verify or args.out:
         code = generate_orbit(start, companion_matrix(poly))
@@ -478,7 +479,7 @@ def _selfcheck_battery():
         return "phi(v P) = phi(v) alpha over GF(2^6) and GF(3^3)"
 
     def spread_k3():
-        u = build_spread_start(3, 6, p64)
+        u = build_spread_start(3, 6, ExtensionContext.from_modulus(p64))
         _expect("start", format_matrix(u.mat), "100000\n011010\n000110")
         code = generate_orbit(u, companion_matrix(p64))
         _expect("cardinality", len(code), 9)
@@ -487,8 +488,8 @@ def _selfcheck_battery():
         return "3-dimensional spread in GF(2)^6"
 
     def spread_k2():
-        u = build_spread_start(2, 6, p64)
         ctx = ExtensionContext.from_modulus(p64)
+        u = build_spread_start(2, 6, ctx)
         report = analyze(u, ctx, verify=True)
         _expect("cardinality", report.predicted_cardinality, 21)
         _expect("distance", report.predicted_distance, 4)
@@ -525,7 +526,7 @@ def _selfcheck_battery():
         from .matspace import random_invertible
         from .orbitcode import conjugate_code
         rng = random.Random(7)
-        u = build_spread_start(3, 6, p64)
+        u = build_spread_start(3, 6, ExtensionContext.from_modulus(p64))
         g = companion_matrix(p64)
         s = random_invertible(f2, 6, rng)
         v, h = conjugate_code(u, g, s)

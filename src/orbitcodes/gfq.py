@@ -10,19 +10,25 @@ element with coefficients (c_0, ..., c_{d-1}) has index
 sum_i index(c_i) * |subfield|^i, and prime residues are their own index.
 An element stores that index, an int in [0, order), at every level.  Each
 field has int add, sub, neg and mul on indices: residues mod p, or digit-wise
-sums and a schoolbook product reduced mod the modulus over the level
-below, and FieldSpec._pow gives int powers and inverses.  Every level of
+sums and a product reduced mod the modulus over the level below, and
+FieldSpec._pow gives int powers and inverses.  Every level of
 characteristic 2, GF(2) included, adds and subtracts by XOR, and GF(2)
-multiplies by AND.  Elements are built only at the public API, in the text
-formats and inside Poly.
+multiplies by AND.  Products mod a polynomial have one kernel, _mulmod.
+Over GF(2) a polynomial is one int, bit i its coefficient of x^i, which is
+already the mixed-radix index of its coefficient vector: the kernel
+multiplies by shift-and-XOR and reduces by XOR of the shifted modulus, so
+GF(2)[x]/(m) multiplies its element indices as they are.  Over any other
+coefficient field the kernel is a schoolbook product on lists of digit
+indices.  Elements are built only at the public API, in the text formats
+and inside Poly.
 
 An extension field of order Q with Q^2 within DESK_SCALE_CAP swaps its
 schoolbook product for two reads of a log and an antilog table the first
 time it is the coefficient field of a product modulo a polynomial
-(_mulmod: Poly powers and irreducibility tests over it, and the product of
-the next tower level).  The logs are an ExtensionContext's, read off the
-one coset walk, _coset_walk.  The tables are a once-only cache outside the
-field's identity.  Two threads that race on it build identical arrays and
+(_mulmod: Poly powers, irreducibility proofs and the irreducible-list
+sieve over it, and the product of the next tower level).  The logs are an
+ExtensionContext's, read off the one coset walk, _coset_walk.  The tables
+are a once-only cache outside the field's identity.  Two threads that race on it build identical arrays and
 either assignment is correct, so all values are immutable in effect and
 safe to share between threads.
 """
@@ -94,16 +100,38 @@ def _digits(i: int, radix: int, n: int) -> list[int]:
 
 
 def _mulmod(sub: "FieldSpec", tail: list[int]):
-    """Product of two lists of int coefficients over sub, reduced mod the
-    monic polynomial whose coefficients below its leading 1 have the indices
-    in tail.  Lists are lowest degree first; the result has at most
-    len(tail) entries and may keep high zeros.  The first call over an
-    extension field sub with |sub|^2 within the cap and m(0) != 0 tabulates sub."""
+    """Product of two polynomials over sub, reduced mod the monic polynomial
+    m whose coefficients below its leading 1 have the indices in tail.
+
+    Operands are _operand's: over GF(2) one int, bit i the coefficient of
+    x^i (the mixed-radix index of the coefficient vector), multiplied by
+    shift-and-XOR and reduced by XOR of m shifted under the top bit; over any
+    other field a list of int coefficient indices, lowest degree first,
+    multiplied by schoolbook and reduced by folding m's tail, with a result
+    of at most len(tail) entries that may keep high zeros.  Operands of any
+    degree are reduced.  The first call over an extension field sub with
+    |sub|^2 within the cap and m(0) != 0 tabulates sub."""
+    d = len(tail)
+    if _packed(sub):
+        m = _operand(sub, tail) | 1 << d
+
+        def clmul(a, b):
+            prod = 0
+            while b:
+                low = b & -b  # a times a power of two is a shift
+                prod ^= a * low
+                b ^= low
+            top = prod.bit_length() - d
+            while top > 0:
+                prod ^= m << top - 1
+                top = prod.bit_length() - d
+            return prod
+
+        return clmul
     if (sub.level and sub._exp is None and sub.order * sub.order <= DESK_SCALE_CAP
             and sub.modulus.coeffs[0].value):
         _tabulate(sub)
     add, mul = sub._add, sub._mul
-    d = len(tail)
     # The modulus is monic: x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1}).
     fold = [(j, sub._neg(m)) for j, m in enumerate(tail) if m]
 
@@ -122,6 +150,28 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
         return prod[:d]
 
     return mulmod
+
+
+def _packed(sub: "FieldSpec") -> bool:
+    """True for GF(2) itself, whose _mulmod operands are packed ints."""
+    return sub.level == 0 and sub.p == 2
+
+
+def _operand(sub: "FieldSpec", coeffs) -> int | list[int]:
+    """The _mulmod operand of the polynomial with the int coefficient
+    indices coeffs, lowest degree first."""
+    if _packed(sub):
+        return sum(c << i for i, c in enumerate(coeffs))
+    return list(coeffs)
+
+
+def _index(sub: "FieldSpec", operand) -> int:
+    """The mixed-radix index of a _mulmod operand's coefficient vector: over
+    GF(2) the operand itself."""
+    if _packed(sub):
+        return operand
+    q = sub.order
+    return sum(c * q ** i for i, c in enumerate(operand))
 
 
 def _coset_walk(field: "FieldSpec"):
@@ -253,10 +303,13 @@ def _digit_ops(sub: "FieldSpec", d: int):
 def _extension_ops(sub: "FieldSpec", tail: list[int]):
     """Int add, sub, neg, mul and digit join on the indices of sub[x]/(m);
     tail holds the indices of m's coefficients below its leading 1.  All but
-    mul are _digit_ops on sub^len(tail)."""
+    mul are _digit_ops on sub^len(tail); mul is _mulmod, which over GF(2)
+    takes the indices themselves and elsewhere their digits."""
     q, d = sub.order, len(tail)
     add, minus, neg, join = _digit_ops(sub, d)
     mulmod = _mulmod(sub, tail)
+    if _packed(sub):
+        return add, minus, neg, mulmod, join
 
     def ext_mul(a, b):
         return join(mulmod(_digits(a, q, d), _digits(b, q, d)))
@@ -388,8 +441,9 @@ class FieldSpec:
         while e:
             if e & 1:
                 result = mul(result, a)
-            a = mul(a, a)
             e >>= 1
+            if e:  # no square past the top bit
+                a = mul(a, a)
         return result
 
     # -- comparison ----------------------------------------------------

@@ -47,7 +47,7 @@ from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent
 from .matspace import (Mat, Subspace, _image_table, _spanner, format_matrix,
                        gaussian_binomial, grassmannian, matrix_order, parse_matrix_blocks,
                        subspace_apply, subspace_distance, vector_from_index)
-from .polyring import Poly, companion_matrix, is_primitive, poly_powmod
+from .polyring import companion_matrix
 
 
 class OrbitCode:
@@ -170,27 +170,33 @@ def min_distance_orbit(code: OrbitCode) -> int:
     return min(subspace_distance(u, v) for v in code.codewords if v != u)
 
 
-def build_spread_start(k: int, n: int, poly: Poly) -> Subspace:
-    """Starting subspace whose orbit under companion(poly) is a spread.
-
-    Requires k | n and a monic primitive poly of degree n over F_q.  With
-    c = (q^n - 1)/(q^k - 1), the rows are phi^-1(alpha^(i c)), the
-    coefficients of x^(i c) mod poly, for i = 0..k-1; they span the subfield
-    F_{q^k}, and the orbit has cardinality c and minimum distance 2k.
-    """
+def _check_spread_shape(k: int, n: int) -> None:
+    """Refuse a spread of k-dimensional words unless k | n; cheap enough to
+    run before the context is built."""
     if k < 1 or n % k != 0:
         raise DomainError(f"spread construction requires k | n, got k={k}, n={n}")
-    if poly.degree != n:
-        raise DomainError(f"polynomial degree {poly.degree} does not match n = {n}")
-    if not is_primitive(poly):
+
+
+def build_spread_start(k: int, n: int, ctx: ExtensionContext) -> Subspace:
+    """Starting subspace whose orbit under companion(ctx.modulus) is a spread.
+
+    Requires k | n, a context of degree n and a primitive modulus, read off
+    ctx.primitive: the context's irreducibility proof and order are the only
+    ones.  With c = (q^n - 1)/(q^k - 1), the rows are phi^-1(alpha^(i c)),
+    the coefficients of x^(i c) mod the modulus, for i = 0..k-1; they span
+    the subfield F_{q^k}, and the orbit has cardinality c and minimum
+    distance 2k.
+    """
+    _check_spread_shape(k, n)
+    if ctx.n != n:
+        raise DomainError(f"polynomial degree {ctx.n} does not match n = {n}")
+    if not ctx.primitive:
         raise DomainError("spread construction requires a primitive polynomial")
-    if not poly.is_monic:
-        raise DomainError("modulus must be monic")
-    base = poly.field
-    q, x = base.order, Poly.x(base)
+    field, q = ctx.field, ctx.q
     c = (q ** n - 1) // (q ** k - 1)
-    rows = [poly_powmod(x, i * c, poly).coeffs for i in range(k)]
-    return Subspace(Mat(base, [r + (0,) * (n - len(r)) for r in rows]))  # padded to n
+    rows = [vector_from_index(ctx.base, n, field._pow(ctx.alpha.value, i * c))
+            for i in range(k)]
+    return Subspace(Mat(ctx.base, rows))
 
 
 def check_sidon_condition(profile: ExponentProfile, modulus: int) -> bool:

@@ -7,6 +7,13 @@ drive cyclic-group constructions: irreducibility, the order of a
 polynomial (the multiplicative order of its roots), primitivity, and the
 companion matrix with coefficients in the last row.
 
+Modular powers, the irreducibility proof and the list of irreducibles make
+their products in one kernel, gfq._mulmod, on int operands (one packed int
+over GF(2)).  A proof is Rabin's test along one Frobenius chain x, x^Q,
+x^(Q^2), ... mod f: n Q-th powers for degree n, with a gcd on Poly for each
+prime dividing n.  list_irreducibles is a sieve: it marks every product of
+a smaller irreducible and a cofactor, so it runs no proof at all.
+
 Text syntax (shared by the CLI and test fixtures): "+"-separated terms in
 any order, each "x^k", "x", "c*x^k" or a bare constant, where c is a
 base-field element index written plainly over prime fields ("2*x") and in
@@ -20,7 +27,7 @@ import re
 
 from .errors import DomainError, ParseError
 from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _check_cap, _digits,
-                  _max_exponent, _mulmod, _prime_factors)
+                  _index, _max_exponent, _mulmod, _operand, _prime_factors)
 
 
 class Poly:
@@ -170,8 +177,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def poly_powmod(f: Poly, e: int, m: Poly) -> Poly:
     """f**e mod m by square-and-multiply; e must be nonnegative.
 
-    The products run on lists of int coefficient indices, reduced by the
-    monic multiple of m; only the result is built as a Poly.
+    The products run on gfq._mulmod's operands (one packed int over GF(2),
+    int coefficient index lists otherwise), reduced by the monic multiple
+    of m; only the result is built as a Poly.
     """
     if e < 0:
         raise DomainError("poly_powmod requires a nonnegative exponent")
@@ -179,35 +187,59 @@ def poly_powmod(f: Poly, e: int, m: Poly) -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.field != m.field:
         raise DomainError("polynomials over different fields")
-    mulmod = _mulmod(m.field, [c.value for c in m.monic().coeffs[:-1]])
-    result, base = mulmod([1], [1]), mulmod([c.value for c in f.coeffs], [1])
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    return Poly(m.field, result)
+    field = m.field
+    mulmod = _mulmod(field, [c.value for c in m.monic().coeffs[:-1]])
+    one = _operand(field, [1])
+    base = mulmod(_operand(field, [c.value for c in f.coeffs]), one)
+    result = _power(mulmod, base, e) if e else mulmod(one, one)
+    return _poly(field, result, m.degree)
+
+
+def _power(mulmod, a, e: int):
+    """a^e for e >= 1 and a reduced, left to right: one squaring for each
+    bit of e below the top, each followed by a product with a when the bit
+    is set."""
+    result = a
+    for bit in bin(e)[3:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, a)
+    return result
+
+
+def _poly(field: FieldSpec, operand, degree: int) -> Poly:
+    """The Poly of a _mulmod operand of degree below the given degree."""
+    return Poly(field, _digits(_index(field, operand), field.order, degree))
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: f | x^(Q^n) - x and gcd(f, x^(Q^(n/t)) - x) = 1
-    for every prime t dividing n, where Q is the coefficient field order."""
+    """Rabin's test along one Frobenius chain.
+
+    With Q the coefficient field order and g = f made monic, of degree n,
+    the chain h_0 = x, h_j = h_{j-1}^Q mod g (so h_j = x^(Q^j) mod g) runs
+    for j = 1..n and keeps h_(n/t) for every prime t dividing n.  f is
+    irreducible exactly when h_n = x and gcd(g, h_(n/t) - x) = 1 for each
+    such t.  The chain costs n Q-th powers in gfq._mulmod; the gcds run on
+    Poly.
+    """
     if f.degree < 1:
         raise DomainError("irreducibility is undefined for constant polynomials")
     n = f.degree
     if n == 1:
         return True
-    g = f.monic()
-    Q = f.field.order
-    x = Poly.x(f.field)
-    if poly_powmod(x, Q ** n, g) != x % g:
+    g, field = f.monic(), f.field
+    mulmod = _mulmod(field, [c.value for c in g.coeffs[:-1]])
+    x = _operand(field, [0, 1] + [0] * (n - 2))
+    kept = dict.fromkeys(n // t for t in _prime_factors(n))
+    h = x
+    for j in range(1, n + 1):
+        h = _power(mulmod, h, field.order)
+        if j in kept:
+            kept[j] = h
+    if h != x:
         return False
-    for t in _prime_factors(n):
-        h = poly_powmod(x, Q ** (n // t), g) - x % g
-        if poly_gcd(g, h).degree != 0:
-            return False
-    return True
+    return all(poly_gcd(g, _poly(field, h, n) - Poly.x(field)).degree == 0
+               for h in kept.values())
 
 
 def order_of_polynomial(f: Poly) -> int:
@@ -264,22 +296,27 @@ def companion_matrix(f: Poly):
     return Mat(field, rows)
 
 
-#: Most candidates list_irreducibles tests, one irreducibility test each.
-#: Measured whole calls (Python 3.11.7, 2 vCPU Xeon, single runs): GF(2)
-#: n = 12 and 13 in 0.45 and 0.92 s (111 us a candidate), GF(3) n = 7 and 8
-#: in 0.18 and 0.81 s.  Best of three on a slower shared 2 vCPU host, where
-#: GF(2) n = 12 takes 1.1 s: F_4 n = 5 and 6 in 0.12 and 0.95 s (0.23 ms a
-#: candidate at n = 6; n = 5 took 0.91 s there before the coefficient field's
-#: log tables), F_8 n = 4 in 0.72 s, F_9 n = 4 in 4.6 s.  At 2^24 candidates
-#: GF(2) and F_4 would each take about half an hour.
+#: Most candidates list_irreducibles sieves, one mark byte each.  Whole
+#: calls, CPU time, best of three (Python 3.11.7, 2 vCPU Xeon): GF(2) n = 12
+#: and 13 in 25 and 54 ms, F_4 n = 5 and 6 in 11 and 48 ms, F_9 n = 4 in
+#: 0.14 s, GF(3) n = 7 and 8 in 24 and 0.12 s.  One Rabin test per candidate
+#: took 0.86 and 1.6 s, 0.13 and 0.88 s and 4.4 s on the first five.  The
+#: sieve's time grows a little faster than the candidate count (GF(3): 3x
+#: the candidates, 4.9x the time), so 2^24 candidates would take minutes
+#: (an estimate, not measured).
 LIST_CAP = 1 << 13
 
 
 def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
     """All monic irreducible polynomials of the given degree.
 
-    Enumerates x^degree + (low part) with the low part running through the
-    field's mixed-radix enumeration, so the output order is fixed.
+    The candidates are x^degree + (low part) with the low part running
+    through the field's mixed-radix enumeration, and the output keeps that
+    order.  A sieve: a monic polynomial of degree d is reducible exactly when
+    it is f * g with f monic irreducible of degree e <= d/2 and g monic of
+    degree d - e.  The irreducibles of each degree up to degree/2 are
+    sieved first, then those of the given degree; each product goes through
+    gfq._mulmod modulo x^d, which leaves the low part.
     """
     if degree < 1:
         raise DomainError("degree must be at least 1")
@@ -288,12 +325,25 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
     if degree > _max_exponent(Q, LIST_CAP):
         raise DomainError(f"listing degree {degree} over GF({Q}) tests {Q}^{degree} "
                           f"candidates, above the list cap {LIST_CAP}")
-    out = []
-    for i in range(Q ** degree):
-        f = Poly(field, _digits(i, Q, degree) + [1])
-        if is_irreducible(f):
-            out.append(f)
-    return out
+
+    def monic(i, d):
+        return _operand(field, _digits(i, Q, d) + [1])
+
+    factors = {}  # degree e <= degree/2 -> operands of the monic irreducibles
+
+    def sieve(d):
+        """Low-part indices of the monic irreducibles of degree d."""
+        mulmod, marked = _mulmod(field, [0] * d), bytearray(Q ** d)
+        for e in range(1, d // 2 + 1):
+            cofactors = [monic(j, d - e) for j in range(Q ** (d - e))]
+            for f in factors[e]:
+                for g in cofactors:
+                    marked[_index(field, mulmod(f, g))] = 1
+        return [i for i in range(Q ** d) if not marked[i]]
+
+    for d in range(1, degree // 2 + 1):
+        factors[d] = [monic(i, d) for i in sieve(d)]
+    return [Poly(field, _digits(i, Q, degree) + [1]) for i in sieve(degree)]
 
 
 # -- text syntax --------------------------------------------------------

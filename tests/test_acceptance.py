@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Criterion 2 (the k = 2 spread in GF(2)^6 under x^6+x+1) is
 split in two.  The cardinality/distance half checks that the orbit of
-`build_spread_start(2, 6, p)` has 21 codewords at distance 4.  The
-start-rows half pins the rows 100000;010111 = span{1, alpha^21}, shows
+`build_spread_start(2, 6, ctx)` (ctx the context of p) has 21 codewords
+at distance 4.  The start-rows half pins the rows 100000;010111 = span{1, alpha^21}, shows
 with bit-packed GF(64) arithmetic that does not use orbitcodes that they
 span the subfield F_4, checks that their orbit is the 21/4 spread, and
 then checks that the library returns exactly these rows.
@@ -54,8 +54,8 @@ def generated_codes():
     """Every orbit code generated while checking criteria 1 through 6."""
     codes = []
     P = companion_matrix(P64)
-    codes.append(generate_orbit(build_spread_start(3, 6, P64), P))
-    codes.append(generate_orbit(build_spread_start(2, 6, P64), P))
+    codes.append(generate_orbit(build_spread_start(3, 6, CTX64), P))
+    codes.append(generate_orbit(build_spread_start(2, 6, CTX64), P))
     p5 = parse_poly(F2, "x^4+x^3+x^2+x+1")
     codes.append(generate_orbit(Subspace(parse_matrix(F2, "1000\n0011")),
                                 companion_matrix(p5)))
@@ -69,7 +69,7 @@ def generated_codes():
 
 
 def test_criterion_01_spread_k3():
-    start = build_spread_start(3, 6, P64)
+    start = build_spread_start(3, 6, CTX64)
     assert format_matrix(start.mat) == "100000\n011010\n000110"
     code = generate_orbit(start, companion_matrix(P64))
     assert len(code) == 9
@@ -82,7 +82,7 @@ def test_criterion_01_spread_k3():
 
 
 def test_criterion_02_spread_k2_cardinality_and_distance():
-    start = build_spread_start(2, 6, P64)
+    start = build_spread_start(2, 6, CTX64)
     code = generate_orbit(start, companion_matrix(P64))
     assert len(code) == 21
     assert min_distance_brute(code) == 4
@@ -100,7 +100,7 @@ def test_criterion_02_spread_k2_start_rows():
     code = generate_orbit(Subspace(parse_matrix(F2, pinned)), companion_matrix(P64))
     assert len(code) == 21
     assert min_distance_brute(code) == 4
-    assert format_matrix(build_spread_start(2, 6, P64).mat) == pinned
+    assert format_matrix(build_spread_start(2, 6, CTX64).mat) == pinned
     _pass("2 (start rows)", "k=2 spread: rows 100000;010111 span F_4, 21 codewords, distance 4")
 
 
@@ -156,7 +156,7 @@ def test_criterion_06_distinct_difference_instance():
 
 def test_criterion_07_conjugation_invariance():
     rng = random.Random(2026)
-    start = build_spread_start(3, 6, P64)
+    start = build_spread_start(3, 6, CTX64)
     g = companion_matrix(P64)
     for trial in range(20):
         shift = rng.randrange(63)

@@ -123,14 +123,14 @@ class TestSpread:
         _, words = parse_code(out_file.read_text())
         assert len(words) == 9
 
-    def test_verify_proves_irreducibility_twice(self, capsys, monkeypatch):
-        # The spread start's primitivity test and the field behind the
-        # context: one proof each.  The orbit needs no order, so none.
+    def test_verify_proves_irreducibility_once(self, capsys, monkeypatch):
+        # Only the field behind the context: the spread start reads
+        # primitivity off it.  The orbit needs no order, so none.
         calls = count_proofs(monkeypatch)
         code, _, _ = run(capsys, "spread", "-q", "2", "-p", "x^8+x^4+x^3+x^2+1", "-k", "4",
                          "--verify")
         assert code == 0
-        assert calls == {"is_irreducible": 2, "extend": 1}
+        assert calls == {"is_irreducible": 1, "extend": 1}
 
     def test_verify_and_out_generate_the_orbit_once(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -171,6 +171,29 @@ class TestSpread:
         code, _, err = run(capsys, "spread", "-q", "2", "-n", "4", "-k", "2",
                            "-p", "x^6+x+1")
         assert code == 2 and "does not match" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["-q", "2", "-k", "2", "-p", "x^6+x^5+x^4+x^3+x^2+x+1"],
+         "modulus x^6+x^5+x^4+x^3+x^2+x+1 is reducible"),
+        (["-q", "2", "-k", "2", "-p", "x^4+x^3+x^2+x+1"],
+         "spread construction requires a primitive polynomial"),
+        (["-q", "3", "-k", "1", "-p", "2*x^2+2*x+1"], "modulus must be monic"),
+        (["-q", "2", "-k", "4", "-p", "x^6+x+1"],
+         "spread construction requires k | n, got k=4, n=6"),
+        # k | n comes before the context is built.
+        (["-q", "2", "-k", "4", "-p", "x^6+x^5+x^4+x^3+x^2+x+1"],
+         "spread construction requires k | n, got k=4, n=6"),
+    ], ids=["reducible", "non-primitive", "non-monic", "k-not-dividing-n",
+            "k-not-dividing-n-reducible"])
+    def test_refusals_exit_3(self, capsys, argv, message):
+        code, out, err = run(capsys, "spread", *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_k_not_dividing_n_builds_no_field(self, capsys, monkeypatch):
+        # The context of a degree-24 modulus takes seconds; k | n is refused first.
+        calls = count_proofs(monkeypatch)
+        code, _, _ = run(capsys, "spread", "-q", "2", "-k", "5", "-p", "x^24+x^7+x^2+x+1")
+        assert code == 3 and calls == {}
 
 
 class TestAnalyze:

@@ -523,4 +523,4 @@ class TestAgainstElementBuiltReference:
         for k in range(1, ctx.n + 1):
             if ctx.n % k == 0:
                 rows = _element_built_spread_rows(k, ctx.n, modulus)
-                assert build_spread_start(k, ctx.n, modulus) == Subspace(Mat(ctx.base, rows))
+                assert build_spread_start(k, ctx.n, ctx) == Subspace(Mat(ctx.base, rows))

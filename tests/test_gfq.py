@@ -83,7 +83,7 @@ class TestConstruction:
         # Every structure sized by a field cardinality reads the one
         # gfq.DESK_SCALE_CAP when called.
         p = parse_poly(f2, "x^4+x+1")
-        P, u = companion_matrix(p), build_spread_start(2, 4, p)
+        P, u = companion_matrix(p), build_spread_start(2, 4, ExtensionContext.from_modulus(p))
         builds = [lambda: FieldSpec(17).order, lambda: f2.extend(p).order,
                   lambda: order_of_polynomial(p), lambda: matrix_order(P),
                   lambda: len(generate_orbit(u, P))]
@@ -148,6 +148,24 @@ class TestArithmetic:
         assert [field._pow(0, e) for e in range(2 * size + 1)] == [1] + [0] * 2 * size
         with pytest.raises(ZeroDivisionError):
             field._pow(0, -1)
+
+    def test_int_pow_squares_up_to_the_top_bit(self):
+        # a^e costs one squaring per bit of e below the top and one product
+        # per set bit: no square past the exponent's top bit.
+        field, calls = field_make(2, None, parse_poly(FieldSpec(2), "x^6+x+1")), [0]
+        product = field._mul
+
+        def counting(a, b):
+            calls[0] += 1
+            return product(a, b)
+
+        field._mul = counting
+        costs = []
+        for e in (1, 2, 3, 8, 62):
+            calls[0] = 0
+            field._pow(2, e)
+            costs.append(calls[0])
+        assert costs == [1, 2, 3, 4, 10]
 
     def test_division(self, f3):
         f9 = f3.extend(parse_poly(f3, "x^2+1"))
@@ -480,18 +498,18 @@ class TestLogTables:
     def test_schoolbook_products_bounded_by_the_table_build(self, p, modulus, degree, count):
         # Structural, no clock: the tables are read off the coset walk, whose
         # alpha-steps make no product in the field, and once they exist no
-        # product decodes digits.  So listing every candidate costs at most
+        # product decodes digits.  So sieving the candidates costs at most
         # the generator search (none when alpha generates; else, for each
         # try up to gamma outside <alpha>, the powers g^(c/l), l | c prime,
         # and g^c) plus the c coset representatives, whatever the candidate
-        # count.  A power g^m costs one squaring per bit of m and one
-        # product per set bit.
+        # count.  A power g^m costs one squaring per bit of m below the top
+        # and one product per set bit.
         field, twin = _fresh(p, modulus), _fresh(p, modulus)
         big, order = field.order - 1, order_of_polynomial(twin.modulus)
         cosets = big // order
 
         def cost(m):
-            return m.bit_length() + bin(m).count("1")
+            return m.bit_length() - 1 + bin(m).count("1")
 
         tries = sum(twin._pow(g, order) != 1 for g in range(1, _first_generator(twin) + 1))
         search = 0 if cosets == 1 else tries * (
@@ -507,3 +525,41 @@ class TestLogTables:
         assert field._exp is not None
         assert calls[0] <= search + cosets
         assert len(found) == count  # Gauss's count of monic irreducibles
+
+
+class TestCarrylessKernel:
+    """Over GF(2), _mulmod's operands are packed ints (bit i the coefficient
+    of x^i), multiplied by shift-and-XOR and reduced by XOR of the shifted
+    modulus."""
+
+    @staticmethod
+    def _poly(i):
+        return Poly(FieldSpec(2), _digits(i, 2, i.bit_length()))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 24), st.data())
+    def test_matches_poly_products(self, d, data):
+        # d = 0 is the unit modulus 1; operands may outgrow the modulus.
+        tail = data.draw(st.lists(st.integers(0, 1), min_size=d, max_size=d), label="tail")
+        a = data.draw(st.integers(0, (1 << 2 * d + 3) - 1), label="a")
+        b = data.draw(st.integers(0, (1 << d + 1) - 1), label="b")
+        want = self._poly(a) * self._poly(b) % Poly(FieldSpec(2), tail + [1])
+        assert _mulmod(FieldSpec(2), tail)(a, b) == sum(c.value << i
+                                                        for i, c in enumerate(want.coeffs))
+
+    @pytest.mark.parametrize("tail, a, b, want", [
+        ([1], 0b1011, 0b110, 0),           # x + 1 divides (x + 1)(x^2 + x)
+        ([0], 0b1011, 0b1, 1),             # mod x: the constant term
+        ([1, 1], 0, 0b11, 0),              # zero times anything
+        ([1, 1, 0, 1], 0b1000000, 1, 1),  # x^6 mod x^4+x^3+x+1
+    ], ids=["degree-1-modulus", "modulus-x", "zero", "outgrown-operand"])
+    def test_edge_cases(self, tail, a, b, want):
+        assert _mulmod(FieldSpec(2), tail)(a, b) == want
+
+    def test_field_products_decode_no_digits(self, monkeypatch):
+        # GF(2)[x]/(m) multiplies its element indices as they are.
+        field = field_make(2, None, parse_poly(FieldSpec(2), "x^8+x^4+x^3+x^2+1"))
+        monkeypatch.setattr(orbitcodes.gfq, "_digits", None)
+        alpha = 2
+        assert field._mul(0x80, alpha) == 0b11101  # x^8 = x^4 + x^3 + x^2 + 1
+        assert field._pow(alpha, 255) == 1

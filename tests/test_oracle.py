@@ -115,7 +115,8 @@ class TestIncidenceOracle:
         rng = random.Random(23)
         p64 = parse_poly(F2, "x^6+x+1")
         g = companion_matrix(p64)
-        starts = [build_spread_start(2, 6, p64), Subspace(parse_matrix(F2, "100000\n011000")),
+        starts = [build_spread_start(2, 6, ExtensionContext.from_modulus(p64)),
+                  Subspace(parse_matrix(F2, "100000\n011000")),
                   Subspace(parse_matrix(F2, "100010\n010000\n001000"))]
         for u in starts:
             v, h = conjugate_code(u, g, random_invertible(F2, 6, rng))
@@ -152,7 +153,8 @@ class TestIncidenceOracle:
     def test_vector_budget(self, monkeypatch):
         # 21 spread words of dimension 2 list 21 * 3 = 63 nonzero vectors
         p64 = parse_poly(F2, "x^6+x+1")
-        code = generate_orbit(build_spread_start(2, 6, p64), companion_matrix(p64))
+        u = build_spread_start(2, 6, ExtensionContext.from_modulus(p64))
+        code = generate_orbit(u, companion_matrix(p64))
         monkeypatch.setattr(orbitcodes.orbitcode, "ORACLE_VECTOR_BUDGET", 63)
         assert min_distance_brute(code) == 4
         monkeypatch.setattr(orbitcodes.orbitcode, "ORACLE_VECTOR_BUDGET", 62)
@@ -201,7 +203,8 @@ class TestOrbitEngine:
         calls = []
         for text in ("x^6+x+1", "x^8+x^4+x^3+x^2+1", "x^10+x^3+1"):
             f = parse_poly(F2, text)
-            u, P = build_spread_start(2, f.degree, f), companion_matrix(f)
+            u = build_spread_start(2, f.degree, ExtensionContext.from_modulus(f))
+            P = companion_matrix(f)
             counted = Counter()
             for name in ("rref", "__mul__"):
                 def counting(*args, _op=getattr(Mat, name), _name=name):
@@ -219,7 +222,8 @@ class TestOrbitEngine:
 
     def test_refuses_above_the_cap_before_the_table(self, monkeypatch):
         p64 = parse_poly(F2, "x^6+x+1")
-        u, P = build_spread_start(2, 6, p64), companion_matrix(p64)
+        u = build_spread_start(2, 6, ExtensionContext.from_modulus(p64))
+        P = companion_matrix(p64)
         spans = []
         spanner = orbitcodes.matspace._spanner  # the table's, not U's
         monkeypatch.setattr(orbitcodes.matspace, "_spanner",
@@ -268,7 +272,8 @@ class TestGeneratorOrder:
 
     def test_the_first_read_counts_the_order_once(self, monkeypatch):
         p64 = parse_poly(F2, "x^6+x+1")
-        u, P = build_spread_start(3, 6, p64), companion_matrix(p64)
+        u = build_spread_start(3, 6, ExtensionContext.from_modulus(p64))
+        P = companion_matrix(p64)
         calls = []
         monkeypatch.setattr(orbitcodes.orbitcode, "matrix_order",
                             lambda g: calls.append(g) or matrix_order(g))
@@ -280,7 +285,8 @@ class TestGeneratorOrder:
 
     def test_the_orbit_and_the_order_share_one_table(self, monkeypatch):
         p64 = parse_poly(F2, "x^6+x+1")
-        u, P = build_spread_start(3, 6, p64), companion_matrix(p64)
+        u = build_spread_start(3, 6, ExtensionContext.from_modulus(p64))
+        P = companion_matrix(p64)
         spanner = orbitcodes.matspace._spanner
         tables, spans, rrefs = [], [], []
         # matspace's binding builds P's table; orbitcode's spans U's rows
@@ -299,7 +305,7 @@ class TestGeneratorOrder:
 
     def test_orbit_length_must_divide_the_order(self, monkeypatch):
         p64 = parse_poly(F2, "x^6+x+1")
-        u = build_spread_start(3, 6, p64)
+        u = build_spread_start(3, 6, ExtensionContext.from_modulus(p64))
         monkeypatch.setattr(orbitcodes.orbitcode, "matrix_order", lambda g: 7)
         code = generate_orbit(u, companion_matrix(p64))
         assert len(code) == 9
@@ -324,7 +330,8 @@ class TestIndependence:
 
     def test_oracle_makes_no_rank_computation(self, monkeypatch):
         p = parse_poly(F2, "x^8+x^4+x^3+x^2+1")
-        code = generate_orbit(build_spread_start(2, 8, p), companion_matrix(p))
+        u = build_spread_start(2, 8, ExtensionContext.from_modulus(p))
+        code = generate_orbit(u, companion_matrix(p))
         calls = dict.fromkeys(["rref", "subspace_distance", *self.FORBIDDEN], 0)
         self._count(monkeypatch, Mat, "rref", calls)
         self._count(monkeypatch, orbitcodes.matspace, "subspace_distance", calls)
@@ -336,7 +343,8 @@ class TestIndependence:
 
     def test_orbit_of_a_companion_never_walks_the_group(self, monkeypatch):
         p = parse_poly(F2, "x^8+x^4+x^3+x^2+1")
-        u, P = build_spread_start(2, 8, p), companion_matrix(p)
+        u = build_spread_start(2, 8, ExtensionContext.from_modulus(p))
+        P = companion_matrix(p)
         calls = dict.fromkeys(["matrix_order", "__mul__", "char_poly", "order_of_polynomial",
                                "is_irreducible", *self.FORBIDDEN], 0)
         self._count(monkeypatch, orbitcodes.orbitcode, "matrix_order", calls)

@@ -23,13 +23,13 @@ F3 = FieldSpec(3)
 
 
 @pytest.fixture(scope="module")
-def spread3(p64):
-    return build_spread_start(3, 6, p64)
+def spread3(ctx64):
+    return build_spread_start(3, 6, ctx64)
 
 
 @pytest.fixture(scope="module")
-def spread2(p64):
-    return build_spread_start(2, 6, p64)
+def spread2(ctx64):
+    return build_spread_start(2, 6, ctx64)
 
 
 @pytest.fixture(scope="module")
@@ -113,24 +113,29 @@ class TestBuildSpreadStart:
         # span{1, alpha^21}: the canonical second row is phi^-1(alpha^42)
         assert format_matrix(spread2.mat) == "100000\n010111"
 
-    def test_full_space_start(self, p64, f2):
-        u = build_spread_start(6, 6, p64)
+    def test_full_space_start(self, ctx64, f2):
+        u = build_spread_start(6, 6, ctx64)
         assert u == Subspace(Mat.identity(f2, 6))
 
-    def test_k_must_divide_n(self, p64):
+    def test_k_must_divide_n(self, ctx64):
         with pytest.raises(DomainError, match="k | n"):
-            build_spread_start(4, 6, p64)
+            build_spread_start(4, 6, ctx64)
 
-    def test_primitive_required(self, p5):
+    def test_degree_must_match_n(self, ctx64):
+        with pytest.raises(DomainError, match="polynomial degree 6 does not match n = 4"):
+            build_spread_start(2, 4, ctx64)
+
+    def test_primitive_required(self, ctx16_nonprim):
         with pytest.raises(DomainError, match="primitive"):
-            build_spread_start(2, 4, p5)
+            build_spread_start(2, 4, ctx16_nonprim)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_non_monic_modulus_refused(self, k):
+        # The context refuses it, before any spread start is built.
         poly = parse_poly(F3, "2*x^2+2*x+1")
         assert is_primitive(poly)
         with pytest.raises(DomainError, match="modulus must be monic"):
-            build_spread_start(k, 2, poly)
+            build_spread_start(k, 2, ExtensionContext.from_modulus(poly))
 
     @pytest.mark.parametrize("q,k,n,text", [
         (2, 2, 4, "x^4+x+1"),
@@ -141,7 +146,7 @@ class TestBuildSpreadStart:
     def test_spread_optimality(self, q, k, n, text):
         base = FieldSpec(q)
         poly = parse_poly(base, text)
-        u = build_spread_start(k, n, poly)
+        u = build_spread_start(k, n, ExtensionContext.from_modulus(poly))
         code = generate_orbit(u, companion_matrix(poly))
         assert len(code) == (q ** n - 1) // (q ** k - 1)
         words = list(code)
@@ -450,7 +455,7 @@ class TestExportFormat:
 
     def test_round_trip_gf3(self):
         poly = parse_poly(F3, "x^3+2*x+1")
-        u = build_spread_start(1, 3, poly)
+        u = build_spread_start(1, 3, ExtensionContext.from_modulus(poly))
         code = generate_orbit(u, companion_matrix(poly))
         field, words = parse_code(format_code(code))
         assert len(words) == 13

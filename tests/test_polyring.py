@@ -9,10 +9,12 @@ from orbitcodes import (DomainError, FieldSpec, ParseError, Poly, char_poly,
                         format_poly, is_irreducible, is_primitive,
                         list_irreducibles, order_of_polynomial, parse_poly,
                         poly_gcd, poly_powmod)
+from orbitcodes.gfq import _digits, _max_exponent
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F4 = F2.extend(parse_poly(F2, "x^2+x+1"))
+F9 = F3.extend(parse_poly(F3, "x^2+1"))
 
 
 class TestTextSyntax:
@@ -134,6 +136,9 @@ class TestPowmodKernel:
         (F3, "2*x^5+x+1", "2*x^3+x+2"),
         (F4, "[3]*x^4+[2]*x", "[2]*x^2+[3]"),
         (F2, "x^9+x", "1"),
+        (F2, "x^25+x^7+1", "x^24+x^7+x^2+x+1"),  # deg f > deg m, at the cap
+        (F2, "x^5+x+1", "x+1"),
+        (F2, "0", "x^3+x+1"),
     ])
     def test_edge_cases(self, field, f, m):
         f, m = parse_poly(field, f), parse_poly(field, m)
@@ -190,6 +195,39 @@ class TestIrreducibility:
     def test_non_monic_input(self):
         assert is_irreducible(parse_poly(F3, "2*x^2+2*x+2")) == \
             is_irreducible(parse_poly(F3, "x^2+x+1"))
+
+    @pytest.mark.parametrize("field, text, irreducible", [
+        (F2, "x^12+x^6+x^4+x+1", True),
+        (F2, "x^16+x^5+x^3+x^2+1", True),
+        (F2, "x^12+x^11+x^2+x+1", True),  # not primitive
+        (F2, "x^12+x^6+x^4+x", False),
+        (F3, "x^6+x+2", True),
+        (F4, "x^5+x^2+[1]", True),
+        (F9, "x^3+x+[1]", False),
+    ])
+    def test_one_frobenius_chain_per_proof(self, monkeypatch, field, text, irreducible):
+        # Structural, no clock: a degree-n proof walks x -> x^Q n times, each
+        # step one Q-th power (a squaring over GF(2)), whatever n's prime
+        # factors.  Recomputing x^(Q^(n/t)) for each prime t | n from scratch
+        # would make more products.
+        f, Q = parse_poly(field, text), field.order
+        assert is_irreducible(f) == irreducible  # tabulates F_4 and F_9 first
+        products, mulmod = [], orbitcodes.polyring._mulmod
+
+        def counting(sub, tail):
+            kernel = mulmod(sub, tail)
+
+            def counted(a, b):
+                products.append(a == b)
+                return kernel(a, b)
+            return counted
+
+        monkeypatch.setattr(orbitcodes.polyring, "_mulmod", counting)
+        assert is_irreducible(f) == irreducible
+        step = Q.bit_length() - 1 + bin(Q).count("1") - 1
+        assert len(products) == f.degree * step
+        if Q == 2:
+            assert all(products)
 
 
 def _necklace_count(q, n):
@@ -287,9 +325,22 @@ class TestEnumeration:
             ["x^4+x+1", "x^4+x^3+1", "x^4+x^3+x^2+x+1"]
 
     def test_counts_match_necklace_formula(self):
-        for field, max_deg in ((F2, 6), (F3, 3), (F4, 2)):
-            for n in range(1, max_deg + 1):
+        # Gauss's count at every degree up to the LIST_CAP edge.
+        for field in (F2, F3, F4, F9, FieldSpec(5)):
+            edge = _max_exponent(field.order, orbitcodes.polyring.LIST_CAP)
+            for n in range(1, edge + 1):
                 assert len(list_irreducibles(field, n)) == _necklace_count(field.order, n)
+            with pytest.raises(DomainError, match="list cap"):
+                list_irreducibles(field, edge + 1)
+
+    @pytest.mark.parametrize("field, top", [(F2, 10), (F3, 6), (F4, 4), (F9, 3)],
+                             ids=["GF2", "GF3", "F4", "F9"])
+    def test_sieve_matches_the_per_candidate_filter(self, field, top):
+        # Same list, same order: x^n + (low part), low part in enumeration order.
+        for n in range(1, top + 1):
+            candidates = (Poly(field, _digits(i, field.order, n) + [1])
+                          for i in range(field.order ** n))
+            assert list_irreducibles(field, n) == [f for f in candidates if is_irreducible(f)]
 
     def test_cap_enforced(self):
         with pytest.raises(DomainError, match="cap"):

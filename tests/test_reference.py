@@ -1,7 +1,7 @@
 """Differential tests against outside references.
 
-Field arithmetic, irreducibility, modular powers and discrete logarithms
-are checked against sympy's dense GF(p)[x] routines (``galoistools``) and
+Field arithmetic, irreducibility (one test, and the sieve's whole lists),
+modular powers and discrete logarithms are checked against sympy's dense GF(p)[x] routines (``galoistools``) and
 ``sympy.ntheory.discrete_log``; matrix products, reduced row echelon forms
 and characteristic polynomials against ``sympy.polys.matrices.DomainMatrix``
 over GF(p).  sympy has no field towers, so level-2 products and F_4
@@ -10,6 +10,7 @@ cross over as coefficient lists, highest degree first on the sympy side,
 and field elements as their mixed-radix indices.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory import discrete_log
@@ -19,11 +20,14 @@ from sympy.polys.galoistools import (gf_irreducible_p, gf_mul, gf_pow_mod,
 from sympy.polys.matrices import DomainMatrix
 
 from orbitcodes import (ExtensionContext, FieldSpec, Mat, Poly, char_poly,
-                        is_irreducible, poly_powmod)
+                        is_irreducible, list_irreducibles, poly_powmod)
 
 PRIMES = (2, 3, 5)
 #: dlog draws stay in fields of at most this many elements.
 DLOG_FIELD_CAP = 4096
+#: GF(2) draws of the product and power references reach the cap's degree:
+#: the carry-less kernel works on packed ints up to 2^24.
+GF2_MAX_DEGREE = 24
 
 
 def _digits(i, radix, n):
@@ -61,16 +65,17 @@ def _digits_of(poly, n):
 
 
 @st.composite
-def monic(draw, min_degree=1, max_degree=8):
+def monic(draw, min_degree=1, max_degree=8, gf2_max_degree=8):
     """(p, low-first coefficients) of a monic polynomial over GF(p)."""
     p = draw(st.sampled_from(PRIMES))
-    n = draw(st.integers(min_value=min_degree, max_value=max_degree))
+    top = gf2_max_degree if p == 2 else max_degree
+    n = draw(st.integers(min_value=min_degree, max_value=top))
     low = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     return p, low + [1]
 
 
 @st.composite
-def irreducible_modulus(draw, max_order=None, max_degree=8):
+def irreducible_modulus(draw, max_order=None, max_degree=8, gf2_max_degree=8):
     """(p, low-first coefficients) of a monic irreducible with f(0) != 0.
 
     The draw fixes a degree and a starting point in the enumeration of monic
@@ -78,7 +83,7 @@ def irreducible_modulus(draw, max_order=None, max_degree=8):
     taken, so irreducibility never rests on this package.
     """
     p = draw(st.sampled_from(PRIMES))
-    top = max_degree
+    top = gf2_max_degree if p == 2 else max_degree
     while max_order is not None and p ** top > max_order:
         top -= 1
     n = draw(st.integers(min_value=1, max_value=top))
@@ -99,13 +104,24 @@ def test_is_irreducible_matches_sympy(drawn):
     assert is_irreducible(Poly(field, f)) == gf_irreducible_p(_to_sympy(f), p, ZZ)
 
 
+@pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4)])
+def test_list_irreducibles_matches_sympy(p, top):
+    # The sieve's list, in its order: the monic candidates of each degree,
+    # low part in enumeration order, that sympy calls irreducible.
+    field = FieldSpec(p)
+    for n in range(1, top + 1):
+        want = [low + [1] for low in (_digits(i, p, n) for i in range(p ** n))
+                if gf_irreducible_p(_to_sympy(low + [1]), p, ZZ)]
+        assert [_digits_of(f, n + 1) for f in list_irreducibles(field, n)] == want
+
+
 @settings(deadline=None, max_examples=100)
-@given(monic(max_degree=8), st.data())
+@given(monic(max_degree=8, gf2_max_degree=GF2_MAX_DEGREE), st.data())
 def test_poly_powmod_matches_sympy(drawn, data):
     p, m = drawn
     n = len(m) - 1
     field = FieldSpec(p)
-    f = data.draw(st.lists(st.integers(0, p - 1), max_size=12))
+    f = data.draw(st.lists(st.integers(0, p - 1), max_size=n + 4))  # may outgrow m
     e = data.draw(st.integers(0, 10 ** 6))
     got = poly_powmod(Poly(field, f), e, Poly(field, m))
     want = gf_pow_mod(_to_sympy(f), e, _to_sympy(m), p, ZZ)
@@ -113,7 +129,7 @@ def test_poly_powmod_matches_sympy(drawn, data):
 
 
 @settings(deadline=None, max_examples=100)
-@given(irreducible_modulus(), st.data())
+@given(irreducible_modulus(gf2_max_degree=GF2_MAX_DEGREE), st.data())
 def test_field_products_match_sympy(drawn, data):
     p, m = drawn
     n = len(m) - 1
