@@ -5,7 +5,8 @@ mixed-radix enumeration, and every routine computes on the field's int
 add, sub, mul and power; the Mat input coercion is the only element
 bridge.  Below the matrix rows a vector of F_q^n is one int, the
 mixed-radix index of its digits, and one span routine lists a subspace's
-vectors and a matrix's image table on those ints.  One gate, _image_table,
+vectors, a matrix's image table and, many subspaces side by side, the
+oracle's vectors on those ints.  One gate, _image_table,
 checks an invertible matrix and builds its table once, kept with the
 matrix; the orbit walk and the matrix's order (the lcm of the unit
 vectors' cycle lengths) both read it there.  Subspaces are identified
@@ -21,6 +22,7 @@ matrices separated by blank lines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from array import array
@@ -229,28 +231,45 @@ class Subspace:
         """The q^k - 1 nonzero vectors' indices; number sum_j c_j q^j is sum_j c_j row_j."""
         if self.dim == 0:
             return iter(())
-        span, join = _spanner(self.field, self.ambient)
+        span, join, _ = _spanner(self.field, self.ambient)
         return iter(span(map(join, self.mat.rows))[1:])
 
 
 def _spanner(field: FieldSpec, n: int):
-    """(span, join) on F^n: join maps a row of digits to its vector index,
-    and span(rows) lists the indices of sum_j c_j rows[j] for all c in
-    mixed-radix order, each row adding one block per scalar to the list so
-    far.  On the rows of a square P, entry x is the index of x P."""
+    """(span, join, spans) on F^n: join maps a row of digits to its vector
+    index, and span(rows) lists the indices of sum_j c_j rows[j] for all c
+    in mixed-radix order, each row adding one block per scalar to the list
+    so far.  On the rows of a square P, entry x is the index of x P.
+    spans(columns) spans many sets of k rows at once, column j holding row j
+    of every set: block c holds vector c of every set, so the q^k blocks
+    take one map each across the sets.  Within the cap indices are stored
+    in 4-byte arrays, above it in lists, which hold any index."""
     add, _, _, join = _digit_ops(field, n)
     mul, Q = field._mul, field.order
-    zero = array("i", [0]) if Q ** n <= DESK_SCALE_CAP else [0]  # a list holds any index
+    store = functools.partial(array, "i") if Q ** n <= DESK_SCALE_CAP else list
+
+    def scaled(col: tuple[int, ...]) -> list:
+        """col, then c col for c = 2 .. Q - 1, entry by entry."""
+        return [col] + [[join([mul(c, e) for e in _digits(r, Q, n)]) for r in col]
+                        for c in range(2, Q)]
 
     def span(rows) -> array | list:
-        out = zero[:]
-        for r in rows:
+        out = store([0])
+        for multiples in zip(*scaled(tuple(rows))):
             head = out[:]
-            for s in [r] + [join([mul(c, e) for e in _digits(r, Q, n)]) for c in range(2, Q)]:
+            for s in multiples:
                 out.extend(map(add, head, itertools.repeat(s)))
         return out
 
-    return span, join
+    def spans(columns: list[tuple[int, ...]]) -> list:
+        blocks = [store([0]) * len(columns[0])]
+        for col in columns:
+            head = blocks[:]
+            for multiple in scaled(col):
+                blocks += [store(map(add, block, multiple)) for block in head]
+        return blocks
+
+    return span, join, spans
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
@@ -294,7 +313,7 @@ def _image_table(g: Mat) -> array | list:
         _check_cap(g.field.order ** g.ncols)  # before the table of q^n ints
         if g.rank() != g.nrows:
             raise DomainError("matrix is singular")
-        span, join = _spanner(g.field, g.ncols)
+        span, join, _ = _spanner(g.field, g.ncols)
         g._table = span(map(join, g.rows))
     return g._table
 

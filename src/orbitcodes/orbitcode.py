@@ -16,10 +16,12 @@ log_q(M + 1) and hence the minimum distance 2k - 2 log_q(M + 1).
 Every prediction can be cross-checked by brute force on vector indices:
 the orbit maps U's rows through P's image table until they return (ord(P),
 when read, is counted on the same table, which is built once and kept with
-P), and the oracle lists every codeword's nonzero vectors and reads each
-pair's intersection dimension off the number of vectors it shares.  It
-sees only vectors and codewords, never exponents, the extension field or
-the group, so the two routes stay strictly separate.
+P), and the oracle lists the nonzero vectors of all codewords side by side,
+one block per coefficient combination, and reads each pair's intersection
+dimension off the number of vectors it shares; a code in which no vector
+has two holders, such as a spread, is read at distance 2k from that one
+count.  It sees only vectors and codewords, never exponents, the
+extension field or the group, so the two routes stay strictly separate.
 
 One routine, _canonical_words, checks a code's words (nonzero, of one
 dimension, field and ambient space), drops duplicates and sorts them once;
@@ -40,6 +42,7 @@ import functools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
@@ -97,7 +100,7 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
         raise DomainError("generator does not act on the starting subspace")
     table = _image_table(p)
-    span, join = _spanner(p.field, p.ncols)
+    span, join, _ = _spanner(p.field, p.ncols)
     rows = tuple(map(join, u.mat.rows))
     start, words = set(span(rows)), []
     while not words or not start.issuperset(rows):
@@ -107,10 +110,11 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
 
 
 #: Most nonzero vectors, |C| (q^k - 1), that min_distance_brute lists.
-#: Measured single runs over GF(2) (Python 3.11.7, 2 vCPU Xeon): the
-#: full-length n = 16, k = 3 orbit code (458745 vectors) in 1.9 s, adding
-#: 100 MB to max RSS; at the budget, 8 words with k = 16 in GF(2)^24 (524280
-#: vectors) in 1.5 s, adding 195 MB.
+#: Measured over GF(2) (Python 3.11.7, 2 vCPU Xeon; median of five single
+#: runs, range in brackets): the full-length n = 16, k = 3 orbit code from
+#: rows e1, e2, e3 (458745 vectors) in 0.91 s (0.81-1.03), adding 19 MB to
+#: max RSS; at the budget, 8 random words with k = 16 in GF(2)^24 (524280
+#: vectors) in 0.54 s (0.51-0.58), adding 48 MB.
 ORACLE_VECTOR_BUDGET = 1 << 19
 
 
@@ -132,11 +136,16 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     looks at exponents, the extension field or the group, so it is exact
     for any constant dimension code.  Two k-dimensional words sharing s
     nonzero vectors meet in dimension d with s = q^d - 1 and lie at
-    distance 2k - 2d; an incidence map from each vector to the words
-    holding it finds every pair that shares one.  Memory is linear in the
-    |C| (q^k - 1) vectors listed, and time in those vectors plus the pairs
-    of words that share one, instead of a rank for each of the |C|^2 / 2
-    pairs.  Codes of more than ORACLE_VECTOR_BUDGET vectors are refused.
+    distance 2k - 2d.  All words are spanned side by side, one block of
+    |C| vectors per coefficient combination, and one count over the
+    blocks gives each vector's number of holders.  If no vector has two,
+    no two words meet and the distance is 2k, as in every spread.
+    Otherwise an incidence map from each shared vector to the words
+    holding it counts, for each word, the vectors it shares with every
+    word it meets.  Memory is linear in the |C| (q^k - 1) vectors listed,
+    and time in those vectors plus the pairs of words that share one,
+    instead of a rank for each of the |C|^2 / 2 pairs.  Codes of more than
+    ORACLE_VECTOR_BUDGET vectors are refused.
     """
     orbit = isinstance(code, OrbitCode)
     words = code.rows if orbit else _canonical_words(code)
@@ -144,17 +153,22 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     if len(words) < 2:
         raise DomainError("minimum distance needs at least two codewords")
     _check_oracle_budget(len(words), first.field.order, first.dim)
-    span, join = _spanner(first.field, first.ambient)
-    rows = words if orbit else [map(join, w.mat.rows) for w in words]
-    vectors = [span(r)[1:] for r in rows]
-    holders: dict[int, list[int]] = {}
-    for i, vecs in enumerate(vectors):
-        for key in vecs:
-            holders.setdefault(key, []).append(i)
+    _, join, spans = _spanner(first.field, first.ambient)
+    rows = words if orbit else [tuple(map(join, w.mat.rows)) for w in words]
+    blocks = spans(list(zip(*rows)))[1:]  # blocks[c - 1][i]: vector c of word i
+    counts = Counter(chain.from_iterable(blocks))
     most = 0  # largest number of nonzero vectors two words share
-    for i, vecs in enumerate(vectors):
-        shared = Counter(j for key in vecs for j in holders[key] if j > i)
-        most = max(most, max(shared.values(), default=0))
+    if len(counts) < len(words) * len(blocks):  # some vector has two holders
+        holders: dict[int, list[int]] = {key: [] for key, n in counts.items() if n > 1}
+        del counts  # freed before the holder lists grow
+        index = list(range(len(words)))  # one int object per word, in all its lists
+        for block in blocks:
+            for key, i in compress(zip(block, index), map(holders.__contains__, block)):
+                holders[key].append(i)
+        for i, vectors in enumerate(zip(*blocks)):
+            met = Counter(chain.from_iterable(map(holders.get, vectors, repeat(()))))
+            met.pop(i, None)
+            most = max(most, max(met.values(), default=0))
     return 2 * first.dim - 2 * _int_log(first.field.order, most + 1)
 
 

@@ -139,6 +139,42 @@ class TestIncidenceOracle:
         words.append(Subspace(Mat(F2, [words[0].mat.rows[0], [1] * 40])))
         assert min_distance_brute(words) == min_distance_pairwise(words) == 2
 
+    def test_ambient_space_above_the_cap_nothing_shared(self):
+        # The same list storage, through the exit where no vector has two holders.
+        rng = random.Random(41)
+        words = [Subspace(Mat(F2, [[rng.randrange(2) for _ in range(40)] for _ in range(2)]))
+                 for _ in range(6)]
+        assert min_distance_brute(words) == min_distance_pairwise(words) == 4
+
+    @pytest.mark.parametrize("field,text,k", [
+        (F2, "x^6+x+1", 2), (F2, "x^6+x+1", 3), (F2, "x^8+x^4+x^3+x^2+1", 2),
+        (F2, "x^8+x^4+x^3+x^2+1", 4), (F3, "x^6+x+2", 2), (F3, "x^6+x+2", 3),
+        (F4, "x^4+x^2+[2]*x+[3]", 2)])
+    def test_spreads_share_no_vector(self, monkeypatch, field, text, k):
+        f = parse_poly(field, text)
+        code = generate_orbit(build_spread_start(k, f.degree, ExtensionContext.from_modulus(f)),
+                              companion_matrix(f))
+        assert len(code) == (field.order ** f.degree - 1) // (field.order ** k - 1)
+        counts = []
+        monkeypatch.setattr(orbitcodes.orbitcode, "Counter",
+                            lambda *args: counts.append(Counter(*args)) or counts[-1])
+        assert min_distance_brute(code) == min_distance_pairwise(code.codewords) == 2 * k
+        assert len(counts) == 1  # the holder count, and no count per word
+        assert set(counts[0].values()) == {1}
+
+    def test_one_vector_held_by_three_words(self, monkeypatch):
+        # <e1, e2>, <e1, e3> and <e1, e4> share e1 and nothing else; <e5, e6>
+        # meets none of them, so every other vector has one holder.
+        words = [Subspace(parse_matrix(F2, text))
+                 for text in ("100000\n010000", "100000\n001000", "100000\n000100",
+                              "000010\n000001")]
+        counts = []
+        monkeypatch.setattr(orbitcodes.orbitcode, "Counter",
+                            lambda *args: counts.append(Counter(*args)) or counts[-1])
+        assert min_distance_brute(words) == min_distance_pairwise(words) == 2
+        assert len(counts) == 1 + len(words)  # the holder count, then one per word
+        assert sorted(counts[0].values()) == [1] * 9 + [3] and counts[0][1] == 3  # e1 has index 1
+
     def test_mixed_dimensions_raise(self):
         words = [Subspace(parse_matrix(F2, "1000")),
                  Subspace(parse_matrix(F2, "0100\n0010"))]
@@ -155,11 +191,14 @@ class TestIncidenceOracle:
         p64 = parse_poly(F2, "x^6+x+1")
         u = build_spread_start(2, 6, ExtensionContext.from_modulus(p64))
         code = generate_orbit(u, companion_matrix(p64))
+        spanner, calls = orbitcodes.orbitcode._spanner, []
+        monkeypatch.setattr(orbitcodes.orbitcode, "_spanner",
+                            lambda *args: calls.append(args) or spanner(*args))
         monkeypatch.setattr(orbitcodes.orbitcode, "ORACLE_VECTOR_BUDGET", 63)
         assert min_distance_brute(code) == 4
+        assert calls == [(F2, 6)]  # the listing spans through this binding
         monkeypatch.setattr(orbitcodes.orbitcode, "ORACLE_VECTOR_BUDGET", 62)
-        calls = []
-        monkeypatch.setattr(Subspace, "nonzero_vectors", lambda self: calls.append(self))
+        calls.clear()
         with pytest.raises(DomainError, match="list 63 vectors, above its budget of 62"):
             min_distance_brute(code)
         assert calls == []
@@ -340,6 +379,23 @@ class TestIndependence:
             self._count(monkeypatch, ExtensionContext, name, calls)
         assert min_distance_brute(code) == 4
         assert set(calls.values()) == {0}, calls
+
+    @pytest.mark.parametrize("text,rows", [
+        ("x^8+x^4+x^3+x^2+1", "11000000\n00110000"), ("x^7+x+1", "1000000\n0100000\n0010000")])
+    def test_oracle_never_reads_the_image_table(self, monkeypatch, text, rows):
+        code = generate_orbit(Subspace(parse_matrix(F2, rows)),
+                              companion_matrix(parse_poly(F2, text)))
+        distance = min_distance_pairwise(code.codewords)
+
+        def refuse(*_args):
+            raise AssertionError("the oracle read P's image table")
+
+        class Refusing:
+            __getitem__ = __iter__ = __len__ = refuse
+        for module in (orbitcodes.orbitcode, orbitcodes.matspace):
+            monkeypatch.setattr(module, "_image_table", refuse)
+        monkeypatch.setattr(code.generator, "_table", Refusing())
+        assert min_distance_brute(code) == distance
 
     def test_orbit_of_a_companion_never_walks_the_group(self, monkeypatch):
         p = parse_poly(F2, "x^8+x^4+x^3+x^2+1")
