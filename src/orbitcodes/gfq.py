@@ -185,9 +185,9 @@ def _coset_walk(field: "FieldSpec"):
     order of order |F| - 1.  coords holds i + c*b at gamma^i * alpha^b, filled
     by alpha-steps from each representative: a step shifts the digits up one
     place and adds -h * (m_0, ..., m_{n-1}), h the digit shifted out, so it
-    makes no product in F.  In characteristic 2 that add is one XOR with a
-    vector tabulated per h; otherwise the digits at the nonzero positions of
-    m are folded one by one.
+    makes no product in F.  In characteristic 2 a step is x * q XOR a
+    vector tabulated per h, which also clears h from place n; otherwise the
+    digits at the nonzero positions of m are folded one by one.
 
     Coset 0, <alpha>, is walked first, and gamma is searched on its
     coordinates: g has order |F| - 1 exactly when g^(c/l) lies outside
@@ -210,13 +210,14 @@ def _coset_walk(field: "FieldSpec"):
 
     if sub.p == 2:
         neg, mul = sub._neg, sub._mul
-        shift = [field._join([neg(mul(h, m)) for m in tail]) for h in range(q)]
+        # x * q carries the digit h = x // top to place n; shift[h] clears it
+        # and adds -h * (m_0, ..., m_{n-1}), all in one XOR.
+        shift = [field._join([neg(mul(h, m)) for m in tail]) ^ h * top * q for h in range(q)]
 
         def walk(x, i):
             for a in range(i, big, c):
                 coords[x] = a
-                h, x = divmod(x, top)
-                x = x * q ^ shift[h]
+                x = x * q ^ shift[x // top]
             return x
     else:
         add, mul = sub._add, sub._mul

@@ -9,10 +9,18 @@ vectors, a matrix's image table and, many subspaces side by side, the
 oracle's vectors on those ints.  One gate, _image_table,
 checks an invertible matrix and builds its table once, kept with the
 matrix; the orbit walk and the matrix's order (the lcm of the unit
-vectors' cycle lengths) both read it there.  Subspaces are identified
-with their unique reduced row echelon basis, so equality, hashing and
-sorting are tuple comparisons on the canonical matrix.  The
-subspace metric is d_S(U, V) = 2 rank([U; V]) - dim U - dim V, and
+vectors' cycle lengths) both read it there.
+
+One routine, _echelon, computes every canonical form: the nonzero rows of
+the unique reduced row echelon basis of a span, from and to vector
+indices.  Over GF(2) digit j of an index is bit j, so a row's pivot is its
+lowest set bit and elimination is XOR on whole rows; over any other field
+the rows are reduced digit by digit.  Mat.rref and rank are views of it.
+A Subspace holds its canonical rows as indices, so equality and hashing
+are tuple comparisons on ints.  Sorting follows the digit rows, digit 0
+first, which is not the order of the indices: its key maps each row to
+the index of its digits reversed (over GF(2), the row's bits reversed).
+The subspace metric is d_S(U, V) = 2 rank([U; V]) - dim U - dim V, and
 invertible matrices act on subspaces from the right through rs(U A).
 
 Matrix text format: one row per line as a contiguous string of base-field
@@ -26,11 +34,11 @@ import functools
 import itertools
 import random
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from math import lcm
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digit_ops, _digits
+from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digit_ops, _digits, _packed
 
 
 def _indices(field: FieldSpec, v) -> tuple[int, ...]:
@@ -127,30 +135,20 @@ class Mat:
 
         Pivots are normalized to 1 and their columns cleared above and
         below, so the result is the unique canonical representative of the
-        row space.
+        row space; the rows below the rank are zero.
         """
-        sub, mul = self.field._sub, self.field._mul
-        rows = list(self.rows)
-        nr, nc = self.nrows, self.ncols
-        piv = 0
-        for col in range(nc):
-            hit = next((r for r in range(piv, nr) if rows[r][col]), None)
-            if hit is None:
-                continue
-            rows[piv], rows[hit] = rows[hit], rows[piv]
-            inv = self.field._pow(rows[piv][col], -1)
-            rows[piv] = [mul(inv, e) for e in rows[piv]]
-            for r in range(nr):
-                if r != piv and rows[r][col]:
-                    c = rows[r][col]
-                    rows[r] = [sub(a, mul(c, b)) for a, b in zip(rows[r], rows[piv])]
-            piv += 1
-            if piv == nr:
-                break
-        return Mat._wrap(self.field, tuple(map(tuple, rows))), piv
+        field, n = self.field, self.ncols
+        canon = _echelon(field, n, self._vectors())
+        rows = [tuple(_digits(r, field.order, n)) for r in canon]
+        rows += [(0,) * n] * (self.nrows - len(canon))
+        return Mat._wrap(field, tuple(rows)), len(canon)
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return len(_echelon(self.field, self.ncols, self._vectors()))
+
+    def _vectors(self) -> Iterator[int]:
+        """The rows' vector indices."""
+        return map(_digit_ops(self.field, self.ncols)[3], self.rows)
 
     def inverse(self) -> "Mat":
         """Gauss-Jordan inverse; raises DomainError on singular input."""
@@ -187,32 +185,113 @@ def vector_from_index(field: FieldSpec, n: int, i: int) -> tuple[int, ...]:
     return tuple(_digits(i, Q, n))
 
 
+def _lowest_bit(r: int) -> int:
+    return r & -r
+
+
+def _echelon(field: FieldSpec, n: int, rows: Iterable[int]) -> tuple[int, ...]:
+    """The canonical basis of the span of rows, vectors of F^n given by their
+    indices: the nonzero rows of its reduced row echelon form, as indices,
+    in pivot order.  Over GF(2) column j is bit j and a row's pivot its
+    lowest set bit: each row is cleared of the pivots so far by XOR, and its
+    own pivot is then cleared from the rows before it.  Over any other field
+    the rows are split into digits and reduced by Gauss-Jordan, each pivot
+    normalized to 1 by _pow."""
+    if _packed(field):
+        basis: list[int] = []
+        for r in rows:
+            for b in basis:
+                if r & b & -b:  # r holds b's pivot
+                    r ^= b
+            if r:
+                low = r & -r
+                for j, b in enumerate(basis):
+                    if b & low:
+                        basis[j] = b ^ r
+                basis.append(r)
+        basis.sort(key=_lowest_bit)
+        return tuple(basis)
+    Q, sub, mul = field.order, field._sub, field._mul
+    rows = [_digits(r, Q, n) for r in rows]
+    piv = 0
+    for col in range(n):
+        if piv == len(rows):
+            break
+        hit = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[piv], rows[hit] = rows[hit], rows[piv]
+        inv = field._pow(rows[piv][col], -1)
+        rows[piv] = [mul(inv, e) for e in rows[piv]]
+        for r in range(len(rows)):
+            if r != piv and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [sub(a, mul(c, b)) for a, b in zip(rows[r], rows[piv])]
+        piv += 1
+    return tuple(map(_digit_ops(field, n)[3], rows[:piv]))
+
+
+def _row_key(field: FieldSpec, n: int):
+    """The sort key of a row of F^n given by its index: the index of its
+    digits reversed, so that keys order as the digit rows do (digit 0
+    first); over GF(2) the row's n bits reversed."""
+    if _packed(field):
+        fmt = f"0{n}b"
+        return lambda r: int(format(r, fmt)[::-1], 2)
+    Q = field.order
+    weights = [Q ** (n - 1 - j) for j in range(n)]
+    return lambda r: sum(map(int.__mul__, _digits(r, Q, n), weights))
+
+
 class Subspace:
-    """A subspace of F_q^n in canonical reduced row echelon form.
+    """A subspace of F_q^n, held as its canonical basis: basis holds the
+    nonzero rows of its unique reduced row echelon form as vector indices,
+    in pivot order, so two subspaces are equal exactly when their bases are.
+    mat is the same basis as a Mat of digit rows, built on each read.
 
     Construct from any spanning rows; the dimension is the rank of the
-    input.  The zero-dimensional subspace is representable (mat is None)
-    but rejected by the code constructors downstream.
+    input.  The zero-dimensional subspace is representable (basis is empty
+    and mat None) but rejected by the code constructors downstream.
+    Subspaces sort by dimension, then by their digit rows.
     """
 
-    __slots__ = ("field", "ambient", "dim", "mat")
+    __slots__ = ("field", "ambient", "dim", "basis")
 
     def __init__(self, rows: Mat):
-        canon, rank = rows.rref()
-        self.field = rows.field
-        self.ambient = rows.ncols
-        self.dim = rank
-        self.mat = Mat._wrap(rows.field, canon.rows[:rank]) if rank else None
+        self.field, self.ambient = rows.field, rows.ncols
+        self.basis = _echelon(rows.field, rows.ncols, rows._vectors())
+        self.dim = len(self.basis)
+
+    @classmethod
+    def _span(cls, field: FieldSpec, n: int, rows: Iterable[int]) -> "Subspace":
+        """The span of rows given as vector indices of F^n, trusted to lie
+        in range, without a Mat."""
+        u = object.__new__(cls)
+        u.field, u.ambient, u.basis = field, n, _echelon(field, n, rows)
+        u.dim = len(u.basis)
+        return u
+
+    @property
+    def mat(self) -> Mat | None:
+        """The canonical basis as a Mat of digit rows; None for dimension 0."""
+        if not self.dim:
+            return None
+        Q, n = self.field.order, self.ambient
+        return Mat._wrap(self.field, tuple(tuple(_digits(r, Q, n)) for r in self.basis))
+
+    def _key(self) -> tuple[int, ...]:
+        """The rows' sort keys, _row_key."""
+        return tuple(map(_row_key(self.field, self.ambient), self.basis))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.ambient == other.ambient
                 and (self.field is other.field or self.field == other.field)
-                and (self.mat and self.mat.rows) == (other.mat and other.mat.rows))
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash(self.mat.rows if self.dim else self.ambient)
+        return hash(self.basis if self.dim else self.ambient)
 
     def __lt__(self, other):
         if not isinstance(other, Subspace) or self.ambient != other.ambient:
@@ -220,10 +299,10 @@ class Subspace:
         if self.dim != other.dim:
             return self.dim < other.dim
         # Rows all have length n, so this is the order of the flattened rows.
-        return self.dim > 0 and self.mat.rows < other.mat.rows
+        return self._key() < other._key()
 
     def __repr__(self):
-        if self.mat is None:
+        if not self.dim:
             return f"Subspace(dim 0 of F^{self.ambient})"
         return "Subspace(" + ";".join(format_matrix(self.mat).split("\n")) + ")"
 
@@ -231,8 +310,8 @@ class Subspace:
         """The q^k - 1 nonzero vectors' indices; number sum_j c_j q^j is sum_j c_j row_j."""
         if self.dim == 0:
             return iter(())
-        span, join, _ = _spanner(self.field, self.ambient)
-        return iter(span(map(join, self.mat.rows))[1:])
+        span, _, _ = _spanner(self.field, self.ambient)
+        return iter(span(self.basis)[1:])
 
 
 def _spanner(field: FieldSpec, n: int):
@@ -275,11 +354,7 @@ def _spanner(field: FieldSpec, n: int):
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
     if u.ambient != v.ambient or u.field != v.field:
         raise DomainError("subspaces live in different ambient spaces")
-    if u.dim == 0:
-        return v.dim
-    if v.dim == 0:
-        return u.dim
-    return u.mat.stack(v.mat).rank()
+    return len(_echelon(u.field, u.ambient, u.basis + v.basis))
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
@@ -468,9 +543,7 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 def format_matrix(m: Mat) -> str:
     """Rows as contiguous index digit strings, one per line."""
-    if m.field.order > len(_DIGITS):
-        raise DomainError("matrix text format supports base fields of order <= 36")
-    return "\n".join("".join(_DIGITS[e] for e in row) for row in m.rows)
+    return "\n".join(map(_row_text(m.field, m.ncols), m._vectors()))
 
 
 def parse_matrix(field: FieldSpec, text: str) -> Mat:
@@ -483,28 +556,55 @@ def parse_matrix(field: FieldSpec, text: str) -> Mat:
 
 def parse_matrix_blocks(field: FieldSpec, text: str) -> list[Mat]:
     """Parse blank-line-separated matrix blocks."""
+    return [Mat._wrap(field, tuple(tuple(_digits(r, field.order, width)) for r in rows))
+            for width, rows in _parse_blocks(field, text)]
+
+
+def _check_text_field(field: FieldSpec) -> None:
     if field.order > len(_DIGITS):
         raise DomainError("matrix text format supports base fields of order <= 36")
-    blocks = []
-    current: list[list[int]] = []
+
+
+def _parse_blocks(field: FieldSpec, text: str) -> list[tuple[int, list[int]]]:
+    """Blank-line-separated blocks of the matrix text format, each as its
+    row width and its rows' vector indices.  Every digit is checked against
+    the field before a row is read, lowest place first."""
+    _check_text_field(field)
+    Q, packed = field.order, _packed(field)
+    digits = frozenset(_DIGITS[:Q])
+    blocks: list[tuple[int, list[int]]] = []
+    current: list[int] = []
+    width = 0
     for raw in text.splitlines() + [""]:
-        line = raw.strip()
+        line = raw.strip().lower()
         if not line:
-            if current:  # every digit is range-checked below
-                blocks.append(Mat._wrap(field, tuple(map(tuple, current))))
+            if current:
+                blocks.append((width, current))
                 current = []
             continue
-        row = []
-        for ch in line.lower():
-            idx = _DIGITS.find(ch)
-            if idx < 0:
+        if not digits.issuperset(line):
+            ch = next(ch for ch in line if ch not in digits)
+            if ch not in _DIGITS:
                 raise ParseError(f"invalid matrix digit {ch!r}")
-            if idx >= field.order:
-                raise ParseError(f"digit {ch!r} out of range for {field!r}")
-            row.append(idx)
-        if current and len(row) != len(current[0]):
+            raise ParseError(f"digit {ch!r} out of range for {field!r}")
+        if current and len(line) != width:
             raise ParseError("matrix rows have inconsistent lengths")
-        current.append(row)
+        width = len(line)
+        # Over GF(2) the reversed row is its index in binary; int() is not used
+        # elsewhere, as it caps the digits it reads in bases not a power of 2.
+        current.append(int(line[::-1], 2) if packed else
+                       sum(_DIGITS.index(ch) * Q ** j for j, ch in enumerate(line)))
     if not blocks:
         raise ParseError("no matrix found in input")
     return blocks
+
+
+def _row_text(field: FieldSpec, n: int):
+    """The row of the matrix text format of a vector of F^n given by its
+    index: its digits, lowest place first."""
+    _check_text_field(field)
+    if _packed(field):
+        fmt = f"0{n}b"
+        return lambda r: format(r, fmt)[::-1]
+    Q = field.order
+    return lambda r: "".join([_DIGITS[d] for d in _digits(r, Q, n)])

@@ -23,9 +23,17 @@ has two holders, such as a spread, is read at distance 2k from that one
 count.  It sees only vectors and codewords, never exponents, the
 extension field or the group, so the two routes stay strictly separate.
 
-One routine, _canonical_words, checks a code's words (nonzero, of one
-dimension, field and ambient space), drops duplicates and sorts them once;
-OrbitCode.codewords, the export, the import and the oracle all use it.
+A codeword is a Subspace, which holds its canonical rows as vector
+indices (matspace._echelon): OrbitCode.codewords reduces each orbit word's
+row indices as they are, the export prints each row's digits from its
+index, and the import reads each checked text row into its index.  One
+routine, _distinct_words, checks a code's words (nonzero, of one
+dimension, field and ambient space) and drops duplicates, for the oracle,
+which needs no order (the distance command hands it a file's words
+unsorted); _canonical_words sorts them once for OrbitCode.codewords, the
+export and parse_code.  The sort follows the
+digit rows, digit 0 first, not the indices: a row's key is the index of
+its digits reversed, over GF(2) its n bits reversed.
 
 Code export format (text, bit exact): a header line "q n k size", then
 `size` blocks, each the canonical k x n matrix of one codeword in the
@@ -47,9 +55,9 @@ from itertools import chain, compress, repeat
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent
-from .matspace import (Mat, Subspace, _image_table, _spanner, format_matrix,
-                       gaussian_binomial, grassmannian, matrix_order, parse_matrix_blocks,
-                       subspace_apply, subspace_distance, vector_from_index)
+from .matspace import (Mat, Subspace, _image_table, _parse_blocks, _row_key, _row_text,
+                       _spanner, gaussian_binomial, grassmannian, matrix_order,
+                       subspace_apply, subspace_distance)
 from .polyring import companion_matrix
 
 
@@ -74,9 +82,7 @@ class OrbitCode:
     @functools.cached_property
     def codewords(self) -> tuple[Subspace, ...]:
         field, n = self.start.field, self.start.ambient
-        return tuple(_canonical_words(
-            Subspace(Mat._wrap(field, tuple(vector_from_index(field, n, r) for r in rows)))
-            for rows in self.rows))
+        return tuple(_canonical_words(Subspace._span(field, n, rows) for rows in self.rows))
 
     def __len__(self):
         return len(self.rows)
@@ -100,8 +106,8 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
         raise DomainError("generator does not act on the starting subspace")
     table = _image_table(p)
-    span, join, _ = _spanner(p.field, p.ncols)
-    rows = tuple(map(join, u.mat.rows))
+    span, _, _ = _spanner(p.field, p.ncols)
+    rows = u.basis
     start, words = set(span(rows)), []
     while not words or not start.issuperset(rows):
         words.append(rows)
@@ -148,13 +154,13 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     ORACLE_VECTOR_BUDGET vectors are refused.
     """
     orbit = isinstance(code, OrbitCode)
-    words = code.rows if orbit else _canonical_words(code)
+    words = code.rows if orbit else _distinct_words(code)
     first = code.start if orbit else words[0]
     if len(words) < 2:
         raise DomainError("minimum distance needs at least two codewords")
     _check_oracle_budget(len(words), first.field.order, first.dim)
-    _, join, spans = _spanner(first.field, first.ambient)
-    rows = words if orbit else [tuple(map(join, w.mat.rows)) for w in words]
+    _, _, spans = _spanner(first.field, first.ambient)
+    rows = words if orbit else [w.basis for w in words]
     blocks = spans(list(zip(*rows)))[1:]  # blocks[c - 1][i]: vector c of word i
     counts = Counter(chain.from_iterable(blocks))
     most = 0  # largest number of nonzero vectors two words share
@@ -208,9 +214,8 @@ def build_spread_start(k: int, n: int, ctx: ExtensionContext) -> Subspace:
         raise DomainError("spread construction requires a primitive polynomial")
     field, q = ctx.field, ctx.q
     c = (q ** n - 1) // (q ** k - 1)
-    rows = [vector_from_index(ctx.base, n, field._pow(ctx.alpha.value, i * c))
-            for i in range(k)]
-    return Subspace(Mat(ctx.base, rows))
+    # phi is a change of radix: an element's index is its vector's index.
+    return Subspace._span(ctx.base, n, [field._pow(ctx.alpha.value, i * c) for i in range(k)])
 
 
 def check_sidon_condition(profile: ExponentProfile, modulus: int) -> bool:
@@ -433,11 +438,10 @@ def conjugate_code(u: Subspace, g: Mat, s: Mat) -> tuple[Subspace, Mat]:
 
 # -- export format --------------------------------------------------------
 
-def _canonical_words(code: Iterable[Subspace]) -> list[Subspace]:
+def _distinct_words(code: Iterable[Subspace]) -> list[Subspace]:
     """The distinct words of a nonzero constant dimension code over one
-    field and ambient space, sorted by canonical matrix.  For words of one
-    dimension the rows order them as Subspace.__lt__ does."""
-    words = sorted(set(code), key=lambda w: w.mat.rows if w.dim else ())
+    field and ambient space, in no fixed order."""
+    words = list(set(code))
     if not words:
         raise DomainError("a code needs at least one codeword")
     first = words[0]
@@ -448,11 +452,22 @@ def _canonical_words(code: Iterable[Subspace]) -> list[Subspace]:
     return words
 
 
+def _canonical_words(code: Iterable[Subspace]) -> list[Subspace]:
+    """_distinct_words sorted by their canonical digit rows, as
+    Subspace.__lt__ sorts words of one dimension: each row is keyed by the
+    index of its digits reversed (matspace._row_key), not by its index."""
+    words = _distinct_words(code)
+    key = _row_key(words[0].field, words[0].ambient)
+    return sorted(words, key=lambda w: tuple(map(key, w.basis)))
+
+
 def format_code(code: OrbitCode | Iterable[Subspace]) -> str:
     """Serialize a constant dimension code, sorted and bit exact."""
     words = code.codewords if isinstance(code, OrbitCode) else _canonical_words(code)
-    head = f"{words[0].field.order} {words[0].ambient} {words[0].dim} {len(words)}\n"
-    return head + "\n\n".join(format_matrix(w.mat) for w in words) + "\n"
+    first = words[0]
+    text = _row_text(first.field, first.ambient)
+    head = f"{first.field.order} {first.ambient} {first.dim} {len(words)}\n"
+    return head + "\n\n".join("\n".join(map(text, w.basis)) for w in words) + "\n"
 
 
 def _header_field(base_field: FieldSpec | None, q: int) -> FieldSpec:
@@ -498,22 +513,22 @@ def _read_code_header(lines: list[str], field_of) -> tuple[FieldSpec, int, int, 
 
 def _read_code_words(field: FieldSpec, n: int, k: int, size: int,
                      lines: list[str]) -> list[Subspace]:
-    """The sorted canonical words of the blocks below a checked header."""
-    blocks = parse_matrix_blocks(field, "\n".join(lines[1:]))
+    """The canonical words of the blocks below a checked header, in file
+    order: the oracle needs no order, and parse_code sorts them."""
+    blocks = _parse_blocks(field, "\n".join(lines[1:]))
     if len(blocks) != size:
         raise ParseError(f"header promises {size} codewords, found {len(blocks)}")
     words = []
-    for mat in blocks:
-        if mat.nrows != k or mat.ncols != n:
+    for width, rows in blocks:
+        if len(rows) != k or width != n:
             raise ParseError(f"codeword block is not {k}x{n}")
-        w = Subspace(mat)
+        w = Subspace._span(field, n, rows)
         if w.dim != k:
             raise ParseError("codeword block is rank deficient")
         words.append(w)
-    out = _canonical_words(words)
-    if len(out) != len(words):
+    if len(set(words)) != len(words):
         raise ParseError("duplicate codewords in code file")
-    return out
+    return words
 
 
 def parse_code(text: str, base_field: FieldSpec | None = None
@@ -527,4 +542,4 @@ def parse_code(text: str, base_field: FieldSpec | None = None
     """
     lines = text.splitlines()
     field, n, k, size = _read_code_header(lines, functools.partial(_header_field, base_field))
-    return field, _read_code_words(field, n, k, size, lines)
+    return field, _canonical_words(_read_code_words(field, n, k, size, lines))

@@ -7,12 +7,13 @@ drive cyclic-group constructions: irreducibility, the order of a
 polynomial (the multiplicative order of its roots), primitivity, and the
 companion matrix with coefficients in the last row.
 
-Modular powers, the irreducibility proof and the list of irreducibles make
-their products in one kernel, gfq._mulmod, on int operands (one packed int
-over GF(2)).  A proof is Rabin's test along one Frobenius chain x, x^Q,
-x^(Q^2), ... mod f: n Q-th powers for degree n, with a gcd on Poly for each
-prime dividing n.  list_irreducibles is a sieve: it marks every product of
-a smaller irreducible and a cofactor, so it runs no proof at all.
+Modular powers, the order of a polynomial, the irreducibility proof and the
+list of irreducibles make their products in one kernel, gfq._mulmod, on int
+operands (one packed int over GF(2)).  A proof is Rabin's test along one
+Frobenius chain x, x^Q, x^(Q^2), ... mod f: n Q-th powers for degree n,
+with a gcd on Poly for each prime dividing n.  list_irreducibles is a
+sieve: it marks every product of a smaller irreducible and a cofactor, so
+it runs no proof at all.
 
 Text syntax (shared by the CLI and test fixtures): "+"-separated terms in
 any order, each "x^k", "x", "c*x^k" or a bare constant, where c is a
@@ -261,12 +262,15 @@ def order_of_polynomial(f: Poly) -> int:
 
 def _order(g: Poly) -> int:
     """order_of_polynomial for a monic g already proven irreducible, with
-    g(0) != 0 and Q^n within the cap."""
-    e = g.field.order ** g.degree - 1
-    x = Poly.x(g.field)
-    one = Poly.one(g.field)
+    g(0) != 0 and Q^n within the cap.  The powers of x run on gfq._mulmod's
+    operands and are compared with 1 through their index, since an operand
+    may keep high zeros."""
+    field = g.field
+    e = field.order ** g.degree - 1
+    mulmod = _mulmod(field, [c.value for c in g.coeffs[:-1]])
+    x = mulmod(_operand(field, [0, 1]), _operand(field, [1]))  # x reduced mod g
     for ell in _prime_factors(e):
-        while e % ell == 0 and poly_powmod(x, e // ell, g) == one:
+        while e % ell == 0 and _index(field, _power(mulmod, x, e // ell)) == 1:
             e //= ell
     return e
 

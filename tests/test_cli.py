@@ -383,7 +383,7 @@ class TestOrbitAndDistance:
         big.write_text("2 16 4 65535\n" + "\n".join(
             "".join("1" if i == j else "0" for j in range(16)) for i in range(4)) + "\n")
         blocks = []
-        monkeypatch.setattr(orbitcodes.orbitcode, "parse_matrix_blocks",
+        monkeypatch.setattr(orbitcodes.orbitcode, "_parse_blocks",
                             lambda *args: blocks.append(args))
         code, out, err = run(capsys, "distance", str(big))
         assert code == 3 and out == "" and blocks == []

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitcodes.gfq
@@ -152,6 +152,69 @@ class TestSubspaceComparison:
         assert not zero2 < Subspace(Mat(F2, [[0, 0]])) and zero2 < Subspace(Mat(F2, [[0, 1]]))
         with pytest.raises(TypeError):
             zero2 < zero3
+
+
+def _element_rref(field, rows):
+    """Gauss-Jordan on FieldElement rows: the nonzero reduced rows as digits."""
+    rows = [[field.from_index(e) for e in row] for row in rows]
+    piv = 0
+    for col in range(len(rows[0])):
+        hit = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[piv], rows[hit] = rows[hit], rows[piv]
+        rows[piv] = [e / rows[piv][col] for e in rows[piv]]
+        for r in range(len(rows)):
+            if r != piv:
+                c = rows[r][col]
+                rows[r] = [a - c * b for a, b in zip(rows[r], rows[piv])]
+        piv += 1
+    return [[e.value for e in row] for row in rows[:piv]]
+
+
+def _index(field, digits):
+    return sum(d * field.order ** j for j, d in enumerate(digits))
+
+
+@st.composite
+def spanning_rows(draw):
+    """(field, n, rows): digit rows over GF(2) up to n = 24 (past 16 bits),
+    GF(3) or F_4, often with a zero row or a repeated row appended."""
+    field = draw(st.sampled_from([F2, F3, F4]))
+    n = draw(st.integers(1, 24 if field is F2 else 8))
+    rows = draw(st.lists(st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    extra = draw(st.sampled_from(["none", "zero", "repeat"]))
+    if extra == "zero":
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    elif extra == "repeat":
+        rows.append(rows[0])
+    return field, n, rows
+
+
+class TestCanonicalRowsOnIndices:
+    """matspace._echelon reduces vector indices: over GF(2) by XOR on bits,
+    elsewhere digit by digit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(spanning_rows())
+    @example((F2, 24, [[1] * 24, [0] * 23 + [1], [0] * 24, [1] * 23 + [0]]))
+    def test_matches_gauss_jordan_on_elements(self, drawn):
+        field, n, rows = drawn
+        got = orbitcodes.matspace._echelon(field, n, [_index(field, r) for r in rows])
+        assert list(got) == [_index(field, r) for r in _element_rref(field, rows)]
+        form, rank = Mat(field, rows).rref()
+        assert rank == len(got) == Mat(field, rows).rank()
+        assert [_index(field, r) for r in form.rows[:rank]] == list(got)
+        assert all(not any(r) for r in form.rows[rank:])
+        u = Subspace(Mat(field, rows))
+        assert u.basis == got and u.dim == rank
+        assert u.mat == (Mat(field, form.rows[:rank]) if rank else None)
+
+    def test_gf2_pivot_is_the_lowest_bit(self):
+        # column j is bit j: 0110 is index 6, pivot bit 1; 1001 is 9, pivot bit 0
+        assert orbitcodes.matspace._echelon(F2, 4, [6, 9, 15]) == (9, 6)
+        assert orbitcodes.matspace._echelon(F2, 4, [0, 0]) == ()
 
 
 class TestMetric:

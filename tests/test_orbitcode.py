@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -476,6 +477,42 @@ class TestExportFormat:
         assert parsed == field and words == list(code.codewords)
         assert format_code(words) == text
 
+    def test_full_length_gf2_export_bytes_are_pinned(self):
+        # n = 10, full-length k = 3: the export of 1023 words keeps its pinned
+        # bytes and reads back to the same words.
+        poly = parse_poly(F2, "x^10+x^3+1")
+        u = Subspace(parse_matrix(F2, "1000000000\n0100000000\n0010000000"))
+        code = generate_orbit(u, companion_matrix(poly))
+        text = format_code(code)
+        assert len(text) == 34793 and hashlib.sha256(text.encode()).hexdigest() == (
+            "0afac7af72ba749cbe60442c61bff114997848e0f9fad32f92b2b1e467a18e97")
+        _, words = parse_code(text)
+        assert tuple(words) == code.codewords
+        assert format_code(words) == text
+
+    @pytest.mark.parametrize("field,first,second", [
+        (F2, "01", "10"),              # indices 2 and 1
+        (F3, "01", "10"),              # indices 3 and 1
+        (F2, "100\n001", "100\n010"),  # rows (1, 4) and (1, 2)
+    ], ids=["gf2-k1", "gf3-k1", "gf2-k2"])
+    def test_words_export_in_digit_order_not_index_order(self, field, first, second):
+        a, b = (Subspace(parse_matrix(field, t)) for t in (first, second))
+        assert a.basis > b.basis and a < b and sorted([b, a]) == [a, b]
+        text = f"{field.order} {a.ambient} {a.dim} 2\n{first}\n\n{second}\n"
+        assert format_code([b, a]) == text
+        assert parse_code(text)[1] == [a, b]
+
+    def test_gf2_words_are_reduced_without_rref(self, monkeypatch):
+        calls = []
+        rref = Mat.rref
+        monkeypatch.setattr(Mat, "rref", lambda m: calls.append(m) or rref(m))
+        poly = parse_poly(F2, "x^8+x^4+x^3+x^2+1")
+        u = Subspace(parse_matrix(F2, "11000000\n00110000\n00001111"))
+        code = generate_orbit(u, companion_matrix(poly))
+        words = code.codewords
+        assert parse_code(format_code(code))[1] == list(words)
+        assert len(words) == 255 and calls == []
+
     def test_codewords_sorted(self, spread3, p64):
         code = generate_orbit(spread3, companion_matrix(p64))
         blocks = format_code(code).split("\n", 1)[1].split("\n\n")
@@ -513,8 +550,8 @@ class TestExportFormat:
 
 
 class TestCodeChecks:
-    """One routine checks, deduplicates and sorts a code's words for the
-    export and the oracle alike."""
+    """One routine checks and deduplicates a code's words for the export
+    and the oracle alike; the export also sorts them."""
 
     @pytest.mark.parametrize("words,match", [
         ([], "at least one codeword"),
