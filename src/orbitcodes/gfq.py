@@ -9,11 +9,15 @@ Every field enumerates its elements in a fixed mixed-radix order: the
 element with coefficients (c_0, ..., c_{d-1}) has index
 sum_i index(c_i) * |subfield|^i, and prime residues are their own index.
 An element stores that index, an int in [0, order), at every level.  Each
-field has int add, sub, neg and mul on indices: residues mod p, or digit-wise
-sums and a product reduced mod the modulus over the level below, and
-FieldSpec._pow gives int powers and inverses.  Every level of
+field has int add, sub, neg and mul on indices: residues mod p, or
+_digit_ops' sums and a product reduced mod the modulus over the level
+below, and FieldSpec._pow gives int powers and inverses.  Every level of
 characteristic 2, GF(2) included, adds and subtracts by XOR, and GF(2)
-multiplies by AND.  Products mod a polynomial have one kernel, _mulmod.
+multiplies by AND.  Over an odd characteristic a vector of sub^d (an
+extension field's element is one) adds by blocks of digits through one
+table per (field, block length), built on first use and shared by equal
+fields; a field whose order squared is above BLOCK_TABLE_BUDGET adds
+digit by digit.  Products mod a polynomial have one kernel, _mulmod.
 Over GF(2) a polynomial is one int, bit i its coefficient of x^i, which is
 already the mixed-radix index of its coefficient vector: the kernel
 multiplies by shift-and-XOR and reduces by XOR of the shifted modulus, so
@@ -35,6 +39,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from collections.abc import Iterator, Sequence
 from math import gcd
@@ -184,10 +189,11 @@ def _coset_walk(field: "FieldSpec"):
     gamma = alpha when e = |F| - 1, else the first element in enumeration
     order of order |F| - 1.  coords holds i + c*b at gamma^i * alpha^b, filled
     by alpha-steps from each representative: a step shifts the digits up one
-    place and adds -h * (m_0, ..., m_{n-1}), h the digit shifted out, so it
-    makes no product in F.  In characteristic 2 a step is x * q XOR a
-    vector tabulated per h, which also clears h from place n; otherwise the
-    digits at the nonzero positions of m are folded one by one.
+    place and adds shift[h] = -h * (m_0, ..., m_{n-1}), h the digit shifted
+    out, tabulated once per walk, so it makes no product in F.  In
+    characteristic 2 a step is x * q XOR a vector that also clears h from
+    place n; otherwise it is a divmod by q^(n-1) and one add of the
+    field's own, _digit_ops' block-table add.
 
     Coset 0, <alpha>, is walked first, and gamma is searched on its
     coordinates: g has order |F| - 1 exactly when g^(c/l) lies outside
@@ -208,30 +214,27 @@ def _coset_walk(field: "FieldSpec"):
     top = q ** (n - 1)
     coords = array("i", [-1]) * field.order
 
+    # shift[h] is the index of -h * (m_0, ..., m_{n-1}).
+    neg, mul = sub._neg, sub._mul
+    shift = [field._join([neg(mul(h, m)) for m in tail]) for h in range(q)]
     if sub.p == 2:
-        neg, mul = sub._neg, sub._mul
-        # x * q carries the digit h = x // top to place n; shift[h] clears it
-        # and adds -h * (m_0, ..., m_{n-1}), all in one XOR.
-        shift = [field._join([neg(mul(h, m)) for m in tail]) ^ h * top * q for h in range(q)]
+        # x * q carries the digit h = x // top to place n; one XOR adds
+        # shift[h] and clears it.
+        carry = [s ^ h * top * q for h, s in enumerate(shift)]
 
         def walk(x, i):
             for a in range(i, big, c):
                 coords[x] = a
-                x = x * q ^ shift[x // top]
+                x = x * q ^ carry[x // top]
             return x
     else:
-        add, mul = sub._add, sub._mul
-        fold = [(q ** j, sub._neg(m)) for j, m in enumerate(tail) if m]
+        add = field._add
 
         def walk(x, i):
             for a in range(i, big, c):
                 coords[x] = a
                 h, x = divmod(x, top)
-                x *= q
-                if h:
-                    for w, m in fold:
-                        digit = x // w % q
-                        x += (add(digit, mul(h, m)) - digit) * w
+                x = add(x * q, shift[h])
             return x
 
     if walk(1, 0) != 1:
@@ -275,30 +278,112 @@ def _tabulate(field: "FieldSpec") -> None:
     field._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
 
 
+#: Most entries in one block table of _digit_ops: a field of order Q adds
+#: vectors by blocks of h digits through a Q^h x Q^h table, for the largest
+#: h with Q^(2h) within this budget (GF(3): h = 4, GF(5), GF(7), F_9: h = 2,
+#: GF(11) to GF(89): h = 1), and digit by digit above it.  See CHANGES.md for
+#: the measurements behind it.
+BLOCK_TABLE_BUDGET = 1 << 13
+
+
+def _block_digits(q: int, d: int) -> int:
+    """Digits per block of sub^d, |sub| = q: the fewest blocks whose tables
+    fit BLOCK_TABLE_BUDGET, split as evenly as they go; 0 when one digit's
+    table does not fit."""
+    most = _max_exponent(q * q, BLOCK_TABLE_BUDGET)
+    if not most:
+        return 0
+    blocks = -(-d // most)
+    return -(-d // blocks)
+
+
+@functools.lru_cache(maxsize=256)  # bounded: the cache holds its fields
+def _block_tables(sub: "FieldSpec", h: int):
+    """(plus, times) on the indices of sub^h, one block of h digits:
+    plus[a][b] is the index of a + b (None in characteristic 2, which adds
+    by XOR) and times[c][a] that of c a.  Each table is composed from
+    sub's one-digit tables, one digit at a time, with no sum of digits;
+    equal fields share one pair."""
+    q = sub.order
+
+    def widen(high, low):  # block index i_high * q + i_low
+        return [q * x + y for x in high for y in low]
+
+    times = digit = [[sub._mul(c, a) for a in range(q)] for c in range(q)]
+    for _ in range(h - 1):
+        times = list(map(widen, times, digit))
+    if sub.p == 2:
+        return None, times
+    plus = digit = [[sub._add(a, b) for b in range(q)] for a in range(q)]
+    for _ in range(h - 1):
+        plus = [widen(x, y) for x in plus for y in digit]
+    return plus, times
+
+
+def _blockwise(table, size: int, blocks: int):
+    """table[a][b] on indices of the given number of blocks, each of the
+    given size, applied block by block from the highest."""
+    if blocks == 1:
+        return lambda a, b: table[a][b]
+    if blocks == 2:
+        return lambda a, b: table[a // size][b // size] * size + table[a % size][b % size]
+    weights = [size ** j for j in range(blocks - 1, 0, -1)]
+
+    def op(a, b):
+        s = 0
+        for w in weights:
+            s += table[a // w][b // w] * w
+            a %= w
+            b %= w
+        return s + table[a][b]
+
+    return op
+
+
+@functools.lru_cache(maxsize=256)  # bounded: the cache holds its fields
 def _digit_ops(sub: "FieldSpec", d: int):
-    """Int add, sub, neg and digit join on the indices of sub^d, built digit
-    by digit on sub's; in characteristic 2 add and sub are XOR and neg is
-    the identity."""
+    """Int add, sub, neg, digit join and scalar product times(c, v) on the
+    indices of sub^d, built once per (field, d).  In characteristic 2 add
+    and sub are XOR and neg is the identity.  Otherwise, when sub's table
+    fits BLOCK_TABLE_BUDGET, an index is split into blocks of h digits
+    (_block_digits) and added block by block through _block_tables; above
+    it the digits are added one by one by sub's own add.  times multiplies
+    by the same block tables, and neg is times by -1."""
     q = sub.order
     weights = [q ** i for i in range(d)]
 
     def join(digits):
         return sum(map(int.__mul__, digits, weights))
 
+    h = _block_digits(q, d) if q > 2 else 0  # GF(2) has no c >= 2 to tabulate
+    if h:
+        size, blocks = q ** h, -(-d // h)
+        plus, scales = _block_tables(sub, h)
+        # The one-row table [t] read at a = 0 is t.
+        maps = [functools.partial(_blockwise([t], size, blocks), 0) for t in scales]
+
+        def times(c, v):
+            return maps[c](v)
+    else:
+        mul = sub._mul
+
+        def times(c, v):
+            return join([mul(c, e) for e in _digits(v, q, d)])
+
     if sub.p == 2:
-        return xor, xor, pos, join
-    add, minus, neg = sub._add, sub._sub, sub._neg
+        return xor, xor, pos, join, times
+    if h:
+        add, neg = _blockwise(plus, size, blocks), maps[sub._neg(1)]
+    else:
+        add_digit, neg = sub._add, functools.partial(times, sub._neg(1))
 
-    def ext_add(a, b):
-        return sum([add(a // w % q, b // w % q) * w for w in weights])
+        def add(a, b):
+            return sum([add_digit(a // w % q, b // w % q) * w for w in weights])
 
-    def ext_sub(a, b):
-        return sum([minus(a // w % q, b // w % q) * w for w in weights])
+    def minus(a, b):
+        return add(a, neg(b))
 
-    def ext_neg(a):
-        return sum([neg(a // w % q) * w for w in weights])
-
-    return ext_add, ext_sub, ext_neg, join
+    return add, minus, neg, join, times
 
 
 def _extension_ops(sub: "FieldSpec", tail: list[int]):
@@ -307,7 +392,7 @@ def _extension_ops(sub: "FieldSpec", tail: list[int]):
     mul are _digit_ops on sub^len(tail); mul is _mulmod, which over GF(2)
     takes the indices themselves and elsewhere their digits."""
     q, d = sub.order, len(tail)
-    add, minus, neg, join = _digit_ops(sub, d)
+    add, minus, neg, join, _ = _digit_ops(sub, d)
     mulmod = _mulmod(sub, tail)
     if _packed(sub):
         return add, minus, neg, mulmod, join

@@ -321,16 +321,17 @@ def _spanner(field: FieldSpec, n: int):
     so far.  On the rows of a square P, entry x is the index of x P.
     spans(columns) spans many sets of k rows at once, column j holding row j
     of every set: block c holds vector c of every set, so the q^k blocks
-    take one map each across the sets.  Within the cap indices are stored
-    in 4-byte arrays, above it in lists, which hold any index."""
-    add, _, _, join = _digit_ops(field, n)
-    mul, Q = field._mul, field.order
+    take one map each across the sets.  Vectors add, and rows are scaled
+    by c = 2 .. Q - 1, through _digit_ops: block tables over an odd
+    characteristic, XOR in characteristic 2.  Within the cap indices are
+    stored in 4-byte arrays, above it in lists, which hold any index."""
+    add, _, _, join, times = _digit_ops(field, n)
+    Q = field.order
     store = functools.partial(array, "i") if Q ** n <= DESK_SCALE_CAP else list
 
     def scaled(col: tuple[int, ...]) -> list:
-        """col, then c col for c = 2 .. Q - 1, entry by entry."""
-        return [col] + [[join([mul(c, e) for e in _digits(r, Q, n)]) for r in col]
-                        for c in range(2, Q)]
+        """col, then c col for c = 2 .. Q - 1."""
+        return [col] + [[times(c, r) for r in col] for c in range(2, Q)]
 
     def span(rows) -> array | list:
         out = store([0])

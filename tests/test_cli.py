@@ -1,6 +1,7 @@
 
 import argparse
 import errno
+import hashlib
 import io
 import os
 import random
@@ -85,6 +86,15 @@ class TestPoly:
         code, out, _ = run(capsys, "poly", "list", "-q", "4",
                            "--base-modulus", "x^2+x+1", "-n", "2")
         assert code == 0 and len(out.strip().splitlines()) == 6
+
+    def test_list_over_f9_stdout_is_pinned(self, capsys):
+        # F_9 = GF(3)[x]/(x^2+1) adds through its block table: the 240
+        # irreducible cubics keep their pinned order and text.
+        code, out, _ = run(capsys, "poly", "list", "-q", "9",
+                           "--base-modulus", "x^2+1", "-n", "3")
+        assert code == 0 and out.count("\n") == 240 and len(out) == 4716
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0da6c8b1a81a47f62ebb0fda30ac45ff4bdd165d5cbc44b040fd62c87fbb9721")
 
     def test_prime_power_without_modulus_exits_2(self, capsys):
         code, _, err = run(capsys, "poly", "list", "-q", "4", "-n", "2")

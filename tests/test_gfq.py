@@ -1,5 +1,6 @@
 import pickle
 import random
+from operator import pos, xor
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,11 @@ from orbitcodes import (DESK_SCALE_CAP, DomainError, ExtensionContext, FieldSpec
                         build_spread_start, cli, companion_matrix, field_make,
                         generate_orbit, list_irreducibles, matrix_order,
                         order_of_polynomial, parse_poly, poly_powmod)
-from orbitcodes.gfq import _coset_walk, _digits, _extension_ops, _mulmod, _prime_factors
+from orbitcodes.gfq import (BLOCK_TABLE_BUDGET, _block_digits, _block_tables, _coset_walk,
+                            _digit_ops, _digits, _extension_ops, _max_exponent, _mulmod,
+                            _prime_factors)
+from orbitcodes.matspace import Mat, Subspace, _image_table
+from orbitcodes.orbitcode import min_distance_brute
 
 
 def _small_fields():
@@ -353,9 +358,9 @@ class TestCosetWalk:
         _coset_walk(field)
         assert calls[0] == sub.order * field.degree
 
-    def test_an_odd_step_folds_with_coefficient_products(self, monkeypatch):
-        # The contrast: over GF(3) a step with a nonzero digit shifted out
-        # makes one product per nonzero term of m below x^n.
+    def test_an_odd_step_makes_no_coefficient_product(self, monkeypatch):
+        # Over GF(3) a step adds a tabulated vector too: the products are
+        # the q * n of the shift table, none per step.
         field = _walk_field(3, None, "x^4+x+2")
         order = order_of_polynomial(field.modulus)
         monkeypatch.setattr(orbitcodes.polyring, "_order", lambda m: order)
@@ -364,7 +369,7 @@ class TestCosetWalk:
         monkeypatch.setattr(field.subfield, "_mul",
                             lambda a, b: calls.append(a) or mul(a, b))
         _coset_walk(field)
-        assert len(calls) > field.order
+        assert len(calls) == field.subfield.order * field.degree
 
 
 def _assert_tables_match_schoolbook(field, twin):
@@ -563,3 +568,128 @@ class TestCarrylessKernel:
         alpha = 2
         assert field._mul(0x80, alpha) == 0b11101  # x^8 = x^4 + x^3 + x^2 + 1
         assert field._pow(alpha, 255) == 1
+
+
+def _f9_mul(a, b):
+    """The product in F_9 = GF(3)[x]/(x^2+1) of the elements with indices a
+    and b: (a0 + a1 x)(b0 + b1 x) = a0 b0 - a1 b1 + (a0 b1 + a1 b0) x."""
+    (a0, a1), (b0, b1) = divmod(a, 3)[::-1], divmod(b, 3)[::-1]
+    return (a0 * b0 - a1 * b1) % 3 + 3 * ((a0 * b1 + a1 * b0) % 3)
+
+
+def _by_prime_digits(op, p, *operands):
+    """op on the base-p digits of the operands, place by place, mod p: an
+    index's base-p digits are its prime-field coordinates."""
+    out, weight = 0, 1
+    while any(operands):
+        digits = [x % p for x in operands]
+        operands = [x // p for x in operands]
+        out += op(*digits) % p * weight
+        weight *= p
+    return out
+
+
+@pytest.fixture
+def fresh_ops():
+    """Empty _digit_ops' caches before and after the test."""
+    orbitcodes.gfq._digit_ops.cache_clear()
+    _block_tables.cache_clear()
+    yield
+    orbitcodes.gfq._digit_ops.cache_clear()
+    _block_tables.cache_clear()
+
+
+#: (field, digit product c x on one index of the field, written here).
+TABLE_FIELDS = {
+    "GF(3)": (FieldSpec(3), lambda c, x: c * x % 3),
+    "GF(5)": (FieldSpec(5), lambda c, x: c * x % 5),
+    "GF(7)": (FieldSpec(7), lambda c, x: c * x % 7),
+    "F_9": (FieldSpec(3).extend(parse_poly(FieldSpec(3), "x^2+1")), _f9_mul),
+    "GF(1009)": (FieldSpec(1009), lambda c, x: c * x % 1009),  # above the budget
+}
+
+
+class TestBlockTables:
+    """_digit_ops on sub^n: add, sub, neg and c v against digit-by-digit
+    references, across the block boundaries and on the edge indices."""
+
+    @pytest.mark.parametrize("name", TABLE_FIELDS)
+    def test_ops_match_digit_by_digit(self, name):
+        sub, digit_mul = TABLE_FIELDS[name]
+        Q, p = sub.order, sub.p
+        most = _max_exponent(Q * Q, BLOCK_TABLE_BUDGET)  # digits in one block
+        top_n = 2 * most + 1 if most else 3
+        blocks = set()
+        rng = random.Random(Q)
+        for n in range(1, top_n + 1):
+            h = _block_digits(Q, n)
+            blocks.add(-(-n // h) if h else 0)
+            add, minus, neg, join, times = _digit_ops(sub, n)
+            last = Q ** n - 1
+            vectors = [0, last] + [rng.randrange(Q ** n) for _ in range(30)]
+            pairs = [(a, b) for a in (0, last) for b in (0, last)]
+            pairs += list(zip(vectors, reversed(vectors)))
+            for a, b in pairs:
+                assert add(a, b) == _by_prime_digits(int.__add__, p, a, b), (n, a, b)
+                assert minus(a, b) == _by_prime_digits(int.__sub__, p, a, b), (n, a, b)
+            scalars = range(Q) if Q < 100 else [0, 1, 2, Q - 1, rng.randrange(Q)]
+            for v in vectors:
+                assert neg(v) == _by_prime_digits(int.__neg__, p, v), (n, v)
+                assert join(_digits(v, Q, n)) == v
+                for c in scalars:
+                    want = sum(digit_mul(c, x) * Q ** j for j, x in enumerate(_digits(v, Q, n)))
+                    assert times(c, v) == want, (n, c, v)
+        # Every table field is checked on one, two and three blocks.
+        assert blocks == ({1, 2, 3} if most else {0})
+
+    def test_the_budget_keeps_the_digit_path_above_it(self):
+        assert _block_digits(89, 1) == 1 and 89 * 89 <= BLOCK_TABLE_BUDGET
+        assert _block_digits(97, 1) == 0 and 97 * 97 > BLOCK_TABLE_BUDGET
+        assert [_block_digits(3, n) for n in range(1, 13)] == [1, 2, 3, 4, 3, 3, 4, 4, 3, 4, 4, 4]
+
+    @pytest.mark.parametrize("field", [FieldSpec(2), FIELDS[3]], ids=["GF(2)", "F_4"])
+    def test_characteristic_2_adds_by_xor(self, field):
+        for n in (1, 5, 12):
+            assert _digit_ops(field, n)[:3] == (xor, xor, pos)
+
+    def test_built_once_per_field_and_length(self):
+        a, b = FieldSpec(3), FieldSpec(3)
+        assert _digit_ops(a, 6) is _digit_ops(b, 6) is _digit_ops(a, 6)
+        assert _digit_ops(a, 6) is not _digit_ops(a, 5)
+
+    def test_gf3_vectors_add_without_digit_adds(self, monkeypatch, fresh_ops):
+        # Once the tables exist, span, spans, the image table and the coset
+        # walk's steps make no call to GF(3)'s own add.  The field's own
+        # products (the coset representatives) are not counted.
+        f3, gate, calls = FieldSpec(3), [False], []
+        add = f3._add
+
+        def counting(a, b):
+            if gate[0]:
+                calls.append((a, b))
+            return add(a, b)
+
+        monkeypatch.setattr(f3, "_add", counting)
+        poly = parse_poly(f3, "x^6+x+2")
+        field = f3.extend(poly)
+        order = order_of_polynomial(poly)
+        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda m: order)
+        mul = field._mul
+
+        def quiet(a, b):
+            gate[0] = False
+            try:
+                return mul(a, b)
+            finally:
+                gate[0] = True
+
+        monkeypatch.setattr(field, "_mul", quiet)
+        p = companion_matrix(poly)
+        u = Subspace(Mat(f3, [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1]]))
+        code = generate_orbit(u, p)
+        gate[0] = True
+        assert len(list(u.nonzero_vectors())) == 8
+        assert len(_image_table(Mat(f3, p.rows))) == 3 ** 6
+        assert min_distance_brute(code) == 2
+        _coset_walk(field)
+        assert calls == []

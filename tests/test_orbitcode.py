@@ -490,6 +490,24 @@ class TestExportFormat:
         assert tuple(words) == code.codewords
         assert format_code(words) == text
 
+    @pytest.mark.parametrize("rows, size, length, digest", [
+        (None, 91, 1373, "49cc9335fc902e5e8ff337f6187a1a3dd934d34ff54d7dedc55aea3f6ecbf180"),
+        ("100000\n010000\n001000", 364, 8017,
+         "6bffd4c6b6e5bdfcd5b7d78cf43b58a7c452c84d0c2e189282e7d9cdfd62f770"),
+    ], ids=["spread-k2", "full-length-k3"])
+    def test_gf3_export_bytes_are_pinned(self, rows, size, length, digest):
+        # GF(3), x^6+x+2: the k = 2 spread and a full-length orbit, (3^6 - 1)/2
+        # words, whose vectors add through the block tables; bytes pinned
+        # as the digit-wise adds wrote them.
+        poly = parse_poly(F3, "x^6+x+2")
+        u = (build_spread_start(2, 6, ExtensionContext.from_modulus(poly)) if rows is None
+             else Subspace(parse_matrix(F3, rows)))
+        code = generate_orbit(u, companion_matrix(poly))
+        text = format_code(code)
+        assert len(code) == size and len(text) == length
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert tuple(parse_code(text)[1]) == code.codewords
+
     @pytest.mark.parametrize("field,first,second", [
         (F2, "01", "10"),              # indices 2 and 1
         (F3, "01", "10"),              # indices 3 and 1
