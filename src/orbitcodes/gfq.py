@@ -17,14 +17,14 @@ multiplies by AND.  Over an odd characteristic a vector of sub^d (an
 extension field's element is one) adds by blocks of digits through one
 table per (field, block length), built on first use and shared by equal
 fields; a field whose order squared is above BLOCK_TABLE_BUDGET adds
-digit by digit.  Products mod a polynomial have one kernel, _mulmod.
-Over GF(2) a polynomial is one int, bit i its coefficient of x^i, which is
-already the mixed-radix index of its coefficient vector: the kernel
-multiplies by shift-and-XOR and reduces by XOR of the shifted modulus, so
-GF(2)[x]/(m) multiplies its element indices as they are.  Over any other
-coefficient field the kernel is a schoolbook product on lists of digit
-indices.  Elements are built only at the public API, in the text formats
-and inside Poly.
+digit by digit.  Products mod a polynomial have one kernel, _mulmod, on
+indices too: a polynomial is the mixed-radix index of its coefficient
+vector, so sub[x]/(m) multiplies its element indices as they are.  Over
+GF(2), where bit i is the coefficient of x^i, it multiplies by
+shift-and-XOR and reduces by XOR of the shifted modulus; over any other
+coefficient field it splits the indices into digits for a schoolbook
+product and joins the reduced digits.  Elements are built only at the
+public API, in the text formats and inside Poly.
 
 An extension field of order Q with Q^2 within DESK_SCALE_CAP swaps its
 schoolbook product for two reads of a log and an antilog table the first
@@ -32,9 +32,9 @@ time it is the coefficient field of a product modulo a polynomial
 (_mulmod: Poly powers, irreducibility proofs and the irreducible-list
 sieve over it, and the product of the next tower level).  The logs are an
 ExtensionContext's, read off the one coset walk, _coset_walk.  The tables
-are a once-only cache outside the field's identity.  Two threads that race on it build identical arrays and
-either assignment is correct, so all values are immutable in effect and
-safe to share between threads.
+are a once-only cache outside the field's identity.  Two threads that
+race on it build identical arrays and either assignment is correct, so
+all values are immutable in effect and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ def _max_exponent(base: int, cap: int) -> int:
 
 
 def _digits(i: int, radix: int, n: int) -> list[int]:
-    """The n mixed-radix digits of i, lowest first."""
+    """The mixed-radix digits of i, lowest first: n of them, and more while
+    i is not used up (n = 0: up to the highest nonzero digit)."""
     out = []
-    for _ in range(n):
+    while i or len(out) < n:
         i, digit = divmod(i, radix)
         out.append(digit)
     return out
@@ -108,17 +109,18 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
     """Product of two polynomials over sub, reduced mod the monic polynomial
     m whose coefficients below its leading 1 have the indices in tail.
 
-    Operands are _operand's: over GF(2) one int, bit i the coefficient of
-    x^i (the mixed-radix index of the coefficient vector), multiplied by
-    shift-and-XOR and reduced by XOR of m shifted under the top bit; over any
-    other field a list of int coefficient indices, lowest degree first,
-    multiplied by schoolbook and reduced by folding m's tail, with a result
-    of at most len(tail) entries that may keep high zeros.  Operands of any
-    degree are reduced.  The first call over an extension field sub with
-    |sub|^2 within the cap and m(0) != 0 tabulates sub."""
+    Operands and result are mixed-radix indices of coefficient vectors,
+    lowest degree first; operands of any degree are reduced, and the result
+    is the index of the remainder, of degree below len(tail).  Over GF(2)
+    bit i is the coefficient of x^i: the product is shift-and-XOR, reduced
+    by XOR of m shifted under the top bit.  Over any other field each
+    operand is split into all of its digits (a square only once) for a
+    schoolbook product, reduced by folding m's tail, and the low digits are
+    joined.  The first call over an extension field sub with |sub|^2 within
+    the cap and m(0) != 0 tabulates sub."""
     d = len(tail)
     if _packed(sub):
-        m = _operand(sub, tail) | 1 << d
+        m = sum(c << i for i, c in enumerate(tail)) | 1 << d
 
         def clmul(a, b):
             prod = 0
@@ -136,14 +138,17 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
     if (sub.level and sub._exp is None and sub.order * sub.order <= DESK_SCALE_CAP
             and sub.modulus.coeffs[0].value):
         _tabulate(sub)
-    add, mul = sub._add, sub._mul
+    q, add, mul = sub.order, sub._add, sub._mul
     # The modulus is monic: x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1}).
     fold = [(j, sub._neg(m)) for j, m in enumerate(tail) if m]
+    weights = [q ** i for i in range(d)]
 
     def mulmod(a, b):
-        prod = [0] * (len(a) + len(b) - 1)
-        terms = [(j, c) for j, c in enumerate(b) if c]
-        for i, c in enumerate(a):
+        high = _digits(a, q, 0)
+        low = high if b == a else _digits(b, q, 0)
+        prod = [0] * (len(high) + len(low) - 1)
+        terms = [(j, c) for j, c in enumerate(low) if c]
+        for i, c in enumerate(high):
             if c:
                 for j, e in terms:
                     prod[i + j] = add(prod[i + j], mul(c, e))
@@ -152,31 +157,14 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
             if c:
                 for j, e in fold:
                     prod[i - d + j] = add(prod[i - d + j], mul(c, e))
-        return prod[:d]
+        return sum(map(int.__mul__, prod, weights))
 
     return mulmod
 
 
 def _packed(sub: "FieldSpec") -> bool:
-    """True for GF(2) itself, whose _mulmod operands are packed ints."""
+    """True for GF(2) itself, whose _mulmod products are carry-less."""
     return sub.level == 0 and sub.p == 2
-
-
-def _operand(sub: "FieldSpec", coeffs) -> int | list[int]:
-    """The _mulmod operand of the polynomial with the int coefficient
-    indices coeffs, lowest degree first."""
-    if _packed(sub):
-        return sum(c << i for i, c in enumerate(coeffs))
-    return list(coeffs)
-
-
-def _index(sub: "FieldSpec", operand) -> int:
-    """The mixed-radix index of a _mulmod operand's coefficient vector: over
-    GF(2) the operand itself."""
-    if _packed(sub):
-        return operand
-    q = sub.order
-    return sum(c * q ** i for i, c in enumerate(operand))
 
 
 def _coset_walk(field: "FieldSpec"):
@@ -386,23 +374,6 @@ def _digit_ops(sub: "FieldSpec", d: int):
     return add, minus, neg, join, times
 
 
-def _extension_ops(sub: "FieldSpec", tail: list[int]):
-    """Int add, sub, neg, mul and digit join on the indices of sub[x]/(m);
-    tail holds the indices of m's coefficients below its leading 1.  All but
-    mul are _digit_ops on sub^len(tail); mul is _mulmod, which over GF(2)
-    takes the indices themselves and elsewhere their digits."""
-    q, d = sub.order, len(tail)
-    add, minus, neg, join, _ = _digit_ops(sub, d)
-    mulmod = _mulmod(sub, tail)
-    if _packed(sub):
-        return add, minus, neg, mulmod, join
-
-    def ext_mul(a, b):
-        return join(mulmod(_digits(a, q, d), _digits(b, q, d)))
-
-    return add, minus, neg, ext_mul, join
-
-
 class FieldSpec:
     """A finite field: Z_p, or a quotient of the field one level below.
 
@@ -465,8 +436,8 @@ class FieldSpec:
         spec.order = order
         spec.level = self.level + 1
         coeffs = [self.index_of(c) for c in modulus.coeffs]
-        spec._add, spec._sub, spec._neg, spec._mul, spec._join = _extension_ops(
-            self, coeffs[:-1])
+        spec._add, spec._sub, spec._neg, spec._join, _ = _digit_ops(self, spec.degree)
+        spec._mul = _mulmod(self, coeffs[:-1])
         spec._exp = None
         spec._key = ("ext", self._key, tuple(coeffs))
         spec._hash = hash(spec._key)

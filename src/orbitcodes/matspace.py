@@ -15,7 +15,8 @@ One routine, _echelon, computes every canonical form: the nonzero rows of
 the unique reduced row echelon basis of a span, from and to vector
 indices.  Over GF(2) digit j of an index is bit j, so a row's pivot is its
 lowest set bit and elimination is XOR on whole rows; over any other field
-the rows are reduced digit by digit.  Mat.rref and rank are views of it.
+a row's pivot is its lowest nonzero digit and whole rows are reduced by
+_digit_ops' add and scalar products.  Mat.rref and rank are views of it.
 A Subspace holds its canonical rows as indices, so equality and hashing
 are tuple comparisons on ints.  Sorting follows the digit rows, digit 0
 first, which is not the order of the indices: its key maps each row to
@@ -192,11 +193,12 @@ def _lowest_bit(r: int) -> int:
 def _echelon(field: FieldSpec, n: int, rows: Iterable[int]) -> tuple[int, ...]:
     """The canonical basis of the span of rows, vectors of F^n given by their
     indices: the nonzero rows of its reduced row echelon form, as indices,
-    in pivot order.  Over GF(2) column j is bit j and a row's pivot its
-    lowest set bit: each row is cleared of the pivots so far by XOR, and its
-    own pivot is then cleared from the rows before it.  Over any other field
-    the rows are split into digits and reduced by Gauss-Jordan, each pivot
-    normalized to 1 by _pow."""
+    in pivot order.  A row's pivot is its lowest nonzero digit, column j
+    being digit j.  Each row is cleared of the pivots so far, and its own
+    pivot is then cleared from the rows before it.  Over GF(2) digit j is
+    bit j and clearing is XOR.  Over any other field clearing subtracts a
+    scalar multiple of a whole row through _digit_ops, and each new pivot
+    is normalized to 1 by _pow."""
     if _packed(field):
         basis: list[int] = []
         for r in rows:
@@ -211,24 +213,26 @@ def _echelon(field: FieldSpec, n: int, rows: Iterable[int]) -> tuple[int, ...]:
                 basis.append(r)
         basis.sort(key=_lowest_bit)
         return tuple(basis)
-    Q, sub, mul = field.order, field._sub, field._mul
-    rows = [_digits(r, Q, n) for r in rows]
-    piv = 0
-    for col in range(n):
-        if piv == len(rows):
-            break
-        hit = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
-        if hit is None:
-            continue
-        rows[piv], rows[hit] = rows[hit], rows[piv]
-        inv = field._pow(rows[piv][col], -1)
-        rows[piv] = [mul(inv, e) for e in rows[piv]]
-        for r in range(len(rows)):
-            if r != piv and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [sub(a, mul(c, b)) for a, b in zip(rows[r], rows[piv])]
-        piv += 1
-    return tuple(map(_digit_ops(field, n)[3], rows[:piv]))
+    Q = field.order
+    _, minus, _, _, times = _digit_ops(field, n)
+    pivots: list[tuple[int, int]] = []  # (Q^j for pivot column j, row)
+    for r in rows:
+        for w, b in pivots:
+            c = r // w % Q
+            if c:
+                r = minus(r, times(c, b))
+        if r:
+            w = 1
+            while not r // w % Q:
+                w *= Q
+            r = times(field._pow(r // w % Q, -1), r)
+            for j, (v, b) in enumerate(pivots):
+                c = b // w % Q
+                if c:
+                    pivots[j] = v, minus(b, times(c, r))
+            pivots.append((w, r))
+    pivots.sort()
+    return tuple(r for _, r in pivots)
 
 
 def _row_key(field: FieldSpec, n: int):
@@ -310,22 +314,21 @@ class Subspace:
         """The q^k - 1 nonzero vectors' indices; number sum_j c_j q^j is sum_j c_j row_j."""
         if self.dim == 0:
             return iter(())
-        span, _, _ = _spanner(self.field, self.ambient)
+        span, _ = _spanner(self.field, self.ambient)
         return iter(span(self.basis)[1:])
 
 
 def _spanner(field: FieldSpec, n: int):
-    """(span, join, spans) on F^n: join maps a row of digits to its vector
-    index, and span(rows) lists the indices of sum_j c_j rows[j] for all c
-    in mixed-radix order, each row adding one block per scalar to the list
-    so far.  On the rows of a square P, entry x is the index of x P.
-    spans(columns) spans many sets of k rows at once, column j holding row j
+    """(span, spans) on F^n, on vector indices: span(rows) lists the indices
+    of sum_j c_j rows[j] for all c in mixed-radix order, each row adding one
+    block per scalar to the list so far.  On the rows of a square P, entry x
+    is the index of x P.  spans(columns) spans many sets of k rows at once, column j holding row j
     of every set: block c holds vector c of every set, so the q^k blocks
     take one map each across the sets.  Vectors add, and rows are scaled
     by c = 2 .. Q - 1, through _digit_ops: block tables over an odd
     characteristic, XOR in characteristic 2.  Within the cap indices are
     stored in 4-byte arrays, above it in lists, which hold any index."""
-    add, _, _, join, times = _digit_ops(field, n)
+    add, _, _, _, times = _digit_ops(field, n)
     Q = field.order
     store = functools.partial(array, "i") if Q ** n <= DESK_SCALE_CAP else list
 
@@ -349,7 +352,7 @@ def _spanner(field: FieldSpec, n: int):
                 blocks += [store(map(add, block, multiple)) for block in head]
         return blocks
 
-    return span, join, spans
+    return span, spans
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:
@@ -389,8 +392,8 @@ def _image_table(g: Mat) -> array | list:
         _check_cap(g.field.order ** g.ncols)  # before the table of q^n ints
         if g.rank() != g.nrows:
             raise DomainError("matrix is singular")
-        span, join, _ = _spanner(g.field, g.ncols)
-        g._table = span(map(join, g.rows))
+        span, _ = _spanner(g.field, g.ncols)
+        g._table = span(g._vectors())
     return g._table
 
 

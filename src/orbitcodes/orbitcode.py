@@ -106,7 +106,7 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
         raise DomainError("generator does not act on the starting subspace")
     table = _image_table(p)
-    span, _, _ = _spanner(p.field, p.ncols)
+    span, _ = _spanner(p.field, p.ncols)
     rows = u.basis
     start, words = set(span(rows)), []
     while not words or not start.issuperset(rows):
@@ -159,7 +159,7 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     if len(words) < 2:
         raise DomainError("minimum distance needs at least two codewords")
     _check_oracle_budget(len(words), first.field.order, first.dim)
-    _, _, spans = _spanner(first.field, first.ambient)
+    _, spans = _spanner(first.field, first.ambient)
     rows = words if orbit else [w.basis for w in words]
     blocks = spans(list(zip(*rows)))[1:]  # blocks[c - 1][i]: vector c of word i
     counts = Counter(chain.from_iterable(blocks))

@@ -8,12 +8,12 @@ polynomial (the multiplicative order of its roots), primitivity, and the
 companion matrix with coefficients in the last row.
 
 Modular powers, the order of a polynomial, the irreducibility proof and the
-list of irreducibles make their products in one kernel, gfq._mulmod, on int
-operands (one packed int over GF(2)).  A proof is Rabin's test along one
-Frobenius chain x, x^Q, x^(Q^2), ... mod f: n Q-th powers for degree n,
-with a gcd on Poly for each prime dividing n.  list_irreducibles is a
-sieve: it marks every product of a smaller irreducible and a cofactor, so
-it runs no proof at all.
+list of irreducibles make their products in one kernel, gfq._mulmod, on
+the mixed-radix indices of coefficient vectors.  A proof is Rabin's test
+along one Frobenius chain x, x^Q, x^(Q^2), ... mod f: n Q-th powers for
+degree n, with a gcd on Poly for each prime dividing n.
+list_irreducibles is a sieve: it marks every product of a smaller
+irreducible and a cofactor, so it runs no proof at all.
 
 Text syntax (shared by the CLI and test fixtures): "+"-separated terms in
 any order, each "x^k", "x", "c*x^k" or a bare constant, where c is a
@@ -28,7 +28,7 @@ import re
 
 from .errors import DomainError, ParseError
 from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _check_cap, _digits,
-                  _index, _max_exponent, _mulmod, _operand, _prime_factors)
+                  _max_exponent, _mulmod, _prime_factors)
 
 
 class Poly:
@@ -175,12 +175,12 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         f, g = g, f % g
     return f if f.is_zero else f.monic()
 
+
 def poly_powmod(f: Poly, e: int, m: Poly) -> Poly:
     """f**e mod m by square-and-multiply; e must be nonnegative.
 
-    The products run on gfq._mulmod's operands (one packed int over GF(2),
-    int coefficient index lists otherwise), reduced by the monic multiple
-    of m; only the result is built as a Poly.
+    The products run in gfq._mulmod on coefficient vector indices, reduced
+    by the monic multiple of m; only the result is built as a Poly.
     """
     if e < 0:
         raise DomainError("poly_powmod requires a nonnegative exponent")
@@ -188,12 +188,10 @@ def poly_powmod(f: Poly, e: int, m: Poly) -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.field != m.field:
         raise DomainError("polynomials over different fields")
-    field = m.field
+    field, Q = m.field, m.field.order
     mulmod = _mulmod(field, [c.value for c in m.monic().coeffs[:-1]])
-    one = _operand(field, [1])
-    base = mulmod(_operand(field, [c.value for c in f.coeffs]), one)
-    result = _power(mulmod, base, e) if e else mulmod(one, one)
-    return _poly(field, result, m.degree)
+    base = mulmod(sum(c.value * Q ** i for i, c in enumerate(f.coeffs)), 1)
+    return Poly(field, _digits(_power(mulmod, base, e) if e else mulmod(1, 1), Q, 0))
 
 
 def _power(mulmod, a, e: int):
@@ -206,11 +204,6 @@ def _power(mulmod, a, e: int):
         if bit == "1":
             result = mulmod(result, a)
     return result
-
-
-def _poly(field: FieldSpec, operand, degree: int) -> Poly:
-    """The Poly of a _mulmod operand of degree below the given degree."""
-    return Poly(field, _digits(_index(field, operand), field.order, degree))
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -228,18 +221,17 @@ def is_irreducible(f: Poly) -> bool:
     n = f.degree
     if n == 1:
         return True
-    g, field = f.monic(), f.field
+    g, field, Q = f.monic(), f.field, f.field.order
     mulmod = _mulmod(field, [c.value for c in g.coeffs[:-1]])
-    x = _operand(field, [0, 1] + [0] * (n - 2))
     kept = dict.fromkeys(n // t for t in _prime_factors(n))
-    h = x
+    h = x = Q  # the index of x, reduced since n >= 2
     for j in range(1, n + 1):
-        h = _power(mulmod, h, field.order)
+        h = _power(mulmod, h, Q)
         if j in kept:
             kept[j] = h
     if h != x:
         return False
-    return all(poly_gcd(g, _poly(field, h, n) - Poly.x(field)).degree == 0
+    return all(poly_gcd(g, Poly(field, _digits(h, Q, 0)) - Poly.x(field)).degree == 0
                for h in kept.values())
 
 
@@ -262,15 +254,14 @@ def order_of_polynomial(f: Poly) -> int:
 
 def _order(g: Poly) -> int:
     """order_of_polynomial for a monic g already proven irreducible, with
-    g(0) != 0 and Q^n within the cap.  The powers of x run on gfq._mulmod's
-    operands and are compared with 1 through their index, since an operand
-    may keep high zeros."""
+    g(0) != 0 and Q^n within the cap.  The powers of x run in gfq._mulmod on
+    indices, so x^k = 1 exactly when the index is 1."""
     field = g.field
     e = field.order ** g.degree - 1
     mulmod = _mulmod(field, [c.value for c in g.coeffs[:-1]])
-    x = mulmod(_operand(field, [0, 1]), _operand(field, [1]))  # x reduced mod g
+    x = mulmod(field.order, 1)  # x reduced mod g
     for ell in _prime_factors(e):
-        while e % ell == 0 and _index(field, _power(mulmod, x, e // ell)) == 1:
+        while e % ell == 0 and _power(mulmod, x, e // ell) == 1:
             e //= ell
     return e
 
@@ -320,7 +311,8 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
     it is f * g with f monic irreducible of degree e <= d/2 and g monic of
     degree d - e.  The irreducibles of each degree up to degree/2 are
     sieved first, then those of the given degree; each product goes through
-    gfq._mulmod modulo x^d, which leaves the low part.
+    gfq._mulmod modulo x^d, which leaves the index of the low part.  A monic
+    candidate of degree d with low part i has index i + Q^d.
     """
     if degree < 1:
         raise DomainError("degree must be at least 1")
@@ -330,23 +322,20 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
         raise DomainError(f"listing degree {degree} over GF({Q}) tests {Q}^{degree} "
                           f"candidates, above the list cap {LIST_CAP}")
 
-    def monic(i, d):
-        return _operand(field, _digits(i, Q, d) + [1])
-
-    factors = {}  # degree e <= degree/2 -> operands of the monic irreducibles
+    factors = {}  # degree e <= degree/2 -> indices of the monic irreducibles
 
     def sieve(d):
         """Low-part indices of the monic irreducibles of degree d."""
         mulmod, marked = _mulmod(field, [0] * d), bytearray(Q ** d)
         for e in range(1, d // 2 + 1):
-            cofactors = [monic(j, d - e) for j in range(Q ** (d - e))]
+            cofactors = range(Q ** (d - e), 2 * Q ** (d - e))
             for f in factors[e]:
                 for g in cofactors:
-                    marked[_index(field, mulmod(f, g))] = 1
+                    marked[mulmod(f, g)] = 1
         return [i for i in range(Q ** d) if not marked[i]]
 
     for d in range(1, degree // 2 + 1):
-        factors[d] = [monic(i, d) for i in sieve(d)]
+        factors[d] = [i + Q ** d for i in sieve(d)]
     return [Poly(field, _digits(i, Q, degree) + [1]) for i in sieve(degree)]
 
 

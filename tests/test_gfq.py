@@ -13,8 +13,7 @@ from orbitcodes import (DESK_SCALE_CAP, DomainError, ExtensionContext, FieldSpec
                         generate_orbit, list_irreducibles, matrix_order,
                         order_of_polynomial, parse_poly, poly_powmod)
 from orbitcodes.gfq import (BLOCK_TABLE_BUDGET, _block_digits, _block_tables, _coset_walk,
-                            _digit_ops, _digits, _extension_ops, _max_exponent, _mulmod,
-                            _prime_factors)
+                            _digit_ops, _digits, _max_exponent, _mulmod, _prime_factors)
 from orbitcodes.matspace import Mat, Subspace, _image_table
 from orbitcodes.orbitcode import min_distance_brute
 
@@ -374,8 +373,8 @@ class TestCosetWalk:
 
 def _assert_tables_match_schoolbook(field, twin):
     """Tabulate field and compare it with the schoolbook product of a fresh
-    _extension_ops on every pair, and with the untabulated twin's powers."""
-    schoolbook = _extension_ops(field.subfield, _tail(field))[3]
+    _mulmod on every pair, and with the untabulated twin's powers."""
+    schoolbook = _mulmod(field.subfield, _tail(field))
     assert field._exp is None
     _mulmod(field, [0, 0])
     assert field._exp is not None and twin._exp is None
@@ -532,25 +531,43 @@ class TestLogTables:
         assert len(found) == count  # Gauss's count of monic irreducibles
 
 
+#: Coefficient fields of the product kernel test, each with the largest
+#: modulus degree drawn over it.
+KERNEL_FIELDS = {"GF(2)": (FieldSpec(2), 24), "GF(3)": (FieldSpec(3), 8),
+                 "GF(5)": (FieldSpec(5), 6),
+                 "F_4": (field_make(2, parse_poly(FieldSpec(2), "x^2+x+1")), 6),
+                 "F_9": (field_make(3, parse_poly(FieldSpec(3), "x^2+1")), 5),
+                 "GF(101)": (FieldSpec(101), 3)}
+
+
+class TestProductKernel:
+    """_mulmod takes and returns the mixed-radix indices of coefficient
+    vectors over every coefficient field."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(list(KERNEL_FIELDS)), st.data())
+    def test_matches_poly_products(self, name, data):
+        # d = 0 is the unit modulus 1; operands may outgrow the modulus.
+        field, top = KERNEL_FIELDS[name]
+        Q = field.order
+        d = data.draw(st.integers(0, top), label="d")
+        tail = data.draw(st.lists(st.integers(0, Q - 1), min_size=d, max_size=d),
+                         label="tail")
+        a = data.draw(st.integers(0, Q ** (2 * d + 3) - 1), label="a")
+        b = data.draw(st.integers(0, Q ** (d + 1) - 1), label="b")
+
+        def poly(i):
+            return Poly(field, _digits(i, Q, 0))
+
+        want = poly(a) * poly(b) % Poly(field, tail + [1])
+        assert _mulmod(field, tail)(a, b) == sum(c.value * Q ** i
+                                                 for i, c in enumerate(want.coeffs))
+
+
 class TestCarrylessKernel:
     """Over GF(2), _mulmod's operands are packed ints (bit i the coefficient
     of x^i), multiplied by shift-and-XOR and reduced by XOR of the shifted
     modulus."""
-
-    @staticmethod
-    def _poly(i):
-        return Poly(FieldSpec(2), _digits(i, 2, i.bit_length()))
-
-    @settings(deadline=None, max_examples=200)
-    @given(st.integers(0, 24), st.data())
-    def test_matches_poly_products(self, d, data):
-        # d = 0 is the unit modulus 1; operands may outgrow the modulus.
-        tail = data.draw(st.lists(st.integers(0, 1), min_size=d, max_size=d), label="tail")
-        a = data.draw(st.integers(0, (1 << 2 * d + 3) - 1), label="a")
-        b = data.draw(st.integers(0, (1 << d + 1) - 1), label="b")
-        want = self._poly(a) * self._poly(b) % Poly(FieldSpec(2), tail + [1])
-        assert _mulmod(FieldSpec(2), tail)(a, b) == sum(c.value << i
-                                                        for i, c in enumerate(want.coeffs))
 
     @pytest.mark.parametrize("tail, a, b, want", [
         ([1], 0b1011, 0b110, 0),           # x + 1 divides (x + 1)(x^2 + x)
@@ -658,18 +675,24 @@ class TestBlockTables:
         assert _digit_ops(a, 6) is not _digit_ops(a, 5)
 
     def test_gf3_vectors_add_without_digit_adds(self, monkeypatch, fresh_ops):
-        # Once the tables exist, span, spans, the image table and the coset
-        # walk's steps make no call to GF(3)'s own add.  The field's own
-        # products (the coset representatives) are not counted.
+        # Once the tables exist, span, spans, canonical rows, a rank, the
+        # image table with its rank check and the coset walk's steps make
+        # no call to GF(3)'s own add or sub.  The field's own products (the
+        # coset representatives) and the pivots' inverses are not counted.
         f3, gate, calls = FieldSpec(3), [False], []
-        add = f3._add
 
-        def counting(a, b):
-            if gate[0]:
-                calls.append((a, b))
-            return add(a, b)
+        def counting(name):
+            op = getattr(f3, name)
 
-        monkeypatch.setattr(f3, "_add", counting)
+            def counted(a, b):
+                if gate[0]:
+                    calls.append((name, a, b))
+                return op(a, b)
+
+            monkeypatch.setattr(f3, name, counted)
+
+        counting("_add")
+        counting("_sub")
         poly = parse_poly(f3, "x^6+x+2")
         field = f3.extend(poly)
         order = order_of_polynomial(poly)
@@ -689,6 +712,8 @@ class TestBlockTables:
         code = generate_orbit(u, p)
         gate[0] = True
         assert len(list(u.nonzero_vectors())) == 8
+        assert Subspace(Mat(f3, [[1, 0, 2, 0, 0, 2], [2, 0, 2, 0, 0, 2]])) == u
+        assert Mat(f3, p.rows).rank() == 6
         assert len(_image_table(Mat(f3, p.rows))) == 3 ** 6
         assert min_distance_brute(code) == 2
         _coset_walk(field)

@@ -20,6 +20,8 @@ from orbitcodes import (DomainError, FieldSpec, Mat, ParseError, Poly, Subspace,
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F4 = F2.extend(parse_poly(F2, "x^2+x+1"))
+F5, F101 = FieldSpec(5), FieldSpec(101)
+F9 = F3.extend(parse_poly(F3, "x^2+1"))
 
 
 def _order_by_multiplication(g: Mat) -> int:
@@ -179,9 +181,10 @@ def _index(field, digits):
 @st.composite
 def spanning_rows(draw):
     """(field, n, rows): digit rows over GF(2) up to n = 24 (past 16 bits),
-    GF(3) or F_4, often with a zero row or a repeated row appended."""
-    field = draw(st.sampled_from([F2, F3, F4]))
-    n = draw(st.integers(1, 24 if field is F2 else 8))
+    GF(3) up to n = 12 (three-block adds), F_4 up to n = 8, or GF(5), F_9 or
+    GF(101) up to n = 4, often with a zero row or a repeated row appended."""
+    field = draw(st.sampled_from([F2, F3, F4, F5, F9, F101]))
+    n = draw(st.integers(1, {F2: 24, F3: 12, F4: 8}.get(field, 4)))
     rows = draw(st.lists(st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n),
                          min_size=1, max_size=6))
     extra = draw(st.sampled_from(["none", "zero", "repeat"]))
@@ -194,7 +197,8 @@ def spanning_rows(draw):
 
 class TestCanonicalRowsOnIndices:
     """matspace._echelon reduces vector indices: over GF(2) by XOR on bits,
-    elsewhere digit by digit."""
+    elsewhere by _digit_ops' block-table (or, above the table budget,
+    digit-wise) add and scalar products on whole rows."""
 
     @settings(deadline=None, max_examples=200)
     @given(spanning_rows())

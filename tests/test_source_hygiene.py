@@ -1,0 +1,58 @@
+"""Source checks on src/orbitcodes, standard library only: line length, and
+no private top-level name left without a use."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "orbitcodes"
+MODULES = sorted(SRC.glob("*.py"))
+MAX_LINE = 100
+
+
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read in tree, as a bare name or an attribute, outside skip."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lines_fit(path):
+    long = [(i, len(line)) for i, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert long == [], f"{path.name}: (line, length) above {MAX_LINE}"
+
+
+def test_private_top_level_names_are_used():
+    """Every single-underscore name a module defines at top level is read
+    somewhere in the package outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            for defined in _top_level_names(node):
+                if not defined.startswith("_") or defined.startswith("__"):
+                    continue
+                if not any(defined in _uses(other, skip=node if other is tree else None)
+                           for other in trees.values()):
+                    unused.append(f"{name}: {defined}")
+    assert unused == []
