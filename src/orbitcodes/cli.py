@@ -20,8 +20,7 @@ import functools
 import os
 import stat
 import sys
-import tempfile
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from . import __version__
 from .errors import DomainError, ParseError
@@ -39,84 +38,6 @@ from .polyring import (Poly, companion_matrix, format_poly, is_irreducible,
 
 
 # -- report document ------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReportDocument:
-    """Typed, round-trippable serialization of an AnalysisReport."""
-
-    schema: int
-    tool: str
-    mode: str
-    q: int
-    base_modulus: str | None
-    poly: str
-    n: int
-    k: int
-    start: tuple[str, ...]
-    group_order: int
-    membership: tuple[int, ...]
-    orbit_exponents: tuple[tuple[int, ...], ...]
-    per_orbit_differences: tuple[tuple[tuple[int, int], ...], ...]
-    merged_differences: tuple[tuple[int, int], ...]
-    stabilizer_shifts: tuple[int, ...]
-    predicted_cardinality: int
-    intersection_dim: int
-    predicted_distance: int | None
-    all_orbits_distinct: bool
-    spread: bool
-    oracle_run: bool
-    verified_cardinality: int | None
-    verified_distance: int | None
-    verified_agrees: bool | None
-
-    @classmethod
-    def from_analysis(cls, report: AnalysisReport, poly: Poly, start: Subspace,
-                      base_modulus: Poly | None = None) -> "ReportDocument":
-        """Fields named as in AnalysisReport are copied; the rest are set here."""
-        derived = dict(
-            schema=1,
-            tool=f"orbitcodes {__version__}",
-            base_modulus=format_poly(base_modulus) if base_modulus else None,
-            poly=format_poly(poly),
-            start=tuple(format_matrix(start.mat).split("\n")),
-            per_orbit_differences=tuple(tuple(dm.items())
-                                        for dm in report.per_orbit_differences),
-            merged_differences=tuple(report.differences.items()),
-            oracle_run=report.verified,
-            verified_agrees=report.verification_ok,
-        )
-        shared = {f.name: getattr(report, f.name) for f in fields(cls)
-                  if f.name not in derived}
-        return cls(**shared, **derived)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        if not value:
-            return "-"
-        if isinstance(value[0], tuple):  # (residue, multiplicity) pairs
-            return ",".join(f"{a}:{m}" for a, m in value)
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
-def render_report(doc: ReportDocument) -> str:
-    lines = []
-    for f in fields(ReportDocument):
-        value = getattr(doc, f.name)
-        if f.name in ("orbit_exponents", "per_orbit_differences"):
-            for i, sub in enumerate(value):
-                lines.append(f"{f.name}.{i} = {_fmt(sub)}")
-        elif f.name == "start":
-            lines.append(f"start = {';'.join(value)}")
-        else:
-            lines.append(f"{f.name} = {_fmt(value)}")
-    return "\n".join(lines) + "\n"
-
 
 def _parse_opt_int(s):
     return None if s == "-" else int(s)
@@ -146,27 +67,96 @@ def _parse_pairs(s):
     return tuple(out)
 
 
-#: Value parser for each ReportDocument field type, keyed by annotation.  A
-#: type missing here is a tuple rendered one "name.i" line per entry, and
-#: each entry parses by the element type.
-_PARSERS = {
-    "int": int,
-    "str": str,
-    "str | None": lambda s: None if s == "-" else s,
-    "int | None": _parse_opt_int,
-    "bool": _parse_bool,
-    "bool | None": _parse_bool,
-    "tuple[str, ...]": lambda s: tuple(s.split(";")),
-    "tuple[int, ...]": _parse_int_tuple,
-    "tuple[tuple[int, int], ...]": _parse_pairs,
-}
+#: The fields of a ReportDocument in key order, each with the parser of its
+#: rendered value.  The _INDEXED fields are tuples rendered one "name.i"
+#: line per entry, and their parser reads one entry.
+_FIELDS = (
+    ("schema", int),
+    ("tool", str),
+    ("mode", str),
+    ("q", int),
+    ("base_modulus", lambda s: None if s == "-" else s),
+    ("poly", str),
+    ("n", int),
+    ("k", int),
+    ("start", lambda s: tuple(s.split(";"))),
+    ("group_order", int),
+    ("membership", _parse_int_tuple),
+    ("orbit_exponents", _parse_int_tuple),
+    ("per_orbit_differences", _parse_pairs),
+    ("merged_differences", _parse_pairs),
+    ("stabilizer_shifts", _parse_int_tuple),
+    ("predicted_cardinality", int),
+    ("intersection_dim", int),
+    ("predicted_distance", _parse_opt_int),
+    ("all_orbits_distinct", _parse_bool),
+    ("spread", _parse_bool),
+    ("oracle_run", _parse_bool),
+    ("verified_cardinality", _parse_opt_int),
+    ("verified_distance", _parse_opt_int),
+    ("verified_agrees", _parse_bool),
+)
+_INDEXED = ("orbit_exponents", "per_orbit_differences")
+
+
+class ReportDocument(namedtuple("ReportDocument", [name for name, _ in _FIELDS])):
+    """Round-trippable serialization of an AnalysisReport, an immutable
+    named tuple whose values are what _FIELDS' parsers return."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_analysis(cls, report: AnalysisReport, poly: Poly, start: Subspace,
+                      base_modulus: Poly | None = None) -> "ReportDocument":
+        """Fields named as in AnalysisReport are copied; the rest are set here."""
+        derived = dict(
+            schema=1,
+            tool=f"orbitcodes {__version__}",
+            base_modulus=format_poly(base_modulus) if base_modulus else None,
+            poly=format_poly(poly),
+            start=tuple(format_matrix(start.mat).split("\n")),
+            per_orbit_differences=tuple(tuple(dm.items())
+                                        for dm in report.per_orbit_differences),
+            merged_differences=tuple(report.differences.items()),
+            oracle_run=report.verified,
+            verified_agrees=report.verification_ok,
+        )
+        shared = {name: getattr(report, name) for name, _ in _FIELDS
+                  if name not in derived}
+        return cls(**shared, **derived)
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        if not value:
+            return "-"
+        if isinstance(value[0], tuple):  # (residue, multiplicity) pairs
+            return ",".join(f"{a}:{m}" for a, m in value)
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def render_report(doc: ReportDocument) -> str:
+    lines = []
+    for (name, _), value in zip(_FIELDS, doc):
+        if name in _INDEXED:
+            for i, sub in enumerate(value):
+                lines.append(f"{name}.{i} = {_fmt(sub)}")
+        elif name == "start":
+            lines.append(f"start = {';'.join(value)}")
+        else:
+            lines.append(f"{name} = {_fmt(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str) -> ReportDocument:
     """Inverse of render_report."""
     raw: dict[str, str] = {}
-    indexed: dict[str, list[tuple[str, str]]] = {
-        f.name: [] for f in fields(ReportDocument) if f.type not in _PARSERS}
+    indexed: dict[str, list[tuple[str, str]]] = {name: [] for name in _INDEXED}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -178,22 +168,21 @@ def parse_report(text: str) -> ReportDocument:
             indexed[base].append((idx, value))
         else:
             raw[key] = value
-    values = {}
-    for f in fields(ReportDocument):
-        if f.name not in indexed and f.name not in raw:
-            raise ParseError(f"report is missing key {f.name!r}")
+    values = []
+    for name, parse in _FIELDS:
+        if name not in indexed and name not in raw:
+            raise ParseError(f"report is missing key {name!r}")
         try:
-            if f.name in indexed:
-                parse = _PARSERS[f.type.removeprefix("tuple[").removesuffix(", ...]")]
-                entries = sorted((int(i), v) for i, v in indexed[f.name])
-                values[f.name] = tuple(parse(v) for _, v in entries)
+            if name in indexed:
+                entries = sorted((int(i), v) for i, v in indexed[name])
+                values.append(tuple(parse(v) for _, v in entries))
             else:
-                values[f.name] = _PARSERS[f.type](raw[f.name])
+                values.append(parse(raw[name]))
         except ParseError:
             raise
         except ValueError:
-            raise ParseError(f"report key {f.name!r} has a malformed value") from None
-    return ReportDocument(**values)
+            raise ParseError(f"report key {name!r} has a malformed value") from None
+    return ReportDocument(*values)
 
 
 # -- shared option handling ------------------------------------------------
@@ -273,6 +262,8 @@ def _write_file(path: str, text: str) -> None:
                     handle.write(text)
                 return
             mode = stat.S_IMODE(st.st_mode)
+        import tempfile
+
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".orbitcodes-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as handle:

@@ -22,7 +22,7 @@ gamma and representatives views and in phi, phi_inv, dlog and locate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .gfq import FieldElement, FieldSpec, _coset_walk
@@ -30,18 +30,23 @@ from .matspace import Subspace, vector_from_index
 from .polyring import Poly
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
-    """Sorted dlogs of the q^k - 1 nonzero vectors of a k-dim subspace."""
+class ExponentProfile(namedtuple("ExponentProfile", "dim exponents")):
+    """Sorted dlogs (a tuple of ints) of the q^k - 1 nonzero vectors of a
+    k-dim subspace."""
 
-    dim: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.exponents)) != len(self.exponents):
+    def __new__(cls, dim: int, exponents: tuple[int, ...]):
+        if len(set(exponents)) != len(exponents):
             raise DomainError("exponent profile has repeated exponents")
-        if tuple(sorted(self.exponents)) != self.exponents:
+        if tuple(sorted(exponents)) != exponents:
             raise DomainError("exponent profile must be sorted")
+        return super().__new__(cls, dim, exponents)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Checked like a direct construction; _replace builds through it."""
+        return cls(*iterable)
 
 
 class OrbitPartition:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from math import lcm
@@ -196,9 +195,9 @@ def _echelon(field: FieldSpec, n: int, rows: Iterable[int]) -> tuple[int, ...]:
     in pivot order.  A row's pivot is its lowest nonzero digit, column j
     being digit j.  Each row is cleared of the pivots so far, and its own
     pivot is then cleared from the rows before it.  Over GF(2) digit j is
-    bit j and clearing is XOR.  Over any other field clearing subtracts a
-    scalar multiple of a whole row through _digit_ops, and each new pivot
-    is normalized to 1 by _pow."""
+    bit j and clearing is XOR.  Over any other field clearing a digit c adds
+    -c times a whole row through _digit_ops, and each new pivot is
+    normalized to 1 by _pow."""
     if _packed(field):
         basis: list[int] = []
         for r in rows:
@@ -214,13 +213,14 @@ def _echelon(field: FieldSpec, n: int, rows: Iterable[int]) -> tuple[int, ...]:
         basis.sort(key=_lowest_bit)
         return tuple(basis)
     Q = field.order
-    _, minus, _, _, times = _digit_ops(field, n)
+    add, _, _, _, times = _digit_ops(field, n)
+    neg = field._neg
     pivots: list[tuple[int, int]] = []  # (Q^j for pivot column j, row)
     for r in rows:
         for w, b in pivots:
             c = r // w % Q
             if c:
-                r = minus(r, times(c, b))
+                r = add(r, times(neg(c), b))
         if r:
             w = 1
             while not r // w % Q:
@@ -229,7 +229,7 @@ def _echelon(field: FieldSpec, n: int, rows: Iterable[int]) -> tuple[int, ...]:
             for j, (v, b) in enumerate(pivots):
                 c = b // w % Q
                 if c:
-                    pivots[j] = v, minus(b, times(c, r))
+                    pivots[j] = v, add(b, times(neg(c), r))
             pivots.append((w, r))
     pivots.sort()
     return tuple(r for _, r in pivots)
@@ -532,8 +532,9 @@ def grassmannian(field: FieldSpec, k: int, n: int) -> Iterator[Subspace]:
             yield Subspace(Mat(field, rows))
 
 
-def random_invertible(field: FieldSpec, n: int, rng: random.Random) -> Mat:
-    """Uniform-ish invertible matrix by rejection sampling."""
+def random_invertible(field: FieldSpec, n: int, rng) -> Mat:
+    """Uniform-ish invertible matrix by rejection sampling, drawing entries
+    from rng, a random.Random."""
     while True:
         m = Mat(field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)])
         if m.rank() == n:

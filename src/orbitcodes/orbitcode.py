@@ -45,11 +45,9 @@ oracle's budget from its header alone.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
 from .errors import DomainError, ParseError
@@ -312,27 +310,26 @@ class DifferenceMultiset:
         return f"DifferenceMultiset(mod {self.modulus}: {inner})"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Predicted (and optionally oracle-verified) orbit code parameters."""
+class AnalysisReport(namedtuple("AnalysisReport", [
+        "mode",                   # "primitive" | "nonprimitive"
+        "q", "n", "k",
+        "group_order",            # ord(P), the orbit length before dedup
+        "membership",             # tuple[int, ...]: subspace vectors per orbit
+        "orbit_exponents",        # tuple[tuple[int, ...], ...]
+        "per_orbit_differences",  # tuple[DifferenceMultiset, ...]
+        "differences",            # DifferenceMultiset: the merged multiset D
+        "stabilizer_shifts",      # tuple[int, ...]: full-multiplicity residues
+        "predicted_cardinality",
+        "intersection_dim",       # d_max = log_q(max m(a) + 1)
+        "predicted_distance",     # int | None: None for a single-codeword orbit
+        "all_orbits_distinct", "spread",
+        "verified_cardinality",   # int | None: set by verify_report
+        "verified_distance",      # int | None
+        ], defaults=(None, None))):
+    """Predicted (and optionally oracle-verified) orbit code parameters:
+    an immutable named tuple, so _replace makes a modified copy."""
 
-    mode: str                   # "primitive" | "nonprimitive"
-    q: int
-    n: int
-    k: int
-    group_order: int            # ord(P), the orbit length before dedup
-    membership: tuple[int, ...]             # subspace vectors per orbit
-    orbit_exponents: tuple[tuple[int, ...], ...]
-    per_orbit_differences: tuple[DifferenceMultiset, ...]
-    differences: DifferenceMultiset          # merged multiset D
-    stabilizer_shifts: tuple[int, ...]       # full-multiplicity residues
-    predicted_cardinality: int
-    intersection_dim: int                    # d_max = log_q(max m(a) + 1)
-    predicted_distance: int | None           # None for a single-codeword orbit
-    all_orbits_distinct: bool
-    spread: bool
-    verified_cardinality: int | None = None
-    verified_distance: int | None = None
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:
@@ -420,8 +417,7 @@ def analyze(u: Subspace, ctx: ExtensionContext, verify: bool = False) -> Analysi
 def verify_report(report: AnalysisReport, code: OrbitCode) -> AnalysisReport:
     """Attach brute-force oracle results for the generated orbit to a report."""
     vd = min_distance_brute(code) if len(code) > 1 else None
-    return dataclasses.replace(report, verified_cardinality=len(code),
-                               verified_distance=vd)
+    return report._replace(verified_cardinality=len(code), verified_distance=vd)
 
 
 def conjugate_code(u: Subspace, g: Mat, s: Mat) -> tuple[Subspace, Mat]:

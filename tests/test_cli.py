@@ -238,6 +238,8 @@ class TestAnalyze:
         assert doc.predicted_distance == 4
         assert doc.spread is True
         assert doc.verified_agrees is True
+        assert render_report(doc) == out
+        assert parse_report(render_report(doc)) == doc
 
     def test_report_round_trip(self, capsys):
         _, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^6+x+1",
@@ -246,6 +248,8 @@ class TestAnalyze:
         assert isinstance(doc, ReportDocument)
         assert render_report(doc) == out
         assert parse_report(render_report(doc)) == doc
+        with pytest.raises(AttributeError):
+            doc.predicted_cardinality = 1
 
     def test_start_file(self, capsys, tmp_path):
         start = tmp_path / "start.mat"
@@ -522,8 +526,6 @@ class TestClosedPipe:
 
 class TestVerificationExitCode:
     def test_disagreeing_report_maps_to_exit_4(self, capsys):
-        import dataclasses
-
         from orbitcodes import ExtensionContext, Subspace, parse_matrix, parse_poly, predict_primitive
         from orbitcodes.cli import _print_verification
 
@@ -533,7 +535,7 @@ class TestVerificationExitCode:
         u = Subspace(parse_matrix(f2, "100000"))
         good = predict_primitive(u, ctx, verify=True)
         assert _print_verification(good) == 0
-        bad = dataclasses.replace(good, verified_cardinality=7)
+        bad = good._replace(verified_cardinality=7)
         assert _print_verification(bad) == 4
         out = capsys.readouterr().out
         assert "verified_agrees = false" in out

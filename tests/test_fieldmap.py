@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import orbitcodes.polyring
 from orbitcodes.gfq import _digits, _prime_factors
-from orbitcodes import (DomainError, ExtensionContext, FieldElement, FieldSpec,
-                        Mat, Poly, Subspace, analyze, build_spread_start,
+from orbitcodes import (DomainError, ExponentProfile, ExtensionContext, FieldElement,
+                        FieldSpec, Mat, Poly, Subspace, analyze, build_spread_start,
                         companion_matrix, is_irreducible, list_irreducibles,
                         order_of_polynomial, parse_matrix, parse_poly,
                         row_times_mat, vector_from_index)
@@ -197,6 +197,22 @@ class TestExponentProfile:
         prof = ctx64.exponent_profile(u)
         assert len(prof.exponents) == 2 ** u.dim - 1
         assert len(set(prof.exponents)) == len(prof.exponents)
+
+    @pytest.mark.parametrize("exponents,message", [
+        ((21, 0), "must be sorted"),
+        ((0, 21, 21), "repeated"),
+    ], ids=["unsorted", "repeated"])
+    def test_refuses_unsorted_or_repeated_exponents(self, exponents, message):
+        with pytest.raises(DomainError, match=message):
+            ExponentProfile(2, exponents)
+        with pytest.raises(DomainError, match=message):
+            ExponentProfile(2, (0, 21, 42))._replace(exponents=exponents)
+
+    def test_fields_are_read_only(self):
+        profile = ExponentProfile(2, (0, 21, 42))
+        assert profile == ExponentProfile(2, (0, 21, 42))
+        with pytest.raises(AttributeError):
+            profile.exponents = (0,)
 
     def test_nonprimitive_rejected(self, ctx16_nonprim, f2):
         u = Subspace(parse_matrix(f2, "1000"))

@@ -354,6 +354,27 @@ class TestPredictPrimitive:
             predict_primitive(Subspace(parse_matrix(f2, "100000\n010000")), ctx64)
 
 
+class TestAnalysisReport:
+    def test_equal_fields_compare_equal(self, spread2, ctx64):
+        a, b = analyze(spread2, ctx64), analyze(spread2, ctx64)
+        assert a is not b and a == b
+        assert a._replace(verified_cardinality=21) != a
+
+    def test_fields_are_read_only(self, spread2, ctx64):
+        report = analyze(spread2, ctx64)
+        with pytest.raises(AttributeError):
+            report.predicted_cardinality = 1
+        with pytest.raises(AttributeError):
+            report.note = "no such field"
+
+    def test_replace_keeps_the_properties(self, spread2, ctx64):
+        report = analyze(spread2, ctx64)
+        assert report.verified is False and report.verification_ok is None
+        verified = report._replace(verified_cardinality=21, verified_distance=4)
+        assert verified.verified and verified.verification_ok
+        assert not verified._replace(verified_distance=2).verification_ok
+
+
 class TestAnalyzeNonprimitive:
     def test_worked_example(self, example_u16, ctx16_nonprim):
         report = analyze_nonprimitive(example_u16, ctx16_nonprim, verify=True)
