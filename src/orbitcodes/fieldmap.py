@@ -8,9 +8,13 @@ itself when p is primitive), the exponent profile of a subspace (the dlogs
 of its nonzero vectors), and the partition of the nonzero field elements
 into orbits of multiplication by alpha.
 
-Both rest on the walk's dense int array, indexed by element index: with
-e = ord(alpha), the c = (q^n - 1)/e orbits are the cosets gamma^i<alpha>,
+Both rest on the walk's int array, indexed by element index: with e =
+ord(alpha), the c = (q^n - 1)/e orbits are the cosets gamma^i<alpha>,
 i in [0, c), and the array holds i + c*b for the element gamma^i * alpha^b.
+The build fills it at the walk's landmarks only, every floor(e^(1/4))-th
+element of each coset; an entry still -1 is filled on its first read by
+the walk's place, which alpha-steps to the next filled entry and fills the
+path, so a context computes the logs its lookups read and few others.
 
 The predictor's data is one partition read, orbit_partition(u): a
 subspace vector's index is already its element index (phi is a change of
@@ -83,7 +87,7 @@ class ExtensionContext:
     """Precomputed view of F_{q^n} = F_q[x]/(p) for one irreducible p."""
 
     __slots__ = ("field", "base", "n", "q", "modulus", "alpha", "order",
-                 "primitive", "gamma", "_coords", "_reps", "_cosets", "_unit")
+                 "primitive", "gamma", "_coords", "_fill", "_reps", "_cosets", "_unit")
 
     def __init__(self, field: FieldSpec):
         if field.level == 0:
@@ -93,7 +97,7 @@ class ExtensionContext:
             raise DomainError("modulus must have a nonzero constant term")
         self.field, self.base, self.modulus = field, field.subfield, modulus
         self.n, self.q = field.degree, field.subfield.order
-        self._coords, reps, alpha, self._unit = _coset_walk(field)
+        self._coords, reps, alpha, self._unit, self._fill = _coset_walk(field)
         self._cosets = c = len(reps) - 1
         self.order = (field.order - 1) // c
         self.primitive = c == 1
@@ -148,16 +152,21 @@ class ExtensionContext:
             raise DomainError("subspace does not live in this context's vector space")
         if u.dim == 0:
             raise DomainError("the zero subspace has no exponent data")
-        c, coords = self._cosets, self._coords
+        c, coords, fill = self._cosets, self._coords, self._fill
         exps: list[list[int]] = [[] for _ in reps]
         for x in u.nonzero_vectors():
-            exps[coords[x] % c].append(coords[x] // c)
+            a = coords[x]
+            if a < 0:
+                a = fill(x)
+            exps[a % c].append(a // c)
         return OrbitPartition(self.order, reps, tuple(map(len, exps)),
                               tuple(tuple(sorted(b)) for b in exps), self)
 
     def _place(self, x: int) -> tuple[int, int]:
         """(orbit, alpha-steps from its representative) of nonzero index x."""
         a = self._coords[x]
+        if a < 0:
+            a = self._fill(x)
         return a % self._cosets, a // self._cosets
 
     def _log(self, x: int) -> int:

@@ -31,10 +31,14 @@ schoolbook product for two reads of a log and an antilog table the first
 time it is the coefficient field of a product modulo a polynomial
 (_mulmod: Poly powers, irreducibility proofs and the irreducible-list
 sieve over it, and the product of the next tower level).  The logs are an
-ExtensionContext's, read off the one coset walk, _coset_walk.  The tables
-are a once-only cache outside the field's identity.  Two threads that
-race on it build identical arrays and either assignment is correct, so
-all values are immutable in effect and safe to share between threads.
+ExtensionContext's, read off the one coset walk, _coset_walk, filled
+whole.  An ExtensionContext keeps the walk's landmarks, one element in
+about e^(1/4) of each coset, e = ord(alpha), and fills the other logs as
+its lookups reach them.  The tables are a once-only cache outside the
+field's identity.  Two threads that race on it build identical arrays and
+either assignment is correct, and two that race on a context's log array
+fill an entry with the same value, so all values are immutable in effect
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import functools
 from array import array
 from collections.abc import Iterator, Sequence
-from math import gcd
+from math import gcd, isqrt
 from operator import and_, pos, xor
 
 from .errors import DomainError
@@ -51,17 +55,19 @@ from .errors import DomainError
 #: F_q^n whose image table generate_orbit fills (4 bytes an entry, as in an
 #: extension context's dlog array).  Single runs over GF(2) at 2^20
 #: (x^20+x^3+1) and at the cap 2^24 (x^24+x^7+x^2+x+1), Python 3.11.7, 2 vCPU
-#: Xeon, interpreter alone 13 MB: ExtensionContext 0.40-0.46 s at 18 MB max RSS
-#: and 7.8-8.1 s at 78 MB; the companion matrix's image table 0.13 s at 21 MB
-#: and 2.1 s at 111 MB.
+#: Xeon, interpreter alone 13 MB: ExtensionContext (landmarks only) 15-21 ms
+#: at 18 MB max RSS and 0.14-0.21 s at 78 MB; the companion matrix's image
+#: table 0.13 s at 21 MB and 2.1 s at 111 MB.
 #: The table is kept with its matrix for as long as the matrix lives: 4 bytes
 #: times q^n, 64 MB at the cap.  Keeping it moved max RSS (single runs, same
 #: host) of `spread --verify` (k = 2, 1, 2) at n = 18, 19, 20 from 83.3, 219.9
 #: and 72.8 MB to 83.8, 222.0 and 72.8 MB, and of `analyze --verify` on the
 #: start e1 from 118.0, 219.8 and 124.1 MB to 119.1, 221.9 and 124.5 MB.
 #: The largest coefficient field given log/antilog tables has Q = 2^12 (Q^2 at
-#: the cap): 321 KiB of lists, read off the coset walk in 2.1-2.6 ms under
-#: x^12+x^6+x^4+x+1 and 3.1-3.5 ms under x^12+x^3+1 (best of five, same host).
+#: the cap): 321 KiB of lists, read off the coset walk in 1.35 ms under
+#: x^12+x^6+x^4+x+1, 1.39 ms under x^12+x^3+1 and 1.58 ms under the c = 315
+#: modulus x^12+x^11+...+x+1 (medians of twelve processes, best of five each,
+#: same host; single processes read up to 2.9 ms while the host was busy).
 DESK_SCALE_CAP = 1 << 24
 
 
@@ -167,35 +173,51 @@ def _packed(sub: "FieldSpec") -> bool:
     return sub.level == 0 and sub.p == 2
 
 
-def _coset_walk(field: "FieldSpec"):
-    """Walk the nonzero elements of the extension field F[x]/(m), m(0) != 0,
-    coset by coset: (coords, reps, alpha, unit), all on indices.
+def _coset_walk(field: "FieldSpec", dense: bool = False):
+    """Discrete logs in the extension field F[x]/(m), m(0) != 0, coset by
+    coset, on indices: (coords, reps, alpha, unit, place).
 
     alpha is the residue class of x, of order e read off m by polyring._order
     (trusting FieldSpec.extend's irreducibility proof).  The c = (|F| - 1)/e
     cosets gamma^i<alpha>, i in [0, c), have reps gamma^0, ..., gamma^c, for
     gamma = alpha when e = |F| - 1, else the first element in enumeration
-    order of order |F| - 1.  coords holds i + c*b at gamma^i * alpha^b, filled
-    by alpha-steps from each representative: a step shifts the digits up one
-    place and adds shift[h] = -h * (m_0, ..., m_{n-1}), h the digit shifted
-    out, tabulated once per walk, so it makes no product in F.  In
-    characteristic 2 a step is x * q XOR a vector that also clears h from
-    place n; otherwise it is a divmod by q^(n-1) and one add of the
-    field's own, _digit_ops' block-table add.
+    order of order |F| - 1.  coords holds i + c*b at gamma^i * alpha^b, or
+    -1 while that is unknown.
 
-    Coset 0, <alpha>, is walked first, and gamma is searched on its
-    coordinates: g has order |F| - 1 exactly when g^(c/l) lies outside
-    <alpha> for every prime l | c (g has order c modulo <alpha>) and
-    g^c = alpha^b with gcd(b, e) = 1 (g^c has order e).  With gamma^c =
-    alpha^s and unit = s^-1 mod e, alpha = gamma^(c * unit), so
-    gamma^i * alpha^b = gamma^j for j = i + c * (b * unit mod e).
+    An alpha-step shifts the digits up one place and adds shift[h] = -h *
+    (m_0, ..., m_{n-1}), h the digit shifted out, tabulated once per walk,
+    so it makes no product in F.  In characteristic 2 a step is x * q XOR a
+    vector that also clears h from place n; otherwise it is a divmod by
+    q^(n-1) and one add of the field's own, _digit_ops' block-table add.
+    The product by a fixed y is linear over the subfield: a read in each of
+    two block image tables of y's shifted rows y, x y, ..., x^(n-1) y
+    (matspace._spanner's span) and one add.
+
+    The walk fills the landmarks gamma^i * alpha^b, b a multiple of the
+    stride floor(e^(1/4)) (1 when dense), each the one before times
+    alpha^stride: Shanks' giant steps.  place(x) returns coords[x]; on a
+    miss it alpha-steps from x to the first filled entry, fewer than stride
+    steps on, fills the path and returns the entry, and raises RuntimeError
+    when there is none.
+
+    Coset 0, <alpha>, is filled first, in runs that stop at alpha^(e/l)
+    for each prime l | e and at alpha^e, which prove ord(alpha) = e.  gamma
+    is searched on it, x lying in <alpha> when a lookup from x meets a
+    filled entry: g has order |F| - 1 exactly when g^(c/l) lies outside
+    <alpha> for every prime l | c (g has order c modulo <alpha>) and g^c =
+    alpha^b with gcd(b, e) = 1 (g^c has order e).  Each representative is
+    the one before times gamma.  With gamma^c = alpha^s and unit = s^-1 mod
+    e, alpha = gamma^(c * unit), so gamma^i * alpha^b = gamma^j for j = i +
+    c * (b * unit mod e).
     """
     from . import polyring
+    from .matspace import _spanner
 
     sub, modulus = field.subfield, field.modulus
     q, n, big = sub.order, field.degree, field.order - 1
     e = polyring._order(modulus)
     c = big // e
+    stride = 1 if dense else isqrt(isqrt(e))
     tail = [m.value for m in modulus.coeffs[:-1]]
     # alpha has digits (0, 1); x = -m_0 when n = 1.
     alpha = sub._neg(tail[0]) if n == 1 else q
@@ -203,63 +225,107 @@ def _coset_walk(field: "FieldSpec"):
     coords = array("i", [-1]) * field.order
 
     # shift[h] is the index of -h * (m_0, ..., m_{n-1}).
-    neg, mul = sub._neg, sub._mul
+    neg, mul, add = sub._neg, sub._mul, field._add
     shift = [field._join([neg(mul(h, m)) for m in tail]) for h in range(q)]
     if sub.p == 2:
         # x * q carries the digit h = x // top to place n; one XOR adds
         # shift[h] and clears it.
         carry = [s ^ h * top * q for h, s in enumerate(shift)]
 
-        def walk(x, i):
-            for a in range(i, big, c):
-                coords[x] = a
-                x = x * q ^ carry[x // top]
-            return x
+        def step(x):
+            return x * q ^ carry[x // top]
     else:
-        add = field._add
+        def step(x):
+            h, x = divmod(x, top)
+            return add(x * q, shift[h])
 
-        def walk(x, i):
-            for a in range(i, big, c):
-                coords[x] = a
-                h, x = divmod(x, top)
-                x = add(x * q, shift[h])
-            return x
+    span, _ = _spanner(sub, n)
+    size = q ** (n // 2)
 
-    if walk(1, 0) != 1:
+    def times(y):
+        rows = [y]
+        for _ in range(n - 1):
+            rows.append(step(rows[-1]))
+        low, high = span(rows[:n // 2]), span(rows[n // 2:])
+        return lambda x: add(low[x % size], high[x // size])
+
+    def chain(x, start, stop):
+        """Write start, start + c * stride, ... below stop at x and its
+        successive products by alpha^stride; return the next product."""
+        for a in range(start, stop, c * stride):
+            coords[x] = a
+            x = jump(x)
+        return x
+
+    def seek(x):
+        """coords[x], filled on a miss; -1 when none of x and its next
+        stride - 1 alpha-steps is filled."""
+        path = []
+        for _ in range(stride):
+            a = coords[x]
+            if a >= 0:
+                for y in reversed(path):
+                    a = (a - c) % big  # one alpha-step back
+                    coords[y] = a
+                return a
+            path.append(x)
+            x = step(x)
+        return -1
+
+    def place(x):
+        a = seek(x)
+        if a < 0:
+            raise RuntimeError("gamma does not generate the nonzero elements")
+        return a
+
+    leap = 1
+    for _ in range(stride):
+        leap = step(leap)  # alpha^stride
+    jump = step if stride == 1 else times(leap)
+    # Coset 0 in runs of landmarks, each stopping at alpha^j for the next
+    # exponent j of the order check, which is j mod stride steps on.
+    x, b, powers = 1, 0, {}
+    for j in sorted(e // ell for ell in _prime_factors(e)) + [e]:
+        x = chain(x, c * b, c * (j - j % stride))
+        b, y = j - j % stride, x
+        for _ in range(j % stride):
+            y = step(y)
+        powers[j] = y
+    chain(x, c * b, big)
+    if powers.pop(e) != 1:
         raise RuntimeError(f"alpha does not have order {e}")
+    if 1 in powers.values():
+        raise RuntimeError("gamma does not generate the nonzero elements")
     if c == 1:
         gamma = alpha
     else:
         power, primes = field._pow, _prime_factors(c)
         gamma = next(g for g in range(1, field.order)
-                     if coords[g] < 0
-                     and all(coords[power(g, c // ell)] < 0 for ell in primes)
-                     and gcd(coords[power(g, c)] // c, e) == 1)
-    reps = [1]
-    for _ in range(c):
-        reps.append(field._mul(reps[-1], gamma))
-    for i in range(1, c):
-        if walk(reps[i], i) != reps[i]:
-            raise RuntimeError(f"alpha does not have order {e}")
-    if coords.count(-1) != 1:
-        raise RuntimeError("gamma does not generate the nonzero elements")
-    s, i = divmod(coords[reps[c]], c)
+                     if seek(g) < 0
+                     and all(seek(power(g, c // ell)) < 0 for ell in primes)
+                     and gcd(seek(power(g, c)) // c, e) == 1)
+    reps = [1, gamma]
+    if c > 1:
+        by_gamma = times(gamma)
+        for i in range(1, c):
+            chain(reps[i], i, big)
+            reps.append(by_gamma(reps[i]))
+    s, i = divmod(place(reps[c]), c)
     if i or gcd(s, e) != 1:
         raise RuntimeError(f"alpha does not have order {e}")
-    return coords, reps, alpha, pow(s, -1, e)
+    return coords, reps, alpha, pow(s, -1, e), place
 
 
 def _tabulate(field: "FieldSpec") -> None:
     """Make field._mul two table reads, exp[log[a] + log[b]], with logs to
     _coset_walk's gamma (an ExtensionContext's dlog), read off its coset
-    coordinates.  Called once, by _mulmod, when m(0) != 0."""
-    coords, reps, _, unit = _coset_walk(field)
+    coordinates, every one filled.  Called once, by _mulmod, when m(0) != 0."""
+    coords, reps, _, unit, _ = _coset_walk(field, dense=True)
     big, c = field.order - 1, len(reps) - 1
     e = big // c
-    exp, log = [0] * big, [0] * field.order
-    for x in range(1, field.order):
-        b, i = divmod(coords[x], c)
-        log[x] = j = i + c * (b * unit % e)
+    log = [0] + [a % c + c * (a // c * unit % e) for a in coords[1:]]
+    exp = [0] * big
+    for x, j in enumerate(log):  # x = 1 overwrites x = 0 at exp[0]
         exp[j] = x
     exp += exp  # log[a] + log[b] < 2 * big needs no reduction
     field._exp = exp

@@ -11,7 +11,8 @@ Modular powers, the order of a polynomial, the irreducibility proof and the
 list of irreducibles make their products in one kernel, gfq._mulmod, on
 the mixed-radix indices of coefficient vectors.  A proof is Rabin's test
 along one Frobenius chain x, x^Q, x^(Q^2), ... mod f: n Q-th powers for
-degree n, with a gcd on Poly for each prime dividing n.
+degree n, and one gcd, of f and the product of the chain's h - x for the
+primes dividing n, by Euclid on lists of coefficients.
 list_irreducibles is a sieve: it marks every product of a smaller
 irreducible and a cofactor, so it runs no proof at all.
 
@@ -171,9 +172,28 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor."""
     if f.field != g.field:
         raise DomainError("polynomials over different fields")
-    while not g.is_zero:
-        f, g = g, f % g
-    return f if f.is_zero else f.monic()
+    d = Poly(f.field, _euclid(f.coeffs, g.coeffs))
+    return d if d.is_zero else d.monic()
+
+
+def _euclid(a, b) -> list:
+    """A greatest common divisor, up to a unit, of the polynomials with
+    coefficient lists a and b (FieldElements, lowest degree first, no
+    trailing zeros): Euclid's algorithm on lists, keeping remainders only."""
+    while b:
+        d, inv = len(b) - 1, b[-1].inv()
+        a = list(a)
+        for i in range(len(a) - 1, d - 1, -1):
+            c = a[i]
+            if c:
+                c = c * inv
+                for j in range(d):
+                    a[i - d + j] = a[i - d + j] - c * b[j]
+        del a[d:]  # the cleared top
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return list(a)
 
 
 def poly_powmod(f: Poly, e: int, m: Poly) -> Poly:
@@ -211,10 +231,12 @@ def is_irreducible(f: Poly) -> bool:
 
     With Q the coefficient field order and g = f made monic, of degree n,
     the chain h_0 = x, h_j = h_{j-1}^Q mod g (so h_j = x^(Q^j) mod g) runs
-    for j = 1..n and keeps h_(n/t) for every prime t dividing n.  f is
-    irreducible exactly when h_n = x and gcd(g, h_(n/t) - x) = 1 for each
-    such t.  The chain costs n Q-th powers in gfq._mulmod; the gcds run on
-    Poly.
+    for j = 1..n.  f is irreducible exactly when h_n = x and gcd(g, h_(n/t)
+    - x) = 1 for every prime t dividing n, that is when g is prime to the
+    product of the h_(n/t) - x, taken mod g along the chain.  The chain
+    and the product (one factor when n is a prime power) cost n Q-th powers
+    and one product per further prime in gfq._mulmod; the one gcd is
+    _euclid's, on the FieldElement coefficients.
     """
     if f.degree < 1:
         raise DomainError("irreducibility is undefined for constant polynomials")
@@ -223,16 +245,19 @@ def is_irreducible(f: Poly) -> bool:
         return True
     g, field, Q = f.monic(), f.field, f.field.order
     mulmod = _mulmod(field, [c.value for c in g.coeffs[:-1]])
-    kept = dict.fromkeys(n // t for t in _prime_factors(n))
+    stops = {n // t for t in _prime_factors(n)}
     h = x = Q  # the index of x, reduced since n >= 2
+    product = None
     for j in range(1, n + 1):
         h = _power(mulmod, h, Q)
-        if j in kept:
-            kept[j] = h
+        if j in stops:
+            digit = h // Q % Q  # h - x lowers the coefficient of x by one
+            factor = h + Q * (field._sub(digit, 1) - digit)
+            product = factor if product is None else mulmod(product, factor)
     if h != x:
         return False
-    return all(poly_gcd(g, Poly(field, _digits(h, Q, 0)) - Poly.x(field)).degree == 0
-               for h in kept.values())
+    rest = [field.from_index(c) for c in _digits(product, Q, 0)]
+    return len(_euclid(g.coeffs, rest)) == 1
 
 
 def order_of_polynomial(f: Poly) -> int:

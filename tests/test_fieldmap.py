@@ -359,6 +359,44 @@ class TestTableFill:
         assert power == ctx.field.one()
 
 
+class TestLazyFill:
+    """The build fills the dlog array at its landmarks only; a lookup fills
+    the entries it walks past, with the values a dense walk gives."""
+
+    def test_a_k2_analysis_at_n16_fills_a_small_part(self):
+        ctx = ExtensionContext.from_modulus(parse_poly(F2, "x^16+x^5+x^3+x^2+1"))
+        u = Subspace(parse_matrix(F2, "1011000000000001\n0100100000010000"))
+        analyze(u, ctx)
+        filled = len(ctx._coords) - ctx._coords.count(-1)
+        assert 0 < filled < 2 ** 16 // 10
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from([parse_poly(F2, "x^12+x^11+x^2+x+1"),
+                            parse_poly(F2, "x^10+x^3+1"), parse_poly(F3, "x^5+2*x+1"),
+                            parse_poly(F4, "x^4+x^2+[2]*x+[3]")]),
+           st.integers(0, 2 ** 32))
+    def test_fill_order_leaves_the_same_array(self, modulus, seed):
+        rng = random.Random(seed)
+        one, two = (ExtensionContext.from_modulus(modulus) for _ in range(2))
+        elements = list(range(1, one.field.order))
+        rng.shuffle(elements)
+        for x in elements[:len(elements) // 3]:
+            one._place(x)
+        assert all(a < 0 or b < 0 or a == b for a, b in zip(one._coords, two._coords))
+        for ctx in (one, two):
+            rng.shuffle(elements)
+            for x in elements:
+                ctx._place(x)
+        assert one._coords == two._coords and one._coords.count(-1) == 1
+
+    def test_gamma_powers_at_n20(self):
+        ctx = ExtensionContext.from_modulus(parse_poly(F2, "x^20+x^3+1"))
+        rng = random.Random(20)
+        for _ in range(50):
+            x = ctx.field.from_index(rng.randrange(1, ctx.field.order))
+            assert ctx.gamma ** ctx.dlog(x) == x
+
+
 class TestDiagram:
     @pytest.mark.parametrize("base,text", [(F2, "x^6+x+1"), (F3, "x^3+2*x+1")])
     def test_phi_intertwines_companion_and_alpha(self, base, text):

@@ -299,7 +299,7 @@ def _reference_walk(field):
 
 
 #: (p, base modulus or None, modulus): primitive and non-primitive moduli
-#: over GF(2), GF(3), GF(5) and F_4, and degree one over each.
+#: over GF(2), GF(3), GF(5) and F_4, degree one over each, and n = 16.
 WALK_MODULI = [
     (2, None, "x^6+x+1"), (2, None, "x^4+x^3+x^2+x+1"),  # c = 1, c = 3
     (2, None, "x^12+x^11+x^2+x+1"),  # c = 3
@@ -308,6 +308,7 @@ WALK_MODULI = [
     (3, None, "x+1"), (5, None, "x^2+x+2"), (5, None, "x^2+2"), (5, None, "x+1"),
     (5, None, "x+3"), (2, "x^2+x+1", "x^3+[2]"), (2, "x^2+x+1", "x^3+[2]*x+[1]"),
     (2, "x^2+x+1", "x^4+x^2+[2]*x+[3]"), (2, "x^2+x+1", "x+[2]"),
+    (2, None, "x^16+x^5+x^3+x^2+1"),  # c = 1, stride 15
 ]
 
 
@@ -325,11 +326,19 @@ class TestCosetWalk:
     @pytest.mark.parametrize("p, base_modulus, modulus", WALK_MODULI,
                              ids=lambda v: str(v))
     def test_walk_matches_repeated_products(self, p, base_modulus, modulus):
+        # Every entry the build fills is the reference's, and lookups in a
+        # shuffled order fill the rest with the reference's logs.
         field = _walk_field(p, base_modulus, modulus)
-        coords, reps, alpha, unit = _coset_walk(field)
-        expected = _reference_walk(field)
-        assert (list(coords), reps, alpha, unit) == expected
+        coords, reps, alpha, unit, place = _coset_walk(field)
+        expected, *rest = _reference_walk(field)
+        assert [reps, alpha, unit] == rest
         assert reps[1] == (alpha if len(reps) == 2 else _first_generator(field))
+        assert all(a in (-1, b) for a, b in zip(coords, expected))
+        elements = list(range(1, field.order))
+        random.Random(modulus).shuffle(elements)
+        assert [place(x) for x in elements] == [expected[x] for x in elements]
+        assert list(coords) == expected
+        assert list(_coset_walk(field, dense=True)[0]) == expected
 
     def test_the_moduli_cover_both_kinds_of_walk(self):
         cosets = {len(_coset_walk(_walk_field(*m))[1]) - 1 for m in WALK_MODULI}

@@ -97,7 +97,7 @@ def irreducible_modulus(draw, max_order=None, max_degree=8, gf2_max_degree=8):
 
 
 @settings(deadline=None, max_examples=150)
-@given(monic())
+@given(monic(gf2_max_degree=12))
 def test_is_irreducible_matches_sympy(drawn):
     p, f = drawn
     field = FieldSpec(p)
