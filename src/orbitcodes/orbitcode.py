@@ -11,7 +11,9 @@ merged into D, determine everything.  A shift h with full multiplicity
 q^k - 1 in D satisfies U P^h = U, so the predicted cardinality is the
 smallest such shift (else ord(P)); among the remaining shifts the maximum
 multiplicity M gives the largest codeword intersection dimension
-log_q(M + 1) and hence the minimum distance 2k - 2 log_q(M + 1).
+log_q(M + 1) and hence the minimum distance 2k - 2 log_q(M + 1).  D is
+symmetric, m(a) = m(e - a) for e = ord(alpha), so it keeps one count
+per residue pair {a, e - a}, each unordered exponent pair counted once.
 
 Every prediction can be cross-checked by brute force on vector indices:
 the orbit maps U's rows through P's image table until they return (ord(P),
@@ -20,8 +22,10 @@ P), and the oracle lists the nonzero vectors of all codewords side by side,
 one block per coefficient combination, and reads each pair's intersection
 dimension off the number of vectors it shares; a code in which no vector
 has two holders, such as a spread, is read at distance 2k from that one
-count.  It sees only vectors and codewords, never exponents, the
-extension field or the group, so the two routes stay strictly separate.
+count, and the scan stops at the first pair that shares q^(k-1) - 1
+vectors, the most two distinct words can.  It sees only vectors and
+codewords, never exponents, the extension field or the group, so the two
+routes stay strictly separate.
 
 A codeword is a Subspace, which holds its canonical rows as vector
 indices (matspace._echelon): OrbitCode.codewords reduces each orbit word's
@@ -48,7 +52,8 @@ from __future__ import annotations
 import functools
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, compress, repeat
+from itertools import chain, combinations, compress, repeat, starmap
+from operator import add, sub
 
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
@@ -146,10 +151,12 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     no two words meet and the distance is 2k, as in every spread.
     Otherwise an incidence map from each shared vector to the words
     holding it counts, for each word, the vectors it shares with every
-    word it meets.  Memory is linear in the |C| (q^k - 1) vectors listed,
-    and time in those vectors plus the pairs of words that share one,
-    instead of a rank for each of the |C|^2 / 2 pairs.  Codes of more than
-    ORACLE_VECTOR_BUDGET vectors are refused.
+    word it meets.  Two distinct words share at most q^(k-1) - 1 vectors,
+    so the scan of the words stops at the first pair that shares that
+    many: the distance is then 2, exactly.  Memory is linear in the
+    |C| (q^k - 1) vectors listed, and time in those vectors plus the pairs
+    of words that share one, instead of a rank for each of the |C|^2 / 2
+    pairs.  Codes of more than ORACLE_VECTOR_BUDGET vectors are refused.
     """
     orbit = isinstance(code, OrbitCode)
     words = code.rows if orbit else _distinct_words(code)
@@ -163,6 +170,7 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     counts = Counter(chain.from_iterable(blocks))
     most = 0  # largest number of nonzero vectors two words share
     if len(counts) < len(words) * len(blocks):  # some vector has two holders
+        cap = first.field.order ** (first.dim - 1) - 1  # the most two distinct words share
         holders: dict[int, list[int]] = {key: [] for key, n in counts.items() if n > 1}
         del counts  # freed before the holder lists grow
         index = list(range(len(words)))  # one int object per word, in all its lists
@@ -173,6 +181,8 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
             met = Counter(chain.from_iterable(map(holders.get, vectors, repeat(()))))
             met.pop(i, None)
             most = max(most, max(met.values(), default=0))
+            if most == cap:
+                break
     return 2 * first.dim - 2 * _int_log(first.field.order, most + 1)
 
 
@@ -223,7 +233,7 @@ def check_sidon_condition(profile: ExponentProfile, modulus: int) -> bool:
     has cardinality 2^n - 1 and minimum distance 2k - 2.
     """
     diffs = DifferenceMultiset.from_exponents(profile.exponents, modulus)
-    return all(m == 1 for _, m in diffs.items())
+    return all(m == 1 for m in diffs._counts.values())
 
 
 def find_sidon_subspace(ctx: ExtensionContext, k: int) -> Subspace:
@@ -246,32 +256,51 @@ def find_sidon_subspace(ctx: ExtensionContext, k: int) -> Subspace:
 
 
 class DifferenceMultiset:
-    """Multiset of pairwise exponent differences modulo a group order.
+    """Multiset of pairwise exponent differences modulo a group order M.
 
     Multiplicities count ordered pairs (l, m), l != m, of b_m - b_l, so the
-    total is s(s-1) for s exponents and m(a) = m(modulus - a).
+    total is s(s-1) for s exponents and m(a) = m(M - a).  The counts are
+    kept once per residue pair {a, M - a}, under the key |M - 2a| the two
+    share: key 0 is a = M/2, which only an even M has.
     """
 
     __slots__ = ("modulus", "_counts")
 
     def __init__(self, modulus: int, counts: dict[int, int]):
+        """A multiset from full counts {residue: multiplicity}; refuses a
+        key outside 1 .. modulus - 1 and counts with m(a) != m(modulus - a),
+        which no difference of distinct residues has."""
+        if any(not 0 < a < modulus for a in counts):
+            raise DomainError(f"difference counts hold a residue outside 1 .. {modulus - 1}")
+        if any(counts.get(modulus - a) != m for a, m in counts.items()):
+            raise DomainError(f"difference counts are not symmetric mod {modulus}")
         self.modulus = modulus
-        self._counts = dict(counts)
+        self._counts = {abs(modulus - 2 * a): m for a, m in counts.items()}
 
     @classmethod
     def _wrap(cls, modulus: int, counts: dict[int, int]) -> "DifferenceMultiset":
-        """A multiset on counts that no caller holds or changes, uncopied."""
+        """A multiset on keyed counts that no caller holds or changes, uncopied."""
         ms = object.__new__(cls)
         ms.modulus, ms._counts = modulus, counts
         return ms
 
     @classmethod
     def from_exponents(cls, exponents: Sequence[int], modulus: int) -> "DifferenceMultiset":
-        """Differences of exponents that are distinct residues mod modulus."""
-        if len({a % modulus for a in exponents}) != len(exponents):
+        """Differences of exponents that are distinct residues mod modulus.
+
+        Each unordered pair is counted once, with no Python step per pair:
+        for doubled residues 2a < 2b, |2a - 2b + M| is the key of both
+        b - a and M - (b - a).  Both orders of a pair land on key 0, so its
+        count is doubled.
+        """
+        doubled = sorted({a % modulus * 2 for a in exponents})
+        if len(doubled) != len(exponents):
             raise DomainError(f"exponents are not distinct residues mod {modulus}")
-        return cls._wrap(modulus, Counter([(b - a) % modulus
-                                           for a in exponents for b in exponents if a != b]))
+        counts = Counter(map(abs, map(add, starmap(sub, combinations(doubled, 2)),
+                                      repeat(modulus))))
+        if 0 in counts:
+            counts[0] *= 2
+        return cls._wrap(modulus, counts)
 
     @classmethod
     def merged(cls, parts: Iterable["DifferenceMultiset"], modulus: int) -> "DifferenceMultiset":
@@ -287,15 +316,20 @@ class DifferenceMultiset:
             counts.update(part._counts)
         return cls._wrap(modulus, counts)
 
+    def _residues(self, key: int) -> tuple[int, ...]:
+        """The residues a with |M - 2a| = key: M/2 alone for key 0."""
+        low = (self.modulus - key) // 2
+        return (low, self.modulus - low) if key else (low,)
+
     def multiplicity(self, a: int) -> int:
-        return self._counts.get(a % self.modulus, 0)
+        return self._counts.get(abs(self.modulus - 2 * (a % self.modulus)), 0)
 
     def items(self) -> list[tuple[int, int]]:
         """(residue, multiplicity) pairs, sorted by residue."""
-        return sorted(self._counts.items())
+        return sorted((a, m) for key, m in self._counts.items() for a in self._residues(key))
 
     def total(self) -> int:
-        return sum(self._counts.values())
+        return 2 * sum(self._counts.values()) - self._counts.get(0, 0)
 
     def __bool__(self):
         return bool(self._counts)
@@ -363,7 +397,8 @@ def _predict(u, ctx, verify):
     merged = DifferenceMultiset.merged(per, part.size)
     counts = merged._counts
     mults = set(counts.values())
-    stabilizers = (tuple(sorted(a for a, m in counts.items() if m == full))
+    stabilizers = (tuple(sorted(a for key, m in counts.items() if m == full
+                                for a in merged._residues(key)))
                    if full in mults else ())
     cardinality = stabilizers[0] if stabilizers else part.size
     d = _int_log(q, max(mults - {full}, default=0) + 1)

@@ -13,6 +13,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import orbitcodes.gfq
 import orbitcodes.matspace
@@ -74,6 +76,15 @@ def distinct_orbits(starts, generator):
         seen.update(code.codewords)
         codes.append(code)
     return codes
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Every Counter the oracle builds, in order, as it left them."""
+    built = []
+    monkeypatch.setattr(orbitcodes.orbitcode, "Counter",
+                        lambda *args: built.append(Counter(*args)) or built[-1])
+    return built
 
 
 def assert_oracles_agree(codes):
@@ -150,30 +161,61 @@ class TestIncidenceOracle:
         (F2, "x^6+x+1", 2), (F2, "x^6+x+1", 3), (F2, "x^8+x^4+x^3+x^2+1", 2),
         (F2, "x^8+x^4+x^3+x^2+1", 4), (F3, "x^6+x+2", 2), (F3, "x^6+x+2", 3),
         (F4, "x^4+x^2+[2]*x+[3]", 2)])
-    def test_spreads_share_no_vector(self, monkeypatch, field, text, k):
+    def test_spreads_share_no_vector(self, counts, field, text, k):
         f = parse_poly(field, text)
         code = generate_orbit(build_spread_start(k, f.degree, ExtensionContext.from_modulus(f)),
                               companion_matrix(f))
         assert len(code) == (field.order ** f.degree - 1) // (field.order ** k - 1)
-        counts = []
-        monkeypatch.setattr(orbitcodes.orbitcode, "Counter",
-                            lambda *args: counts.append(Counter(*args)) or counts[-1])
         assert min_distance_brute(code) == min_distance_pairwise(code.codewords) == 2 * k
         assert len(counts) == 1  # the holder count, and no count per word
         assert set(counts[0].values()) == {1}
 
-    def test_one_vector_held_by_three_words(self, monkeypatch):
+    def test_one_vector_held_by_three_words(self, counts):
         # <e1, e2>, <e1, e3> and <e1, e4> share e1 and nothing else; <e5, e6>
         # meets none of them, so every other vector has one holder.
         words = [Subspace(parse_matrix(F2, text))
                  for text in ("100000\n010000", "100000\n001000", "100000\n000100",
                               "000010\n000001")]
-        counts = []
-        monkeypatch.setattr(orbitcodes.orbitcode, "Counter",
-                            lambda *args: counts.append(Counter(*args)) or counts[-1])
         assert min_distance_brute(words) == min_distance_pairwise(words) == 2
-        assert len(counts) == 1 + len(words)  # the holder count, then one per word
         assert sorted(counts[0].values()) == [1] * 9 + [3] and counts[0][1] == 3  # e1 has index 1
+        # After the holder count, one count per word until a word shares
+        # q^(k-1) - 1 = 1 vector with another: only <e5, e6> can come first.
+        *passed, last = counts[1:]
+        assert len(passed) <= 1 and not any(passed) and set(last.values()) == {1}
+
+    def test_words_below_the_largest_share_are_all_counted(self, counts):
+        # Three 3-dimensional words share only e1, one vector below the
+        # q^(k-1) - 1 = 3 that would stop the scan, and a fourth meets none.
+        words = [Subspace(parse_matrix(F2, text))
+                 for text in ("1000000000\n0100000000\n0010000000",
+                              "1000000000\n0001000000\n0000100000",
+                              "1000000000\n0000010000\n0000001000",
+                              "0000000100\n0000000010\n0000000001")]
+        assert min_distance_brute(words) == min_distance_pairwise(words) == 4
+        assert len(counts) == 1 + len(words)  # the holder count, then one per word
+
+    def test_a_distance_two_orbit_stops_at_its_first_word(self, counts):
+        # rs(100000; 011000) has all-distinct differences under x^6+x+1: 63
+        # words at distance 2.  The group moves any pair at distance 2 to one
+        # holding the first word scanned, so its count alone ends the scan.
+        code = generate_orbit(Subspace(parse_matrix(F2, "100000\n011000")),
+                              companion_matrix(parse_poly(F2, "x^6+x+1")))
+        assert min_distance_brute(code) == min_distance_pairwise(code.codewords) == 2
+        assert len(code) == 63 and len(counts) == 2  # the holder count and one word's
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_random_codes_match_the_pairwise_minimum(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F4]))
+        n = data.draw(st.integers(2, 5 if field is F2 else 3))
+        k = data.draw(st.integers(1, n - 1))
+        digit = st.integers(0, field.order - 1)
+        matrix = st.lists(st.lists(digit, min_size=n, max_size=n), min_size=k, max_size=k)
+        spans = [Subspace(Mat(field, rows))
+                 for rows in data.draw(st.lists(matrix, min_size=2, max_size=8))]
+        words = {w for w in spans if w.dim == k}
+        assume(len(words) > 1)
+        assert min_distance_brute(words) == min_distance_pairwise(words)
 
     def test_mixed_dimensions_raise(self):
         words = [Subspace(parse_matrix(F2, "1000")),

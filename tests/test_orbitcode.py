@@ -288,6 +288,8 @@ class TestDifferenceMultiset:
                         naive[(b - a) % modulus] = naive.get((b - a) % modulus, 0) + 1
             d = DifferenceMultiset.from_exponents(exps, modulus)
             assert d.items() == sorted(naive.items())
+            assert ([d.multiplicity(a) for a in range(-modulus, 2 * modulus)]
+                    == [naive.get(a % modulus, 0) for a in range(-modulus, 2 * modulus)])
             assert d.total() == len(exps) * (len(exps) - 1) and bool(d) == bool(naive)
             per.append(d)
             for a, m in naive.items():
@@ -295,6 +297,75 @@ class TestDifferenceMultiset:
         merged = DifferenceMultiset.merged(per, modulus)
         assert merged == DifferenceMultiset(modulus, total)
         assert merged.items() == sorted(total.items()) and bool(merged) == bool(total)
+
+
+    def test_an_odd_q_line_doubles_the_middle_key(self):
+        # Over GF(3) a line holds v and 2v = -v, whose exponents differ by
+        # M/2 = 40: both orders of the one pair land on key 0.
+        ctx = ExtensionContext.from_modulus(parse_poly(F3, "x^4+x+2"))
+        report = analyze(Subspace(Mat(F3, [[0, 1, 2, 1]])), ctx)
+        assert report.differences == DifferenceMultiset(80, {40: 2})
+        assert report.differences.items() == [(40, 2)] and report.differences.total() == 2
+        assert report.differences._counts == {0: 2}
+        assert report.stabilizer_shifts == (40,) and report.predicted_cardinality == 40
+
+    def test_moduli_one_and_two(self):
+        one = DifferenceMultiset.from_exponents((7,), 1)
+        assert not one and one.items() == [] and one.total() == 0
+        assert one.multiplicity(0) == one.multiplicity(5) == 0
+        two = DifferenceMultiset.from_exponents((4, 1), 2)
+        assert two.items() == [(1, 2)] and two.total() == 2
+        assert [two.multiplicity(a) for a in range(-2, 4)] == [0, 2, 0, 2, 0, 2]
+        assert two == DifferenceMultiset(2, {1: 2})
+
+    @pytest.mark.parametrize("counts,match", [
+        ({1: 1}, "not symmetric"), ({1: 1, 4: 2}, "not symmetric"),
+        ({0: 2, 1: 1, 4: 1}, "outside 1 .. 4"), ({6: 1, 4: 1}, "outside 1 .. 4")])
+    def test_the_constructor_refuses_counts_no_difference_has(self, counts, match):
+        with pytest.raises(DomainError, match=match):
+            DifferenceMultiset(5, counts)
+
+
+def _naive_prediction(report):
+    """(differences, stabilizer shifts, intersection dimension) of a report,
+    recounted from its orbit exponents with one ordered double loop."""
+    q, full, modulus = report.q, report.q ** report.k - 1, report.group_order
+    counts = {}
+    for exps in report.orbit_exponents:
+        for a in exps:
+            for b in exps:
+                if a != b:
+                    counts[(b - a) % modulus] = counts.get((b - a) % modulus, 0) + 1
+    stabilizers = tuple(sorted(a for a, m in counts.items() if m == full))
+    most = max([m for m in counts.values() if m != full], default=0)
+    d = 0
+    while q ** (d + 1) <= most + 1:
+        d += 1
+    return sorted(counts.items()), stabilizers, d
+
+
+_F4 = F2.extend(parse_poly(F2, "x^2+x+1"))
+# Over each of GF(2), GF(3) and F_4: a primitive modulus, then one that is not.
+_REPORT_MODULI = [(F2, "x^6+x+1"), (F2, "x^6+x^3+1"), (F3, "x^4+x+2"),
+                  (F3, "x^4+x^3+x^2+x+1"), (_F4, "x^2+x+[2]"), (_F4, "x^3+[2]")]
+
+
+@pytest.mark.parametrize("base,text", _REPORT_MODULI, ids=[t for _, t in _REPORT_MODULI])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_reports_match_a_naive_recount(base, text, data):
+    ctx = ExtensionContext.from_modulus(parse_poly(base, text))
+    digit = st.integers(0, ctx.q - 1)
+    rows = data.draw(st.lists(st.lists(digit, min_size=ctx.n, max_size=ctx.n),
+                              min_size=1, max_size=ctx.n))
+    u = Subspace(Mat(ctx.base, rows))
+    if u.dim:
+        report = analyze(u, ctx)
+        items, stabilizers, d = _naive_prediction(report)
+        assert report.differences.items() == items
+        assert report.stabilizer_shifts == stabilizers and report.intersection_dim == d
+        assert [dm.total() for dm in report.per_orbit_differences] == [
+            len(exps) * (len(exps) - 1) for exps in report.orbit_exponents]
 
 
 class TestPredictPrimitive:

@@ -1,5 +1,6 @@
-"""Source checks on src/orbitcodes, standard library only: line length, and
-no private top-level name left without a use."""
+"""Source checks on src/orbitcodes, standard library only: line length, no
+private top-level name left without a use, and a brute-force side that
+reads no name of the predictor."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,19 @@ def test_private_top_level_names_are_used():
                            for other in trees.values()):
                     unused.append(f"{name}: {defined}")
     assert unused == []
+
+
+#: The brute-force side: the orbit walk, the oracle and what they build on.
+BRUTE_FORCE = {"orbitcode.py": ["generate_orbit", "min_distance_brute", "_distinct_words"],
+               "matspace.py": ["_spanner", "_image_table"]}
+#: The predictor's names: its multiset, the extension field and its logs.
+PREDICTOR = {"DifferenceMultiset", "ExtensionContext", "orbit_partition",
+             "exponent_profile", "dlog", "_coords"}
+
+
+@pytest.mark.parametrize("module,name", [(m, f) for m, fs in BRUTE_FORCE.items() for f in fs])
+def test_brute_force_side_reads_no_predictor_name(module, name):
+    tree = ast.parse((SRC / module).read_text())
+    [func] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert _uses(func) & PREDICTOR == set()
