@@ -28,10 +28,11 @@ from .fieldmap import ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
 from .matspace import Subspace, format_matrix, parse_matrix
 from .orbitcode import (AnalysisReport, _check_oracle_budget, _check_spread_shape,
-                        _header_field, _read_code_header, _read_code_words, analyze,
+                        _header_field, _oracle_report, _read_code_header,
+                        _read_code_words, analyze,
                         build_spread_start, check_sidon_condition,
                         find_sidon_subspace, format_code, generate_orbit,
-                        min_distance_brute, min_distance_orbit, verify_report)
+                        min_distance_brute, min_distance_orbit)
 from .polyring import (Poly, companion_matrix, format_poly, is_irreducible,
                        is_primitive, list_irreducibles, order_of_polynomial,
                        parse_poly, poly_powmod)
@@ -317,13 +318,16 @@ def _cmd_spread(args) -> int:
     if args.n is not None and poly.degree != args.n:
         raise ParseError(f"polynomial degree {poly.degree} does not match -n {args.n}")
     _check_spread_shape(args.k, poly.degree)  # before the context's work
+    if args.verify:  # the words hold each of the q^n - 1 nonzero vectors once
+        q = field.order
+        _check_oracle_budget((q ** poly.degree - 1) // (q ** args.k - 1), q, args.k)
     ctx = ExtensionContext.from_modulus(poly)
     start = build_spread_start(args.k, poly.degree, ctx)
     report = analyze(start, ctx)
     if args.verify or args.out:
         code = generate_orbit(start, companion_matrix(poly))
         if args.verify:
-            report = verify_report(report, code)
+            report = _oracle_report(report, code)
         if args.out:
             _write_file(args.out, format_code(code))
     print(f"start = {';'.join(format_matrix(start.mat).split(chr(10)))}")

@@ -8,8 +8,8 @@ mixed-radix index of its digits, and one span routine lists a subspace's
 vectors, a matrix's image table and, many subspaces side by side, the
 oracle's vectors on those ints.  One gate, _image_table,
 checks an invertible matrix and builds its table once, kept with the
-matrix; the orbit walk and the matrix's order (the lcm of the unit
-vectors' cycle lengths) both read it there.
+matrix; the orbit, the walk that verifies it and the matrix's order (the
+lcm of the unit vectors' cycle lengths) all read it there.
 
 One routine, _echelon, computes every canonical form: the nonzero rows of
 the unique reduced row echelon basis of a span, from and to vector

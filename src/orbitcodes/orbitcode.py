@@ -15,17 +15,28 @@ log_q(M + 1) and hence the minimum distance 2k - 2 log_q(M + 1).  D is
 symmetric, m(a) = m(e - a) for e = ord(alpha), so it keeps one count
 per residue pair {a, e - a}, each unordered exponent pair counted once.
 
-Every prediction can be cross-checked by brute force on vector indices:
-the orbit maps U's rows through P's image table until they return (ord(P),
-when read, is counted on the same table, which is built once and kept with
-P), and the oracle lists the nonzero vectors of all codewords side by side,
-one block per coefficient combination, and reads each pair's intersection
-dimension off the number of vectors it shares; a code in which no vector
-has two holders, such as a spread, is read at distance 2k from that one
-count, and the scan stops at the first pair that shares q^(k-1) - 1
-vectors, the most two distinct words can.  It sees only vectors and
-codewords, never exponents, the extension field or the group, so the two
-routes stay strictly separate.
+Every prediction can be cross-checked by brute force on vector indices,
+with P's image table (entry x is the index of x P, built once and kept
+with P) and never the extension field, its logs or the partition.  An
+orbit code is one orbit of a cyclic group, so |U P^a ∩ U P^b| =
+|U ∩ U P^(b-a)| (Trautmann, Manganiello, Braun and Rosenthal, "Cyclic
+orbit codes", IEEE Trans. IT 59(11), 2013): the walk, _walk_orbit, maps
+U's nonzero vectors through the table one shift at a time and counts
+those that land in U again.  The first shift at which all q^k - 1 return
+is |C|, and the largest count before it gives the minimum distance; the
+orbit itself is never listed.  generate_orbit maps U's rows through the
+same table to list the words, for the export, and ord(P), when read, is
+counted on it.  The distance command reads a file, which may hold any
+constant dimension code, so it keeps the incidence oracle,
+min_distance_brute, and so does spread --verify, which checks the
+listed words as a set (_oracle_report).  The oracle lists the nonzero
+vectors of all codewords side by side, one block per coefficient
+combination, and reads each pair's intersection dimension off the number
+of vectors it shares; a code in which no vector has two holders, such as
+a spread, is read at distance 2k from that one count, and the scan stops
+at the first pair that shares q^(k-1) - 1 vectors, the most two distinct
+words can.  It sees only vectors and codewords, never the group, and
+stays the reference the walk is tested against.
 
 A codeword is a Subspace, which holds its canonical rows as vector
 indices (matspace._echelon): OrbitCode.codewords reduces each orbit word's
@@ -60,7 +71,7 @@ from .fieldmap import ExponentProfile, ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent
 from .matspace import (Mat, Subspace, _image_table, _parse_blocks, _row_key, _row_text,
                        _spanner, gaussian_binomial, grassmannian, matrix_order,
-                       subspace_apply, subspace_distance)
+                       subspace_apply)
 from .polyring import companion_matrix
 
 
@@ -98,16 +109,21 @@ class OrbitCode:
                 f"n={self.start.ambient}, ord(P)={self.generator_order})")
 
 
+def _check_action(u: Subspace, p: Mat) -> None:
+    """Refuse a zero start, or a generator that does not act on its space."""
+    if u.dim == 0:
+        raise DomainError("orbit codes need a starting subspace of dimension >= 1")
+    if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
+        raise DomainError("generator does not act on the starting subspace")
+
+
 def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
     """Map U's row vector indices through P's image table (the span of P's
     rows: entry x is the index of x P, built once and kept on P) until they
     lie in U again.  ord(P) is not needed for this; OrbitCode.generator_order
     counts it on the same table when read.
     """
-    if u.dim == 0:
-        raise DomainError("orbit codes need a starting subspace of dimension >= 1")
-    if p.nrows != p.ncols or p.ncols != u.ambient or p.field != u.field:
-        raise DomainError("generator does not act on the starting subspace")
+    _check_action(u, p)
     table = _image_table(p)
     span, _ = _spanner(p.field, p.ncols)
     rows = u.basis
@@ -139,11 +155,12 @@ def _check_oracle_budget(size: int, q: int, k: int) -> None:
 def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     """Minimum subspace distance over all unordered codeword pairs.
 
-    The independent oracle for every analytic predictor here: it lists
-    the nonzero vectors of every codeword as vector indices, spanned from
-    an OrbitCode's rows or from other words' canonical rows, and never
-    looks at exponents, the extension field or the group, so it is exact
-    for any constant dimension code.  Two k-dimensional words sharing s
+    The incidence oracle of the distance command, and the reference the
+    walk (_walk_orbit) is tested against: it lists the nonzero vectors of
+    every codeword as vector indices, spanned from an OrbitCode's rows or
+    from other words' canonical rows, and never looks at exponents, the
+    extension field or the group, so it is exact for any constant
+    dimension code.  Two k-dimensional words sharing s
     nonzero vectors meet in dimension d with s = q^d - 1 and lie at
     distance 2k - 2d.  All words are spanned side by side, one block of
     |C| vectors per coefficient combination, and one count over the
@@ -186,16 +203,59 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     return 2 * first.dim - 2 * _int_log(first.field.order, most + 1)
 
 
-def min_distance_orbit(code: OrbitCode) -> int:
-    """Minimum distance via the base point only: min_i d(U, U P^i).
+#: Most reads that _walk_orbit makes: a shift reads q^k - 1 vectors and is
+#: charged 4 reads more for its own overhead.  Measured over GF(2) (Python
+#: 3.11.7, 2 vCPU Xeon; five single runs in process, P's image table built
+#: first), walks refused at the budget took 0.49-0.54 s with k = 11 in
+#: F_2^12, 0.53-0.60 s with k = 6 in F_2^16, and 0.63-0.91 s with k = 2 and 3
+#: in F_2^20 and k = 1 in F_2^22, adding no memory to the table's.  Charged
+#: q^k - 1 reads alone, the k = 1 walk took 3.7-4.4 s to reach the budget.
+WALK_READ_BUDGET = 1 << 22
 
-    Group invariance of the metric makes this agree with the brute-force
-    minimum over all pairs.
+
+def _walk_orbit(u: Subspace, p: Mat) -> tuple[int, int | None]:
+    """(|C|, d) of the orbit of U under P, d None when |C| = 1.
+
+    Let S be U's q^k - 1 nonzero vectors.  Shift i maps S P^(i-1) through
+    P's image table to S P^i and counts the vectors that lie in S, which
+    are the q^j - 1 nonzero vectors of U ∩ U P^i, j its dimension.  The
+    first shift at which all of S returns is |C|.  As |U P^a ∩ U P^b| =
+    |U ∩ U P^(b-a)| on one orbit, the largest count before it, q^j - 1,
+    gives the minimum distance 2k - 2j.  A walk that would pass
+    WALK_READ_BUDGET reads before S returns is refused when it gets there.
+    It reads U's rows and P's table, never the extension field.
     """
+    _check_action(u, p)
+    table = _image_table(p)
+    span, _ = _spanner(p.field, p.ncols)
+    block = span(u.basis)[1:]
+    # each shift is charged q^k - 1 + 4 reads (see WALK_READ_BUDGET)
+    full, most, limit = len(block), 0, WALK_READ_BUDGET // (len(block) + 4)
+    inside, step = set(block).intersection, table.__getitem__
+    for size in range(1, limit + 1):
+        block = list(map(step, block))
+        hits = len(inside(block))  # block's vectors are distinct: P is invertible
+        if hits == full:
+            break
+        if hits > most:
+            most = hits
+    else:
+        raise DomainError(f"the orbit has more than {limit} words: its walk would "
+                          f"pass its budget of {WALK_READ_BUDGET} reads")
+    if size == 1:
+        return 1, None
+    return size, 2 * u.dim - 2 * _int_log(p.field.order, most + 1)
+
+
+def min_distance_orbit(code: OrbitCode) -> int:
+    """Minimum distance of an orbit code by the walk (_walk_orbit) of its
+    start under its generator: min_i d(U, U P^i), which group invariance
+    of the metric makes the minimum over all pairs.  It reads P's image
+    table, never the field; min_distance_brute is the reference it is
+    tested against."""
     if len(code) < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    u = code.start
-    return min(subspace_distance(u, v) for v in code.codewords if v != u)
+    return _walk_orbit(code.start, code.generator)[1]
 
 
 def _check_spread_shape(k: int, n: int) -> None:
@@ -357,7 +417,7 @@ class AnalysisReport(namedtuple("AnalysisReport", [
         "intersection_dim",       # d_max = log_q(max m(a) + 1)
         "predicted_distance",     # int | None: None for a single-codeword orbit
         "all_orbits_distinct", "spread",
-        "verified_cardinality",   # int | None: set by verify_report
+        "verified_cardinality",   # int | None: set by the walk or the oracle
         "verified_distance",      # int | None
         ], defaults=(None, None))):
     """Predicted (and optionally oracle-verified) orbit code parameters:
@@ -414,7 +474,7 @@ def _predict(u, ctx, verify):
         spread=(n % k == 0 and cardinality == (q ** n - 1) // full
                 and (cardinality == 1 or distance == 2 * k)))
     if verify:
-        return verify_report(report, generate_orbit(u, companion_matrix(ctx.modulus)))
+        return _walked(report, u, companion_matrix(ctx.modulus))
     return report
 
 
@@ -449,10 +509,25 @@ def analyze(u: Subspace, ctx: ExtensionContext, verify: bool = False) -> Analysi
     return analyze_nonprimitive(u, ctx, verify)
 
 
+def _walked(report: AnalysisReport, u: Subspace, p: Mat) -> AnalysisReport:
+    """report with the walk's |C| and d for the orbit of u under p."""
+    size, distance = _walk_orbit(u, p)
+    return report._replace(verified_cardinality=size, verified_distance=distance)
+
+
 def verify_report(report: AnalysisReport, code: OrbitCode) -> AnalysisReport:
-    """Attach brute-force oracle results for the generated orbit to a report."""
-    vd = min_distance_brute(code) if len(code) > 1 else None
-    return report._replace(verified_cardinality=len(code), verified_distance=vd)
+    """Attach brute-force results to a report: the walk of code.start under
+    code.generator, which reads P's image table and never the extension
+    field, so it does not list the orbit's words."""
+    return _walked(report, code.start, code.generator)
+
+
+def _oracle_report(report: AnalysisReport, code: OrbitCode) -> AnalysisReport:
+    """report with the listed orbit's size and its incidence oracle
+    distance (min_distance_brute): the check of spread --verify, which
+    reads the words as a set, as the distance command does."""
+    distance = min_distance_brute(code) if len(code) > 1 else None
+    return report._replace(verified_cardinality=len(code), verified_distance=distance)
 
 
 def conjugate_code(u: Subspace, g: Mat, s: Mat) -> tuple[Subspace, Mat]:

@@ -16,7 +16,8 @@ import pytest
 
 import orbitcodes.orbitcode
 import orbitcodes.polyring
-from orbitcodes import FieldSpec, ParseError, min_distance_brute, parse_code
+from orbitcodes import (ExtensionContext, FieldSpec, ParseError, min_distance_brute,
+                        parse_code)
 from orbitcodes import cli
 from orbitcodes.cli import ReportDocument, main, parse_report, render_report
 
@@ -165,6 +166,41 @@ class TestSpread:
             "100000;010111", "--out", str(orbit_file))
         assert out_file.read_bytes() == orbit_file.read_bytes()
 
+    def test_verify_checks_the_listed_words_with_the_incidence_oracle(self, capsys,
+                                                                      monkeypatch):
+        # spread --verify lists the orbit once and reads the words as a set
+        # with min_distance_brute; it does not walk.
+        calls = Counter()
+        for name in ("generate_orbit", "min_distance_brute"):
+            original = getattr(orbitcodes.orbitcode, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            for module in (cli, orbitcodes.orbitcode):
+                monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(orbitcodes.orbitcode, "_walk_orbit", None)
+        code, out, _ = run(capsys, "spread", "-q", "2", "-k", "2", "-p", "x^6+x+1",
+                           "--verify")
+        assert code == 0 and calls == {"generate_orbit": 1, "min_distance_brute": 1}
+        assert out.endswith("verified_cardinality = 21\nverified_distance = 4\n"
+                            "verified_agrees = true\n")
+
+    @pytest.mark.parametrize("q,k,poly,vectors", [
+        ("2", "2", "x^20+x^3+1", 2 ** 20 - 1),
+        ("3", "6", "x^12+2*x^11+2*x^10+2*x^9+x^7+x^6+x^5+x^4+x^3+2*x^2+2", 3 ** 12 - 1)])
+    def test_verify_refuses_an_over_budget_spread_before_its_context(
+            self, capsys, monkeypatch, q, k, poly, vectors):
+        # The words of a spread hold all q^n - 1 nonzero vectors, above the
+        # budget: it is refused before a context or an orbit is built.
+        def refuse(*_args):
+            raise AssertionError("built a context")
+        monkeypatch.setattr(ExtensionContext, "from_modulus", refuse)
+        code, out, err = run(capsys, "spread", "-q", q, "-k", k, "-p", poly, "--verify")
+        assert (code, out) == (3, "")
+        assert err == (f"error: the oracle would list {vectors} vectors, above its "
+                       "budget of 524288\n")
+
     def test_k2_summary(self, capsys):
         code, out, _ = run(capsys, "spread", "-q", "2", "-k", "2", "-p", "x^6+x+1")
         assert code == 0
@@ -215,17 +251,48 @@ class TestAnalyze:
         assert code == 0
         assert calls == {"is_irreducible": 1, "extend": 1}
 
-    def test_verify_over_the_oracle_budget_exits_3_at_once(self, capsys):
-        # 65535 words of dimension 4: the orbit on vector indices is cheap,
-        # and the oracle refuses its 983025 vectors before listing any.
+    def test_verify_walks_a_code_over_the_oracle_budget(self, capsys):
+        # 65535 words of dimension 4: 983025 vectors, above the incidence
+        # oracle's budget, but the walk reads 15 of them per shift.
         rows = "1000000000000000;0100000000000000;0010000000000000;0000000100000001"
         started = time.perf_counter()
         code, out, err = run(capsys, "analyze", "-q", "2", "-p", "x^16+x^5+x^3+x^2+1",
                              "--start-rows", rows, "--verify")
         assert time.perf_counter() - started < 2.0
-        assert code == 3 and out == ""
-        assert err == ("error: the oracle would list 983025 vectors, above its "
-                       "budget of 524288\n")
+        assert (code, err) == (0, "")
+        doc = parse_report(out)
+        assert (doc.verified_cardinality, doc.verified_distance) == (65535, 4)
+        assert doc.verified_agrees is True
+
+    def test_verify_lists_no_orbit(self, capsys, monkeypatch):
+        # The walk verifies: no orbit is listed and no word is spanned.
+        calls = Counter()
+        for name in ("generate_orbit", "min_distance_brute"):
+            def refuse(*_args, _name=name):
+                calls[_name] += 1
+                raise AssertionError(f"--verify called {_name}")
+            for module in (cli, orbitcodes.orbitcode):
+                monkeypatch.setattr(module, name, refuse)
+        code, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^6+x+1",
+                           "--start-rows", "100000;010111", "--verify")
+        assert code == 0 and calls == Counter()
+        doc = parse_report(out)
+        assert (doc.verified_cardinality, doc.verified_distance) == (21, 4)
+        assert doc.verified_agrees is True
+
+    @pytest.mark.parametrize("budget,status", [(147, 0), (146, 3)])
+    def test_verify_over_the_walk_budget_exits_3(self, capsys, monkeypatch, budget, status):
+        # The start of the 21-word spread, of dimension 2: each shift is
+        # charged 3 + 4 reads, so the walk needs 21 * 7 = 147 to close the orbit.
+        monkeypatch.setattr(orbitcodes.orbitcode, "WALK_READ_BUDGET", budget)
+        code, out, err = run(capsys, "analyze", "-q", "2", "-p", "x^6+x+1",
+                             "--start-rows", "100000;010111", "--verify")
+        assert code == status
+        if status:
+            assert out == "" and err == ("error: the orbit has more than 20 words: its "
+                                         "walk would pass its budget of 146 reads\n")
+        else:
+            assert "verified_agrees = true" in out
 
     def test_nonprimitive_example(self, capsys):
         code, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x^3+x^2+x+1",

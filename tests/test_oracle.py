@@ -1,5 +1,6 @@
-"""The incidence oracle, the incremental span enumeration and the orbit
-generator, each checked against a slower reference kept here.
+"""The incidence oracle, the incremental span enumeration, the orbit
+generator and the orbit walk, each checked against a reference: a slower
+one kept here, or for the walk, the orbit and the incidence oracle.
 
 `min_distance_pairwise` is the pairwise-rank oracle: one RREF of [U; V]
 for every unordered pair of codewords.  `from_index_vectors` rebuilds
@@ -9,6 +10,7 @@ counts ord(P) on P's image table; its repeated-multiplication reference
 is in test_matspace.
 """
 
+import functools
 import random
 from collections import Counter
 
@@ -23,9 +25,11 @@ import orbitcodes.polyring
 from orbitcodes import (DomainError, ExtensionContext, FieldSpec, Mat,
                         Subspace, build_spread_start, companion_matrix,
                         conjugate_code, generate_orbit, grassmannian,
-                        list_irreducibles, matrix_order, min_distance_brute,
-                        parse_matrix, parse_poly, random_invertible,
-                        subspace_distance, vector_from_index)
+                        is_primitive, list_irreducibles, matrix_order,
+                        min_distance_brute, min_distance_orbit, parse_matrix,
+                        parse_poly, random_invertible, subspace_distance,
+                        vector_from_index)
+from orbitcodes.orbitcode import ORACLE_VECTOR_BUDGET, _walk_orbit
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -246,6 +250,113 @@ class TestIncidenceOracle:
         assert calls == []
 
 
+@functools.cache
+def irreducibles(field, n, primitive):
+    """Monic irreducibles of degree n that are, or are not, primitive; all
+    of them when a degree has none of the kind asked for."""
+    every = list_irreducibles(field, n)
+    return [f for f in every if is_primitive(f) == primitive] or every
+
+
+def invariant_start(v, g):
+    """The cyclic subspace <v, v g, v g^2, ...> of a nonzero v: g fixes it,
+    so its orbit under g has one word."""
+    rows, w = [], list(v)
+    while True:
+        rows.append(w)
+        u = Subspace(Mat(g.field, rows))
+        if u.dim < len(rows):
+            return Subspace(Mat(g.field, rows[:-1]))
+        w = list((Mat(g.field, [w]) * g).rows[0])
+
+
+class TestWalkOracle:
+    """_walk_orbit against the listed orbit and the incidence oracle."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(data=st.data())
+    def test_matches_the_orbit_and_the_incidence_oracle(self, data):
+        # Sizes and entries come from a seeded rng, so that n and k spread
+        # evenly over their ranges instead of crowding at the smallest.
+        field = data.draw(st.sampled_from([F2, F3, F4]), label="field")
+        kind = data.draw(st.sampled_from(["primitive", "nonprimitive", "random"]))
+        fixed = data.draw(st.integers(0, 3), label="a fixed start if 0") == 0
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        n = rng.randint(2, {2: 10, 3: 6, 4: 5}[field.order])
+        if kind == "random":
+            p = random_invertible(field, n, rng)
+        else:
+            p = companion_matrix(rng.choice(irreducibles(field, n, kind == "primitive")))
+        rows = [[rng.randrange(field.order) for _ in range(n)]
+                for _ in range(rng.randint(1, n // 2))]
+        rows[0][rng.randrange(n)] = rng.randrange(1, field.order)  # a nonzero first row
+        u = invariant_start(rows[0], p) if fixed else Subspace(Mat(field, rows))
+        assume(u.dim > 0)
+        code = generate_orbit(u, p)
+        assume(len(code) * (field.order ** u.dim - 1) <= ORACLE_VECTOR_BUDGET)
+        size, distance = _walk_orbit(u, p)
+        assert size == len(code)
+        assert distance == (min_distance_brute(code) if size > 1 else None)
+
+    @pytest.mark.parametrize("field,text,k", [
+        (F2, "x^4+x^3+x^2+x+1", 1), (F2, "x^4+x^3+x^2+x+1", 2), (F2, "x^5+x^2+1", 2),
+        (F3, "x^4+x+2", 2), (F4, "x^3+x+[1]", 1), (F4, "x^3+[2]", 2)])
+    def test_every_orbit_of_a_grassmannian(self, field, text, k):
+        P = companion_matrix(parse_poly(field, text))
+        for code in distinct_orbits(grassmannian(field, k, P.nrows), P):
+            expected = min_distance_brute(code) if len(code) > 1 else None
+            assert _walk_orbit(code.start, P) == (len(code), expected), code.start
+
+    def test_a_fixed_start_has_one_word(self):
+        rng = random.Random(5)
+        g = random_invertible(F3, 5, rng)
+        u = invariant_start([1, 0, 2, 0, 1], g)
+        assert 0 < u.dim and len(generate_orbit(u, g)) == 1
+        assert _walk_orbit(u, g) == (1, None)
+
+    @pytest.mark.parametrize("budget,reads", [(147, 63), (146, 60)])
+    def test_stops_at_the_read_budget(self, monkeypatch, budget, reads):
+        # 21 spread words of dimension 2: each shift reads 3 vectors and is
+        # charged 3 + 4, so the walk closes with 147 and refuses with 146
+        # after 20 shifts, without walking on to the orbit's end.
+        p64 = parse_poly(F2, "x^6+x+1")
+        u = build_spread_start(2, 6, ExtensionContext.from_modulus(p64))
+        P = companion_matrix(p64)
+        read = []
+
+        class Counting(list):
+            def __getitem__(self, x):
+                read.append(x)
+                return list.__getitem__(self, x)
+        P._table = Counting(orbitcodes.matspace._image_table(P))
+        monkeypatch.setattr(orbitcodes.orbitcode, "WALK_READ_BUDGET", budget)
+        if budget == 147:
+            assert _walk_orbit(u, P) == (21, 4)
+        else:
+            with pytest.raises(DomainError, match="more than 20 words: its walk would pass "
+                                                  "its budget of 146 reads"):
+                _walk_orbit(u, P)
+        assert len(read) == reads
+
+    def test_refuses_what_the_orbit_refuses(self):
+        P = companion_matrix(parse_poly(F2, "x^4+x+1"))
+        with pytest.raises(DomainError, match="dimension >= 1"):
+            _walk_orbit(Subspace(Mat(F2, [[0, 0, 0, 0]])), P)
+        with pytest.raises(DomainError, match="does not act"):
+            _walk_orbit(Subspace(parse_matrix(F2, "100")), P)
+        with pytest.raises(DomainError, match="matrix is singular"):
+            _walk_orbit(Subspace(parse_matrix(F2, "1000")), Mat(F2, [[0] * 4] * 4))
+
+    def test_min_distance_orbit_is_the_walk(self, monkeypatch):
+        p64 = parse_poly(F2, "x^6+x+1")
+        code = generate_orbit(Subspace(parse_matrix(F2, "100000\n011000")), companion_matrix(p64))
+        walks = []
+        monkeypatch.setattr(orbitcodes.orbitcode, "_walk_orbit",
+                            lambda u, p: walks.append(u) or _walk_orbit(u, p))
+        assert min_distance_orbit(code) == min_distance_brute(code) == 2
+        assert walks == [code.start]
+
+
 class TestNonzeroVectors:
     @pytest.mark.parametrize("field,k,n,count", [
         (F2, 3, 5, None), (F2, 1, 4, None), (F2, 4, 4, None),
@@ -395,9 +506,9 @@ class TestGeneratorOrder:
 
 
 class TestIndependence:
-    """The oracle and the orbit generator use neither the extension
-    field's dictionary nor the predictor; the oracle computes no rank and
-    the orbit of a companion matrix never walks the group."""
+    """The oracle, the orbit generator and the walk use neither the
+    extension field's dictionary nor the predictor; the oracle computes no
+    rank and the orbit of a companion matrix never walks the group."""
 
     FORBIDDEN = ["__init__", "phi", "dlog", "exponent_profile", "orbit_partition"]
 
@@ -416,7 +527,6 @@ class TestIndependence:
         calls = dict.fromkeys(["rref", "subspace_distance", *self.FORBIDDEN], 0)
         self._count(monkeypatch, Mat, "rref", calls)
         self._count(monkeypatch, orbitcodes.matspace, "subspace_distance", calls)
-        self._count(monkeypatch, orbitcodes.orbitcode, "subspace_distance", calls)
         for name in self.FORBIDDEN:
             self._count(monkeypatch, ExtensionContext, name, calls)
         assert min_distance_brute(code) == 4
@@ -438,6 +548,21 @@ class TestIndependence:
             monkeypatch.setattr(module, "_image_table", refuse)
         monkeypatch.setattr(code.generator, "_table", Refusing())
         assert min_distance_brute(code) == distance
+
+    def test_walk_reads_no_field_and_makes_no_rank_computation(self, monkeypatch):
+        p = parse_poly(F2, "x^8+x^4+x^3+x^2+1")
+        u = Subspace(parse_matrix(F2, "10000000\n00110000\n00001001"))
+        P = companion_matrix(p)
+        expected = _walk_orbit(u, P)
+        calls = dict.fromkeys(["rref", "subspace_distance", "matrix_order",
+                               *self.FORBIDDEN], 0)
+        self._count(monkeypatch, Mat, "rref", calls)
+        self._count(monkeypatch, orbitcodes.matspace, "subspace_distance", calls)
+        self._count(monkeypatch, orbitcodes.orbitcode, "matrix_order", calls)
+        for name in self.FORBIDDEN:
+            self._count(monkeypatch, ExtensionContext, name, calls)
+        assert _walk_orbit(u, P) == expected
+        assert set(calls.values()) == {0}, calls
 
     def test_orbit_of_a_companion_never_walks_the_group(self, monkeypatch):
         p = parse_poly(F2, "x^8+x^4+x^3+x^2+1")

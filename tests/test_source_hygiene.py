@@ -1,6 +1,6 @@
 """Source checks on src/orbitcodes, standard library only: line length, no
-private top-level name left without a use, and a brute-force side that
-reads no name of the predictor."""
+private top-level name left without a use, and a brute-force side and a
+predictor that read no name of each other."""
 
 import ast
 from pathlib import Path
@@ -59,17 +59,35 @@ def test_private_top_level_names_are_used():
     assert unused == []
 
 
-#: The brute-force side: the orbit walk, the oracle and what they build on.
-BRUTE_FORCE = {"orbitcode.py": ["generate_orbit", "min_distance_brute", "_distinct_words"],
+#: The brute-force side: the orbit walks, the oracle and what they build on.
+BRUTE_FORCE = {"orbitcode.py": ["generate_orbit", "_walk_orbit", "min_distance_brute",
+                                "_oracle_report", "_distinct_words"],
                "matspace.py": ["_spanner", "_image_table"]}
 #: The predictor's names: its multiset, the extension field and its logs.
 PREDICTOR = {"DifferenceMultiset", "ExtensionContext", "orbit_partition",
              "exponent_profile", "dlog", "_coords"}
+#: The predictor's code, as dotted paths of top-level definitions.
+PREDICTOR_CODE = {"orbitcode.py": ["DifferenceMultiset"],
+                  "fieldmap.py": ["ExtensionContext.orbit_partition",
+                                  "ExtensionContext.exponent_profile"]}
+
+
+def _definition(module: str, path: str) -> ast.AST:
+    """The function or class at a dotted path in a module."""
+    node = ast.parse((SRC / module).read_text())
+    for part in path.split("."):
+        [node] = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                  and n.name == part]
+    return node
 
 
 @pytest.mark.parametrize("module,name", [(m, f) for m, fs in BRUTE_FORCE.items() for f in fs])
 def test_brute_force_side_reads_no_predictor_name(module, name):
-    tree = ast.parse((SRC / module).read_text())
-    [func] = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == name]
-    assert _uses(func) & PREDICTOR == set()
+    assert _uses(_definition(module, name)) & PREDICTOR == set()
+
+
+@pytest.mark.parametrize("module,path",
+                         [(m, f) for m, fs in PREDICTOR_CODE.items() for f in fs])
+def test_predictor_reads_no_brute_force_name(module, path):
+    brute_force = {name for names in BRUTE_FORCE.values() for name in names}
+    assert _uses(_definition(module, path)) & brute_force == set()
