@@ -57,7 +57,9 @@ from .errors import DomainError
 #: (x^20+x^3+1) and at the cap 2^24 (x^24+x^7+x^2+x+1), Python 3.11.7, 2 vCPU
 #: Xeon, interpreter alone 13 MB: ExtensionContext (landmarks only) 15-21 ms
 #: at 18 MB max RSS and 0.14-0.21 s at 78 MB; the companion matrix's image
-#: table 0.13 s at 21 MB and 2.1 s at 111 MB.
+#: table, added word by word, 11-18 ms at 18 MB and 0.19-0.28 s at 78 MB
+#: (five runs each; entry by entry it took 0.11-0.16 s at 20 MB and
+#: 1.9-2.4 s at 110 MB).
 #: The table is kept with its matrix for as long as the matrix lives: 4 bytes
 #: times q^n, 64 MB at the cap.  Keeping it moved max RSS (single runs, same
 #: host) of `spread --verify` (k = 2, 1, 2) at n = 18, 19, 20 from 83.3, 219.9

@@ -6,10 +6,13 @@ add, sub, mul and power; the Mat input coercion is the only element
 bridge.  Below the matrix rows a vector of F_q^n is one int, the
 mixed-radix index of its digits, and one span routine lists a subspace's
 vectors, a matrix's image table and, many subspaces side by side, the
-oracle's vectors on those ints.  One gate, _image_table,
-checks an invertible matrix and builds its table once, kept with the
-matrix; the orbit, the walk that verifies it and the matrix's order (the
-lcm of the unit vectors' cycle lengths) all read it there.
+oracle's vectors on those ints.  In characteristic 2, where vectors add
+by XOR, it adds word by word: a tile of up to 4096 entries of its 4-byte
+store is read as one Python int, and one XOR with s times the int that
+holds 1 in every entry adds the vector s to the whole tile.  One gate,
+_image_table, checks an invertible matrix and builds its table once, kept
+with the matrix; the orbit, the walk that verifies it and the matrix's
+order (the lcm of the unit vectors' cycle lengths) all read it there.
 
 One routine, _echelon, computes every canonical form: the nonzero rows of
 the unique reduced row echelon basis of a span, from and to vector
@@ -33,9 +36,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from math import lcm
+from operator import xor
 
 from .errors import DomainError, ParseError
 from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digit_ops, _digits, _packed
@@ -318,33 +323,60 @@ class Subspace:
         return iter(span(self.basis)[1:])
 
 
+#: Over characteristic 2 within the cap, a span of at least _WORD_CROSSOVER
+#: entries, or spans of as many sets, adds word by word: up to _TILE 4-byte
+#: entries at a time are one int.  Measured in process (Python 3.11.7, 2
+#: vCPU Xeon; best of nine interleaved runs): a GF(2) span of 8 entries took
+#: 3.3 us entry by entry and 3.5 us by words, one of 16 entries 4.8 and
+#: 4.1 us, an F_4 span of 16 entries 7.2 and 6.6-6.8 us; spans of 2 GF(2)
+#: rows across 8 sets took 8.1 and 9.8 us, across 16 sets 11.6 and 9.9 us,
+#: and of 4 rows across 8 sets 31.8 and 20.4 us.  The GF(2)^20 image table
+#: took 8.5-9.7 ms in tiles of 2^11 to 2^16 entries and 15 ms in tiles of
+#: 2^18 (best of five), against 101-104 ms entry by entry; the tile is the
+#: smallest near the best, which keeps its temporaries small.
+_TILE = 1 << 12
+_WORD_CROSSOVER = 16
+
+
+@functools.lru_cache(maxsize=256)  # bounded: the cache holds its fields
 def _spanner(field: FieldSpec, n: int):
-    """(span, spans) on F^n, on vector indices: span(rows) lists the indices
-    of sum_j c_j rows[j] for all c in mixed-radix order, each row adding one
-    block per scalar to the list so far.  On the rows of a square P, entry x
-    is the index of x P.  spans(columns) spans many sets of k rows at once, column j holding row j
-    of every set: block c holds vector c of every set, so the q^k blocks
-    take one map each across the sets.  Vectors add, and rows are scaled
-    by c = 2 .. Q - 1, through _digit_ops: block tables over an odd
-    characteristic, XOR in characteristic 2.  Within the cap indices are
-    stored in 4-byte arrays, above it in lists, which hold any index."""
+    """(span, spans) on F^n, on vector indices, built once per (field, n):
+    span(rows) lists the indices of sum_j c_j rows[j] for all c in
+    mixed-radix order, each row adding one block per scalar to the list so
+    far.  On the rows of a square P, entry x is the index of x P.
+    spans(columns) spans many sets of k rows at once, column j holding row
+    j of every set: block c holds vector c of every set, so the q^k blocks
+    take one map each across the sets.  Rows are scaled by c = 2 .. Q - 1
+    through _digit_ops, and over an odd characteristic vectors add through
+    its block tables.  Within the cap indices are stored in 4-byte arrays,
+    above it in lists, which hold any index.  In characteristic 2 vectors
+    add by XOR, and within the cap a span or spans at or above
+    _WORD_CROSSOVER add word by word (_xor_span, _xor_spans); below it,
+    and on a big-endian host, entry by entry."""
     add, _, _, _, times = _digit_ops(field, n)
     Q = field.order
-    store = functools.partial(array, "i") if Q ** n <= DESK_SCALE_CAP else list
+    within = Q ** n <= DESK_SCALE_CAP
+    store = functools.partial(array, "i") if within else list
+    wordwise = within and field.p == 2 and sys.byteorder == "little"
 
     def scaled(col: tuple[int, ...]) -> list:
         """col, then c col for c = 2 .. Q - 1."""
         return [col] + [[times(c, r) for r in col] for c in range(2, Q)]
 
     def span(rows) -> array | list:
+        rows = tuple(rows)
+        if wordwise and Q ** len(rows) >= _WORD_CROSSOVER:
+            return _xor_span(zip(*scaled(rows)), Q ** len(rows))
         out = store([0])
-        for multiples in zip(*scaled(tuple(rows))):
+        for multiples in zip(*scaled(rows)):
             head = out[:]
             for s in multiples:
                 out.extend(map(add, head, itertools.repeat(s)))
         return out
 
     def spans(columns: list[tuple[int, ...]]) -> list:
+        if wordwise and len(columns[0]) >= _WORD_CROSSOVER:
+            return _xor_spans(list(map(scaled, columns)), Q ** len(columns))
         blocks = [store([0]) * len(columns[0])]
         for col in columns:
             head = blocks[:]
@@ -353,6 +385,57 @@ def _spanner(field: FieldSpec, n: int):
         return blocks
 
     return span, spans
+
+
+def _xor_span(steps: Iterator, total: int) -> array:
+    """span of the rows whose multiples steps yields, over characteristic
+    2, in a store of total 4-byte entries allocated once.  While the span so
+    far fits one tile it is one int, and a row's multiple s adds to it in
+    one XOR with s times the int holding 1 in every entry; from then on the
+    store is filled in place, tile by tile."""
+    tile, ones, size = 0, 1, 1  # ones holds 1 in each of the size entries
+    for multiples in steps:
+        grown, wider = tile, ones
+        for at, s in enumerate(multiples, 1):
+            grown |= (tile ^ s * ones) << 32 * size * at
+            wider |= ones << 32 * size * at
+        tile, ones, size = grown, wider, size * (len(multiples) + 1)
+        if size >= _TILE:
+            ones >>= 32 * (size - _TILE)  # 1 in each entry of a tile
+            break
+    out = array("i", [0]) * total
+    with memoryview(out).cast("B") as view:
+        view[:4 * size] = tile.to_bytes(4 * size, "little")
+        for multiples in steps:
+            masks = [s * ones for s in multiples]
+            for lo in range(0, 4 * size, 4 * _TILE):
+                hi = lo + 4 * _TILE
+                tile = int.from_bytes(view[lo:hi], "little")
+                for at, mask in enumerate(masks, 1):
+                    at *= 4 * size
+                    view[at + lo:at + hi] = (tile ^ mask).to_bytes(4 * _TILE, "little")
+            size *= len(multiples) + 1
+    return out
+
+
+def _xor_spans(columns: list[list], count: int) -> list[array]:
+    """spans of the scaled columns over characteristic 2: for each tile of
+    up to _TILE sets, block c of the tile is one int, and adding a column's
+    multiple to a block is one XOR."""
+    blocks = [array("i") for _ in range(count)]
+    m = len(columns[0][0])
+    for lo in range(0, m, _TILE):
+        tile = [0]
+        for multiples in columns:
+            head = tile[:]
+            for multiple in multiples:
+                # entry i of the column in bits 32 i and up, as in the store's bytes
+                word = int.from_bytes(array("i", multiple[lo:lo + _TILE]).tobytes(), "little")
+                tile += map(xor, head, itertools.repeat(word))
+        width = 4 * min(_TILE, m - lo)
+        for block, x in zip(blocks, tile):
+            block.frombytes(x.to_bytes(width, "little"))
+    return blocks
 
 
 def _stacked_rank(u: Subspace, v: Subspace) -> int:

@@ -33,10 +33,10 @@ listed words as a set (_oracle_report).  The oracle lists the nonzero
 vectors of all codewords side by side, one block per coefficient
 combination, and reads each pair's intersection dimension off the number
 of vectors it shares; a code in which no vector has two holders, such as
-a spread, is read at distance 2k from that one count, and the scan stops
-at the first pair that shares q^(k-1) - 1 vectors, the most two distinct
-words can.  It sees only vectors and codewords, never the group, and
-stays the reference the walk is tested against.
+a spread, is read at distance 2k from one set and counts nothing, and the
+scan stops at the first pair that shares q^(k-1) - 1 vectors, the most two
+distinct words can.  It sees only vectors and codewords, never the group,
+and stays the reference the walk is tested against.
 
 A codeword is a Subspace, which holds its canonical rows as vector
 indices (matspace._echelon): OrbitCode.codewords reduces each orbit word's
@@ -137,9 +137,9 @@ def generate_orbit(u: Subspace, p: Mat) -> OrbitCode:
 #: Most nonzero vectors, |C| (q^k - 1), that min_distance_brute lists.
 #: Measured over GF(2) (Python 3.11.7, 2 vCPU Xeon; median of five single
 #: runs, range in brackets): the full-length n = 16, k = 3 orbit code from
-#: rows e1, e2, e3 (458745 vectors) in 0.91 s (0.81-1.03), adding 19 MB to
-#: max RSS; at the budget, 8 random words with k = 16 in GF(2)^24 (524280
-#: vectors) in 0.54 s (0.51-0.58), adding 48 MB.
+#: rows e1, e2, e3 (458745 vectors, distance 2) in 0.19 s (0.16-0.26),
+#: adding 18 MB to max RSS; at the budget, 8 random words with k = 16 in
+#: GF(2)^24 (524280 vectors) in 0.54 s (0.42-0.56), adding 48 MB.
 ORACLE_VECTOR_BUDGET = 1 << 19
 
 
@@ -163,17 +163,19 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     dimension code.  Two k-dimensional words sharing s
     nonzero vectors meet in dimension d with s = q^d - 1 and lie at
     distance 2k - 2d.  All words are spanned side by side, one block of
-    |C| vectors per coefficient combination, and one count over the
-    blocks gives each vector's number of holders.  If no vector has two,
-    no two words meet and the distance is 2k, as in every spread.
-    Otherwise an incidence map from each shared vector to the words
-    holding it counts, for each word, the vectors it shares with every
-    word it meets.  Two distinct words share at most q^(k-1) - 1 vectors,
-    so the scan of the words stops at the first pair that shares that
-    many: the distance is then 2, exactly.  Memory is linear in the
-    |C| (q^k - 1) vectors listed, and time in those vectors plus the pairs
-    of words that share one, instead of a rank for each of the |C|^2 / 2
-    pairs.  Codes of more than ORACLE_VECTOR_BUDGET vectors are refused.
+    |C| vectors per coefficient combination.  One set, filled block by
+    block, stops at the first block that brings a vector a second holder.
+    If none does, no two words meet and the distance is 2k, as in every
+    spread, and nothing is counted.  Otherwise one count over the blocks
+    gives each vector's number of holders, and an incidence map from each
+    shared vector to the words holding it counts, for each word, the
+    vectors it shares with every word it meets.  Two distinct words share
+    at most q^(k-1) - 1 vectors, so the scan of the words stops at the
+    first pair that shares that many: the distance is then 2, exactly.
+    Memory is linear in the |C| (q^k - 1) vectors listed, and time in those
+    vectors plus the pairs of words that share one, instead of a rank for
+    each of the |C|^2 / 2 pairs.  Codes of more than ORACLE_VECTOR_BUDGET
+    vectors are refused.
     """
     orbit = isinstance(code, OrbitCode)
     words = code.rows if orbit else _distinct_words(code)
@@ -184,22 +186,29 @@ def min_distance_brute(code: OrbitCode | Iterable[Subspace]) -> int:
     _, spans = _spanner(first.field, first.ambient)
     rows = words if orbit else [w.basis for w in words]
     blocks = spans(list(zip(*rows)))[1:]  # blocks[c - 1][i]: vector c of word i
+    seen: set[int] = set()
+    for listed, block in enumerate(blocks, 1):
+        seen.update(block)
+        if len(seen) < listed * len(words):  # a vector has two holders
+            break
+    else:
+        return 2 * first.dim  # no two words meet
+    del seen
     counts = Counter(chain.from_iterable(blocks))
+    cap = first.field.order ** (first.dim - 1) - 1  # the most two distinct words share
+    holders: dict[int, list[int]] = {key: [] for key, n in counts.items() if n > 1}
+    del counts  # freed before the holder lists grow
+    index = list(range(len(words)))  # one int object per word, in all its lists
+    for block in blocks:
+        for key, i in compress(zip(block, index), map(holders.__contains__, block)):
+            holders[key].append(i)
     most = 0  # largest number of nonzero vectors two words share
-    if len(counts) < len(words) * len(blocks):  # some vector has two holders
-        cap = first.field.order ** (first.dim - 1) - 1  # the most two distinct words share
-        holders: dict[int, list[int]] = {key: [] for key, n in counts.items() if n > 1}
-        del counts  # freed before the holder lists grow
-        index = list(range(len(words)))  # one int object per word, in all its lists
-        for block in blocks:
-            for key, i in compress(zip(block, index), map(holders.__contains__, block)):
-                holders[key].append(i)
-        for i, vectors in enumerate(zip(*blocks)):
-            met = Counter(chain.from_iterable(map(holders.get, vectors, repeat(()))))
-            met.pop(i, None)
-            most = max(most, max(met.values(), default=0))
-            if most == cap:
-                break
+    for i, vectors in enumerate(zip(*blocks)):
+        met = Counter(chain.from_iterable(map(holders.get, vectors, repeat(()))))
+        met.pop(i, None)
+        most = max(most, max(met.values(), default=0))
+        if most == cap:
+            break
     return 2 * first.dim - 2 * _int_log(first.field.order, most + 1)
 
 
@@ -446,10 +455,27 @@ def _int_log(q: int, value: int) -> int:
     return d
 
 
+#: Most exponent pairs that _predict counts: s(s - 1)/2 for the s vectors
+#: on each orbit, summed over the orbits.  Measured (Python 3.11.7, 2 vCPU
+#: Xeon; three single runs, each in a fresh process): 1047628 pairs of
+#: random residues mod 2^24 - 1, nearly every difference its own key, were
+#: counted in 0.62-0.65 s, adding 81 MB to max RSS; the 522753 pairs of
+#: rows e1..e10 in 0.11-0.13 s under x^12+x^6+x^4+x+1 and 0.22-0.30 s
+#: (adding 20 MB) under x^24+x^7+x^2+x+1.  Rows e1..e11 of F_2^12 (2094081
+#: pairs) are refused in 3 ms; counting them took 0.48-0.53 s before.
+PAIR_BUDGET = 1 << 20
+
+
 def _predict(u, ctx, verify):
     """Predictor over the per-orbit exponent sets of u's partition, mod
-    ord(alpha); the primitive case is one orbit holding all q^k - 1 vectors."""
+    ord(alpha); the primitive case is one orbit holding all q^k - 1 vectors.
+    A partition with more than PAIR_BUDGET exponent pairs is refused before
+    any is counted."""
     part = ctx.orbit_partition(u)
+    pairs = sum(s * (s - 1) // 2 for s in part.membership)
+    if pairs > PAIR_BUDGET:
+        raise DomainError(f"the predictor would count {pairs} exponent pairs, above its "
+                          f"budget of {PAIR_BUDGET}")
     q, k, n = ctx.q, u.dim, ctx.n
     full = q ** k - 1
     per = tuple(DifferenceMultiset.from_exponents(exps, part.size)

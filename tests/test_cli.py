@@ -294,6 +294,21 @@ class TestAnalyze:
         else:
             assert "verified_agrees = true" in out
 
+    def test_predictor_over_the_pair_budget_exits_3(self, capsys, monkeypatch):
+        # Rows e1..e11 of F_2^12 under a primitive modulus: 2047 vectors on
+        # one orbit, 2047 * 2046 / 2 pairs, refused before any is counted.
+        counted = []
+        monkeypatch.setattr(orbitcodes.orbitcode.DifferenceMultiset, "from_exponents",
+                            lambda *args: counted.append(args))
+        rows = ";".join("".join("1" if i == j else "0" for j in range(12)) for i in range(11))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "-q", "2", "-p", "x^12+x^6+x^4+x+1",
+                             "--start-rows", rows)
+        assert time.perf_counter() - started < 0.5
+        assert (code, out, counted) == (3, "", [])
+        assert err == ("error: the predictor would count 2094081 exponent pairs, above "
+                       "its budget of 1048576\n")
+
     def test_nonprimitive_example(self, capsys):
         code, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x^3+x^2+x+1",
                            "--start-rows", "1000;0011", "--verify")

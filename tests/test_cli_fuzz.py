@@ -4,9 +4,9 @@ Every subcommand runs in process on argv drawn from valid, malformed,
 oversized, non-ASCII and wrong-field tokens.  Oversized tokens lie strictly
 above a documented cap: DESK_SCALE_CAP on q and on q^n, the exponent
 limit of the polynomial syntax, LIST_CAP, the width of the start matrix,
-the code-file header, ORACLE_VECTOR_BUDGET and WALK_READ_BUDGET.  Each
-call must exit with 0, 2, 3 or 4, raise nothing, write no traceback and
-finish within CALL_BOUND seconds.
+the code-file header, ORACLE_VECTOR_BUDGET, WALK_READ_BUDGET and
+PAIR_BUDGET.  Each call must exit with 0, 2, 3 or 4, raise nothing, write
+no traceback and finish within CALL_BOUND seconds.
 
 File arguments are "@name" tokens, resolved to files that the module
 fixture writes in its own temporary directory; the calls also run with
@@ -70,10 +70,12 @@ ROWS = {"valid": ["1000;0011", "100000;010000", "100000;011010;000110", "100;010
         # Under x^12+x^6+x^4+x+1 the orbit of rows 8 x 12 has 4095 words of
         # 255 (2^8 - 1) vectors, above ORACLE_VECTOR_BUDGET, which the walk
         # verifies; that of rows 10 x 12 has 4095 words of 1023 vectors, a
-        # walk charged 4095 * 1027 reads, above WALK_READ_BUDGET.
+        # walk charged 4095 * 1027 reads, above WALK_READ_BUDGET.  Rows
+        # 11 x 12 put 2047 vectors on one orbit: 2094081 exponent pairs,
+        # above PAIR_BUDGET.
         "oversized": [_identity_rows(400), _identity_rows(6, rows=7),
                       _identity_rows(7), _identity_rows(12, rows=8),
-                      _identity_rows(12, rows=10)],
+                      _identity_rows(12, rows=10), _identity_rows(12, rows=11)],
         "non_ascii": ["1é00", "１000"],
         "wrong_field": ["2000;0100", "z00000", "100000;100000"]}
 START_FILES = ["@start4", "@dense400", "@nonascii", "@empty", "@missing", "@dir"]
@@ -188,6 +190,8 @@ def workdir(tmp_path_factory):
                _identity_rows(12, rows=8), "--verify"])
 @example(argv=["analyze", "-q", "2", "-p", "x^12+x^6+x^4+x+1", "--start-rows",
                _identity_rows(12, rows=10), "--verify"])
+@example(argv=["analyze", "-q", "2", "-p", "x^12+x^6+x^4+x+1", "--start-rows",
+               _identity_rows(12, rows=11)])
 @example(argv=["distance", "@header_over_cap"])
 @example(argv=["distance", "@over_budget"])
 @example(argv=["distance", "@q37"])

@@ -221,6 +221,113 @@ class TestCanonicalRowsOnIndices:
         assert orbitcodes.matspace._echelon(F2, 4, [0, 0]) == ()
 
 
+def _reference_span(field, n, rows):
+    """sum_j c_j rows[j] for every c, c_0 fastest, one entry at a time: the
+    multiples c r are read off FieldElement digits, and in characteristic 2
+    two vectors add by XOR of their indices."""
+    Q = field.order
+
+    def times(c, r):
+        digits = (field.from_index(r // Q ** i % Q) for i in range(n))
+        return sum((field.from_index(c) * d).value * Q ** i for i, d in enumerate(digits))
+
+    out = [0]
+    for r in rows:
+        out += [v ^ m for m in [times(c, r) for c in range(1, Q)] for v in out]
+    return out
+
+
+@st.composite
+def char2_rows(draw):
+    """(field, n, rows) over GF(2) up to n = 14 or F_4 up to n = 7: spans of
+    1 to 16384 entries, across _WORD_CROSSOVER and _TILE, with zero and
+    repeated rows."""
+    field = draw(st.sampled_from([F2, F4]))
+    n = draw(st.integers(1, 14 if field is F2 else 7))
+    vector = st.one_of(st.just(0), st.integers(0, field.order ** n - 1))
+    return field, n, draw(st.lists(vector, max_size=n))
+
+
+class TestWordParallelSpans:
+    """In characteristic 2 within the cap, span and spans add whole tiles of
+    4-byte entries as ints once a span reaches _WORD_CROSSOVER entries or a
+    code as many words; the lists must be those of adding entry by entry."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(char2_rows())
+    @example((F2, 14, [1 << i for i in range(14)]))
+    @example((F4, 7, [4 ** i for i in range(7)]))
+    @example((F2, 5, [0, 3, 0, 3, 31]))
+    def test_span_matches_the_reference(self, drawn):
+        field, n, rows = drawn
+        span, _ = orbitcodes.matspace._spanner(field, n)
+        assert list(span(rows)) == _reference_span(field, n, rows)
+
+    def test_a_table_of_many_tiles(self):
+        # GF(2)^17: 2^17 entries, 32 tiles; the first 12 rows fill one tile.
+        p = companion_matrix(parse_poly(F2, "x^17+x^3+1"))
+        assert orbitcodes.matspace._TILE < 2 ** 17
+        table = orbitcodes.matspace._image_table(p)
+        rows = list(p._vectors())
+        reference = [0]
+        for r in rows:
+            reference += [v ^ r for v in reference]
+        assert list(table) == reference
+
+    def test_a_span_that_grows_past_one_tile_in_one_row(self):
+        # Over F_32 the span so far grows 1024 -> 32768 entries in one row,
+        # past _TILE, and the fourth row then adds tile by tile.
+        f32 = F2.extend(parse_poly(F2, "x^5+x^2+1"))
+        rows = [1, 32 ** 2 + 3, 7 * 32 ** 3 + 5, 32 ** 4 - 1]
+        span, _ = orbitcodes.matspace._spanner(f32, 4)
+        assert 32 ** 2 < orbitcodes.matspace._TILE < 32 ** 3
+        assert list(span(rows)) == _reference_span(f32, 4, rows)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_spans_match_the_reference(self, data):
+        field = data.draw(st.sampled_from([F2, F4]))
+        n = data.draw(st.integers(1, 12 if field is F2 else 6))
+        k = data.draw(st.integers(1, 8 if field is F2 else 4))
+        m = data.draw(st.integers(1, 40))
+        vector = st.one_of(st.just(0), st.integers(0, field.order ** n - 1))
+        columns = [tuple(data.draw(st.lists(vector, min_size=m, max_size=m)))
+                   for _ in range(k)]
+        self.check_spans(field, n, columns)
+
+    def test_spans_across_a_tile_boundary(self):
+        rng = random.Random(12)
+        m = orbitcodes.matspace._TILE + 3
+        self.check_spans(F2, 12, [tuple(rng.randrange(4096) for _ in range(m))
+                                  for _ in range(2)])
+
+    @staticmethod
+    def check_spans(field, n, columns):
+        _, spans = orbitcodes.matspace._spanner(field, n)
+        sets = [_reference_span(field, n, rows) for rows in zip(*columns)]
+        assert [list(block) for block in spans(columns)] == [list(b) for b in zip(*sets)]
+
+    def test_a_gf2_table_adds_no_entry_one_by_one(self, monkeypatch):
+        added = []
+        digit_ops = orbitcodes.matspace._digit_ops
+
+        def counting(field, d):
+            add, *rest = digit_ops(field, d)
+            return (lambda a, b: added.append(a) or add(a, b), *rest)
+
+        monkeypatch.setattr(orbitcodes.matspace, "_digit_ops", counting)
+        spanner = orbitcodes.matspace._spanner
+        spanner.cache_clear()  # spanners built from here on count their adds
+        try:
+            p = companion_matrix(parse_poly(F2, "x^12+x^6+x^4+x+1"))
+            table = orbitcodes.matspace._image_table(p)
+            span, _ = spanner(F2, 12)
+            assert added == [] and len(table) == 4096
+            assert list(span([3, 5])) == [0, 3, 5, 6] and len(added) == 3  # below the crossover
+        finally:
+            spanner.cache_clear()
+
+
 class TestMetric:
     def test_distance_to_self_is_zero(self):
         u = Subspace(parse_matrix(F2, "1000\n0100"))

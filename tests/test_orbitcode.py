@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitcodes.orbitcode
 from orbitcodes import (DifferenceMultiset, DomainError,
                         ExtensionContext, FieldSpec, Mat, ParseError,
                         Subspace, analyze, analyze_nonprimitive,
@@ -490,6 +491,32 @@ class TestAnalyzeNonprimitive:
             for u in grassmannian(f2, 2, 4):
                 report = analyze(u, ctx)
                 assert report.group_order % report.predicted_cardinality == 0
+
+
+class TestPairBudget:
+    @pytest.mark.parametrize("slack,refused", [(0, False), (-1, True)])
+    def test_pairs_of_every_orbit_count(self, f2, monkeypatch, slack, refused):
+        # Under a modulus of order 21 (three orbits), a start whose seven
+        # vectors put two or more on at least two orbits: the budget is
+        # charged the pairs of each orbit, summed.
+        ctx = ExtensionContext.from_modulus(parse_poly(f2, "x^6+x^5+x^4+x^2+1"))
+        u = next(u for u in grassmannian(f2, 3, 6)
+                 if sum(m > 1 for m in ctx.orbit_partition(u).membership) >= 2)
+        pairs = sum(m * (m - 1) // 2 for m in ctx.orbit_partition(u).membership)
+        monkeypatch.setattr(orbitcodes.orbitcode, "PAIR_BUDGET", pairs + slack)
+        if refused:
+            with pytest.raises(DomainError, match=f"would count {pairs} exponent pairs, "
+                                                  f"above its budget of {pairs - 1}"):
+                analyze(u, ctx)
+        else:
+            assert analyze(u, ctx).differences.total() == 2 * pairs
+
+    def test_refuses_no_code_of_ten_dimensions_in_f2_12(self, f2):
+        # 1023 vectors on one orbit: 522753 pairs, within the budget.
+        ctx = ExtensionContext.from_modulus(parse_poly(f2, "x^12+x^6+x^4+x+1"))
+        u = Subspace(Mat(f2, [[int(i == j) for j in range(12)] for i in range(10)]))
+        assert orbitcodes.orbitcode.PAIR_BUDGET >= 1023 * 1022 // 2
+        assert analyze(u, ctx).differences.total() == 1023 * 1022
 
 
 class TestPredictorOracleEquivalence:

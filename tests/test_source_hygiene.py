@@ -1,6 +1,7 @@
 """Source checks on src/orbitcodes, standard library only: line length, no
-private top-level name left without a use, and a brute-force side and a
-predictor that read no name of each other."""
+private top-level name left without a use, memo caches that cannot grow
+without bound, and a brute-force side and a predictor that read no name of
+each other."""
 
 import ast
 from pathlib import Path
@@ -59,10 +60,57 @@ def test_private_top_level_names_are_used():
     assert unused == []
 
 
+def _functools(node: ast.AST, name: str) -> bool:
+    """node names functools.<name>, or <name> imported from functools."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == name and isinstance(node.value, ast.Name) \
+            and node.value.id == "functools"
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _int_maxsize(call: ast.Call) -> bool:
+    sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+    return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) \
+        and type(sizes[0].value) is int
+
+
+def _unbounded_caches(tree: ast.AST) -> list[int]:
+    """Lines of a functools.lru_cache not given an int maxsize, and of a
+    functools.cache other than the decorator of a function of no argument."""
+    called = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    bare = {id(d) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+            and not any(ast.iter_child_nodes(n.args)) for d in n.decorator_list}
+    return [node.lineno for node in ast.walk(tree)
+            if (_functools(node, "lru_cache")
+                and not (id(node) in called and _int_maxsize(called[id(node)])))
+            or (_functools(node, "cache") and id(node) not in bare)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_memo_caches_are_bounded(path):
+    """No cache grows with the arguments it sees for the life of the process."""
+    assert _unbounded_caches(ast.parse(path.read_text())) == [], path.name
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("@functools.lru_cache(maxsize=256)\ndef f(a): pass", []),
+    ("@functools.lru_cache(64)\ndef f(a): pass", []),
+    ("@functools.cache\ndef f(): pass", []),
+    ("@functools.lru_cache\ndef f(a): pass", [1]),
+    ("@functools.lru_cache(maxsize=None)\ndef f(a): pass", [1]),
+    ("from functools import lru_cache\n@lru_cache()\ndef f(a): pass", [2]),
+    ("@functools.cache\ndef f(a): pass", [1]),
+    ("@functools.cache\ndef f(*, a=1): pass", [1]),
+    ("g = functools.cache(h)", [1]),
+])
+def test_the_cache_check_reads_decorators(source, lines):
+    assert _unbounded_caches(ast.parse(source)) == lines
+
+
 #: The brute-force side: the orbit walks, the oracle and what they build on.
 BRUTE_FORCE = {"orbitcode.py": ["generate_orbit", "_walk_orbit", "min_distance_brute",
                                 "_oracle_report", "_distinct_words"],
-               "matspace.py": ["_spanner", "_image_table"]}
+               "matspace.py": ["_spanner", "_xor_span", "_xor_spans", "_image_table"]}
 #: The predictor's names: its multiset, the extension field and its logs.
 PREDICTOR = {"DifferenceMultiset", "ExtensionContext", "orbit_partition",
              "exponent_profile", "dlog", "_coords"}
