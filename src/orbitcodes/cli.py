@@ -26,7 +26,7 @@ from . import __version__
 from .errors import DomainError, ParseError
 from .fieldmap import ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
-from .matspace import Subspace, format_matrix, parse_matrix
+from .matspace import Subspace, _check_text_field, format_matrix, parse_matrix
 from .orbitcode import (AnalysisReport, _check_oracle_budget, _check_spread_shape,
                         _header_field, _oracle_report, _read_code_header,
                         _read_code_words, analyze,
@@ -314,6 +314,7 @@ def _print_verification(report) -> int:
 
 def _cmd_spread(args) -> int:
     field = _base_field(args.q, args.base_modulus)
+    _check_text_field(field)  # the start is printed in the matrix text format
     poly = parse_poly(field, args.poly)
     if args.n is not None and poly.degree != args.n:
         raise ParseError(f"polynomial degree {poly.degree} does not match -n {args.n}")

@@ -1,15 +1,15 @@
 """Matrices over a finite field and canonical subspaces of F_q^n.
 
-Matrix entries are element indices, ints in [0, q) in the field's
-mixed-radix enumeration, and every routine computes on the field's int
-add, sub, mul and power; the Mat input coercion is the only element
-bridge.  Below the matrix rows a vector of F_q^n is one int, the
-mixed-radix index of its digits, and one span routine lists a subspace's
+A vector of F_q^n is one int, the mixed-radix index of its digits, which
+are element indices, ints in [0, q): a Mat's rows and a Subspace's basis
+are such ints.  Digits appear only at the edges: the Mat constructor (the
+only element bridge) and Mat.rows, the text format, vector_from_index,
+row_times_mat and char_poly.  One span routine lists a subspace's
 vectors, a matrix's image table and, many subspaces side by side, the
 oracle's vectors on those ints.  In characteristic 2, where vectors add
-by XOR, it adds word by word: a tile of up to 4096 entries of its 4-byte
-store is read as one Python int, and one XOR with s times the int that
-holds 1 in every entry adds the vector s to the whole tile.  One gate,
+by XOR, it adds word by word: a tile of 4096 entries of its 4-byte store
+is one Python int, and one XOR with s times the int that holds 1 in
+every entry adds the vector s to the whole tile.  One gate,
 _image_table, checks an invertible matrix and builds its table once, kept
 with the matrix; the orbit, the walk that verifies it and the matrix's
 order (the lcm of the unit vectors' cycle lengths) all read it there.
@@ -19,7 +19,7 @@ the unique reduced row echelon basis of a span, from and to vector
 indices.  Over GF(2) digit j of an index is bit j, so a row's pivot is its
 lowest set bit and elimination is XOR on whole rows; over any other field
 a row's pivot is its lowest nonzero digit and whole rows are reduced by
-_digit_ops' add and scalar products.  Mat.rref and rank are views of it.
+_digit_ops' add and scalar products.  Mat.rref, rank and inverse use it.
 A Subspace holds its canonical rows as indices, so equality and hashing
 are tuple comparisons on ints.  Sorting follows the digit rows, digit 0
 first, which is not the order of the indices: its key maps each row to
@@ -52,24 +52,17 @@ def _indices(field: FieldSpec, v) -> tuple[int, ...]:
                  else field.index_of(e) for e in v)
 
 
-def _dot(field: FieldSpec, u, v) -> int:
-    """sum_i u_i v_i on element indices."""
-    add, mul, acc = field._add, field._mul, 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = add(acc, mul(a, b))
-    return acc
-
-
 class Mat:
-    """An immutable dense matrix over one FieldSpec, rows of element indices.
-    Entries may be given as in-range ints or elements of the field.
+    """An immutable dense matrix over one FieldSpec: vectors holds each row
+    as its vector index, as a Subspace's basis does, and rows expands them
+    into element indices.  Entries may be given as in-range ints or elements
+    of the field.
 
     _table stays None until _image_table first builds the matrix's image
     table; it is a once-only cache that __eq__ and __hash__ ignore.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_table")
+    __slots__ = ("field", "nrows", "ncols", "vectors", "_table")
 
     def __init__(self, field: FieldSpec, rows):
         rows = tuple(_indices(field, row) for row in rows)
@@ -77,15 +70,16 @@ class Mat:
             raise DomainError("matrix dimensions must be positive")
         if any(len(r) != len(rows[0]) for r in rows):
             raise DomainError("matrix rows must all have the same length")
-        self.field, self.nrows, self.ncols, self.rows = field, len(rows), len(rows[0]), rows
+        self.field, self.nrows, self.ncols = field, len(rows), len(rows[0])
+        self.vectors = tuple(map(_digit_ops(field, self.ncols)[3], rows))
         self._table = None
 
     @classmethod
-    def _wrap(cls, field: FieldSpec, rows: tuple[tuple[int, ...], ...]) -> "Mat":
-        """A Mat on rows of indices already checked or produced by the
-        field's own closures, without coercing them again."""
+    def _wrap(cls, field: FieldSpec, ncols: int, vectors: tuple[int, ...]) -> "Mat":
+        """A Mat on rows given as vector indices of F^ncols, checked or
+        produced by the field's own closures, without coercing them again."""
         m = object.__new__(cls)
-        m.field, m.nrows, m.ncols, m.rows = field, len(rows), len(rows[0]), rows
+        m.field, m.nrows, m.ncols, m.vectors = field, len(vectors), ncols, vectors
         m._table = None
         return m
 
@@ -93,13 +87,20 @@ class Mat:
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
         return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of element indices, entry j being digit j."""
+        Q, n = self.field.order, self.ncols
+        return tuple(tuple(_digits(r, Q, n)) for r in self.vectors)
+
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return (self.field == other.field and self.ncols == other.ncols
+                and self.vectors == other.vectors)
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.ncols, self.vectors))
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -109,9 +110,8 @@ class Mat:
         if self.ncols != other.nrows:
             raise DomainError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = tuple(zip(*other.rows))
-        return Mat._wrap(self.field, tuple(tuple([_dot(self.field, r, c) for c in cols])
-                                           for r in self.rows))
+        return Mat._wrap(self.field, other.ncols,
+                         tuple(_row_times(v, other) for v in self.vectors))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -133,7 +133,7 @@ class Mat:
         """Rows of self on top of rows of other."""
         if self.field != other.field or self.ncols != other.ncols:
             raise DomainError("stacked matrices must share field and width")
-        return Mat._wrap(self.field, self.rows + other.rows)
+        return Mat._wrap(self.field, self.ncols, self.vectors + other.vectors)
 
     def rref(self) -> tuple["Mat", int]:
         """Reduced row echelon form and rank.
@@ -142,30 +142,26 @@ class Mat:
         below, so the result is the unique canonical representative of the
         row space; the rows below the rank are zero.
         """
-        field, n = self.field, self.ncols
-        canon = _echelon(field, n, self._vectors())
-        rows = [tuple(_digits(r, field.order, n)) for r in canon]
-        rows += [(0,) * n] * (self.nrows - len(canon))
-        return Mat._wrap(field, tuple(rows)), len(canon)
+        canon = _echelon(self.field, self.ncols, self.vectors)
+        zeros = (0,) * (self.nrows - len(canon))
+        return Mat._wrap(self.field, self.ncols, canon + zeros), len(canon)
 
     def rank(self) -> int:
-        return len(_echelon(self.field, self.ncols, self._vectors()))
-
-    def _vectors(self) -> Iterator[int]:
-        """The rows' vector indices."""
-        return map(_digit_ops(self.field, self.ncols)[3], self.rows)
+        return len(_echelon(self.field, self.ncols, self.vectors))
 
     def inverse(self) -> "Mat":
-        """Gauss-Jordan inverse; raises DomainError on singular input."""
+        """Gauss-Jordan inverse; raises DomainError on singular input.  The
+        rows v_i + Q^n Q^i of [A | I] reduce to [I | A^-1] iff A is invertible."""
         if self.nrows != self.ncols:
             raise DomainError("only square matrices can be inverted")
-        n = self.nrows
-        ident = Mat.identity(self.field, n)
-        aug = Mat(self.field, [self.rows[i] + ident.rows[i] for i in range(n)])
-        reduced, _ = aug.rref()
-        if tuple(r[:n] for r in reduced.rows) != ident.rows:
+        Q, n = self.field.order, self.nrows
+        high = Q ** n
+        reduced = _echelon(self.field, 2 * n,
+                           (v + high * Q ** i for i, v in enumerate(self.vectors)))
+        right, left = zip(*(divmod(r, high) for r in reduced))
+        if left != tuple(Q ** i for i in range(n)):
             raise DomainError("matrix is singular")
-        return Mat._wrap(self.field, tuple(r[n:] for r in reduced.rows))
+        return Mat._wrap(self.field, n, right)
 
     def __str__(self):
         return format_matrix(self)
@@ -174,12 +170,23 @@ class Mat:
         return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
 
 
+def _row_times(v: int, m: Mat) -> int:
+    """The index of v m, v in F^m.nrows given by its index: the sum of m's
+    rows times v's digits; over GF(2), the XOR of the rows at v's set bits."""
+    add, _, _, _, times = _digit_ops(m.field, m.ncols)
+    out = 0
+    for c, r in zip(_digits(v, m.field.order, m.nrows), m.vectors):
+        if c:
+            out = add(out, r if c == 1 else times(c, r))
+    return out
+
+
 def row_times_mat(v: Sequence, m: Mat) -> tuple[int, ...]:
     """Row vector (entries as for Mat) times matrix, as element indices."""
     if len(v) != m.nrows:
         raise DomainError("vector length does not match the matrix")
-    v = _indices(m.field, v)
-    return tuple(_dot(m.field, v, col) for col in zip(*m.rows))
+    join = _digit_ops(m.field, m.nrows)[3]
+    return tuple(_digits(_row_times(join(_indices(m.field, v)), m), m.field.order, m.ncols))
 
 
 def vector_from_index(field: FieldSpec, n: int, i: int) -> tuple[int, ...]:
@@ -256,7 +263,7 @@ class Subspace:
     """A subspace of F_q^n, held as its canonical basis: basis holds the
     nonzero rows of its unique reduced row echelon form as vector indices,
     in pivot order, so two subspaces are equal exactly when their bases are.
-    mat is the same basis as a Mat of digit rows, built on each read.
+    mat wraps the same basis in a Mat, built on each read.
 
     Construct from any spanning rows; the dimension is the rank of the
     input.  The zero-dimensional subspace is representable (basis is empty
@@ -268,7 +275,7 @@ class Subspace:
 
     def __init__(self, rows: Mat):
         self.field, self.ambient = rows.field, rows.ncols
-        self.basis = _echelon(rows.field, rows.ncols, rows._vectors())
+        self.basis = _echelon(rows.field, rows.ncols, rows.vectors)
         self.dim = len(self.basis)
 
     @classmethod
@@ -282,11 +289,8 @@ class Subspace:
 
     @property
     def mat(self) -> Mat | None:
-        """The canonical basis as a Mat of digit rows; None for dimension 0."""
-        if not self.dim:
-            return None
-        Q, n = self.field.order, self.ambient
-        return Mat._wrap(self.field, tuple(tuple(_digits(r, Q, n)) for r in self.basis))
+        """The canonical basis as a Mat; None for dimension 0."""
+        return Mat._wrap(self.field, self.ambient, self.basis) if self.dim else None
 
     def _key(self) -> tuple[int, ...]:
         """The rows' sort keys, _row_key."""
@@ -324,15 +328,16 @@ class Subspace:
 
 
 #: Over characteristic 2 within the cap, a span of at least _WORD_CROSSOVER
-#: entries, or spans of as many sets, adds word by word: up to _TILE 4-byte
-#: entries at a time are one int.  Measured in process (Python 3.11.7, 2
-#: vCPU Xeon; best of nine interleaved runs): a GF(2) span of 8 entries took
-#: 3.3 us entry by entry and 3.5 us by words, one of 16 entries 4.8 and
-#: 4.1 us, an F_4 span of 16 entries 7.2 and 6.6-6.8 us; spans of 2 GF(2)
-#: rows across 8 sets took 8.1 and 9.8 us, across 16 sets 11.6 and 9.9 us,
-#: and of 4 rows across 8 sets 31.8 and 20.4 us.  The GF(2)^20 image table
-#: took 8.5-9.7 ms in tiles of 2^11 to 2^16 entries and 15 ms in tiles of
-#: 2^18 (best of five), against 101-104 ms entry by entry; the tile is the
+#: entries, or spans of as many sets, adds word by word: a span's first
+#: tile of _TILE 4-byte entries, or _TILE sets' entries at a time, are one
+#: int.  Measured in process (Python 3.11.7, 2 vCPU Xeon; best of nine
+#: interleaved runs): a GF(2) span of 8 entries took 3.3 us entry by entry
+#: and 3.5 us by words, one of 16 entries 4.8 and 4.1 us, an F_4 span of 16
+#: entries 7.2 and 6.6-6.8 us; spans of 2 GF(2) rows across 8 sets took 8.1
+#: and 9.8 us, across 16 sets 11.6 and 9.9 us, and of 4 rows across 8 sets
+#: 31.8 and 20.4 us.  The GF(2)^20 image table took 6.1-6.6 ms in tiles of
+#: 2^11 to 2^16 entries, 7.5 ms in tiles of 2^10 and 12.9 ms in tiles of
+#: 2^18 (best of seven), against 101-104 ms entry by entry; the tile is the
 #: smallest near the best, which keeps its temporaries small.
 _TILE = 1 << 12
 _WORD_CROSSOVER = 16
@@ -366,7 +371,7 @@ def _spanner(field: FieldSpec, n: int):
     def span(rows) -> array | list:
         rows = tuple(rows)
         if wordwise and Q ** len(rows) >= _WORD_CROSSOVER:
-            return _xor_span(zip(*scaled(rows)), Q ** len(rows))
+            return _xor_span(zip(*scaled(rows)))
         out = store([0])
         for multiples in zip(*scaled(rows)):
             head = out[:]
@@ -387,12 +392,12 @@ def _spanner(field: FieldSpec, n: int):
     return span, spans
 
 
-def _xor_span(steps: Iterator, total: int) -> array:
+def _xor_span(steps: Iterator) -> array:
     """span of the rows whose multiples steps yields, over characteristic
-    2, in a store of total 4-byte entries allocated once.  While the span so
-    far fits one tile it is one int, and a row's multiple s adds to it in
-    one XOR with s times the int holding 1 in every entry; from then on the
-    store is filled in place, tile by tile."""
+    2, in a store of 4-byte entries allocated once.  Until the span so far
+    fills a tile it is one int, and a row's multiple s adds to it in one
+    XOR with s times the int holding 1 in every entry.  The rows left are
+    spanned entry by entry into high; block h is the tile XOR h * ones."""
     tile, ones, size = 0, 1, 1  # ones holds 1 in each of the size entries
     for multiples in steps:
         grown, wider = tile, ones
@@ -401,20 +406,14 @@ def _xor_span(steps: Iterator, total: int) -> array:
             wider |= ones << 32 * size * at
         tile, ones, size = grown, wider, size * (len(multiples) + 1)
         if size >= _TILE:
-            ones >>= 32 * (size - _TILE)  # 1 in each entry of a tile
             break
-    out = array("i", [0]) * total
+    high = [0]
+    for multiples in steps:
+        high += [h ^ s for s in multiples for h in high]
+    out, width = array("i", [0]) * (size * len(high)), 4 * size
     with memoryview(out).cast("B") as view:
-        view[:4 * size] = tile.to_bytes(4 * size, "little")
-        for multiples in steps:
-            masks = [s * ones for s in multiples]
-            for lo in range(0, 4 * size, 4 * _TILE):
-                hi = lo + 4 * _TILE
-                tile = int.from_bytes(view[lo:hi], "little")
-                for at, mask in enumerate(masks, 1):
-                    at *= 4 * size
-                    view[at + lo:at + hi] = (tile ^ mask).to_bytes(4 * _TILE, "little")
-            size *= len(multiples) + 1
+        for at, h in enumerate(high):
+            view[width * at:width * (at + 1)] = (tile ^ h * ones).to_bytes(width, "little")
     return out
 
 
@@ -476,7 +475,7 @@ def _image_table(g: Mat) -> array | list:
         if g.rank() != g.nrows:
             raise DomainError("matrix is singular")
         span, _ = _spanner(g.field, g.ncols)
-        g._table = span(g._vectors())
+        g._table = span(g.vectors)
     return g._table
 
 
@@ -566,10 +565,10 @@ def to_companion_similarity(g: Mat) -> Mat:
 
     if not is_irreducible(char_poly(g)):
         raise DomainError("matrix is reducible; no companion similarity is guaranteed")
-    rows = [_digits(1, g.field.order, g.nrows)]
+    rows = [1]
     for _ in range(g.nrows - 1):
-        rows.append(row_times_mat(rows[-1], g))
-    return Mat(g.field, rows)
+        rows.append(_row_times(rows[-1], g))
+    return Mat._wrap(g.field, g.ncols, tuple(rows))
 
 
 def groups_conjugate(f1, f2) -> bool:
@@ -605,14 +604,15 @@ def grassmannian(field: FieldSpec, k: int, n: int) -> Iterator[Subspace]:
     """
     if not 0 < k <= n:
         raise DomainError("grassmannian requires 0 < k <= n")
+    Q = field.order
     for pivots in itertools.combinations(range(n), k):
-        free = [(i, j) for i in range(k) for j in range(n)
+        free = [(i, Q ** j) for i in range(k) for j in range(n)
                 if j > pivots[i] and j not in pivots]
-        for idx in range(field.order ** len(free)):
-            rows = [[int(j == p) for j in range(n)] for p in pivots]
-            for (i, j), entry in zip(free, _digits(idx, field.order, len(free))):
-                rows[i][j] = entry
-            yield Subspace(Mat(field, rows))
+        for idx in range(Q ** len(free)):
+            rows = [Q ** p for p in pivots]
+            for (i, w), entry in zip(free, _digits(idx, Q, len(free))):
+                rows[i] += entry * w
+            yield Subspace._span(field, n, rows)
 
 
 def random_invertible(field: FieldSpec, n: int, rng) -> Mat:
@@ -631,7 +631,7 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 def format_matrix(m: Mat) -> str:
     """Rows as contiguous index digit strings, one per line."""
-    return "\n".join(map(_row_text(m.field, m.ncols), m._vectors()))
+    return "\n".join(map(_row_text(m.field, m.ncols), m.vectors))
 
 
 def parse_matrix(field: FieldSpec, text: str) -> Mat:
@@ -644,8 +644,7 @@ def parse_matrix(field: FieldSpec, text: str) -> Mat:
 
 def parse_matrix_blocks(field: FieldSpec, text: str) -> list[Mat]:
     """Parse blank-line-separated matrix blocks."""
-    return [Mat._wrap(field, tuple(tuple(_digits(r, field.order, width)) for r in rows))
-            for width, rows in _parse_blocks(field, text)]
+    return [Mat._wrap(field, width, tuple(rows)) for width, rows in _parse_blocks(field, text)]
 
 
 def _check_text_field(field: FieldSpec) -> None:

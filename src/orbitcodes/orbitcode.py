@@ -462,22 +462,33 @@ def _int_log(q: int, value: int) -> int:
 #: counted in 0.62-0.65 s, adding 81 MB to max RSS; the 522753 pairs of
 #: rows e1..e10 in 0.11-0.13 s under x^12+x^6+x^4+x+1 and 0.22-0.30 s
 #: (adding 20 MB) under x^24+x^7+x^2+x+1.  Rows e1..e11 of F_2^12 (2094081
-#: pairs) are refused in 3 ms; counting them took 0.48-0.53 s before.
+#: pairs) are refused in 3 ms; counting them took 0.48-0.53 s before.  Rows
+#: e1..e20 under that degree-24 modulus are refused before the partition:
+#: `analyze` exits in 0.28-0.35 s and 80 MB max RSS, what its context takes
+#: alone, where partitioning first took 8.0 s and 143 MB (single runs).
 PAIR_BUDGET = 1 << 20
+
+
+def _check_pairs(pairs: int) -> None:
+    if pairs > PAIR_BUDGET:
+        raise DomainError(f"the predictor would count {pairs} exponent pairs, above its "
+                          f"budget of {PAIR_BUDGET}")
 
 
 def _predict(u, ctx, verify):
     """Predictor over the per-orbit exponent sets of u's partition, mod
     ord(alpha); the primitive case is one orbit holding all q^k - 1 vectors.
-    A partition with more than PAIR_BUDGET exponent pairs is refused before
-    any is counted."""
-    part = ctx.orbit_partition(u)
-    pairs = sum(s * (s - 1) // 2 for s in part.membership)
-    if pairs > PAIR_BUDGET:
-        raise DomainError(f"the predictor would count {pairs} exponent pairs, above its "
-                          f"budget of {PAIR_BUDGET}")
+    A start with more than PAIR_BUDGET exponent pairs is refused before any
+    is counted: first on the fewest pairs its q^k - 1 vectors can make on
+    the c orbits (spread evenly; exact for c = 1), before the partition,
+    then on the partition's own count."""
     q, k, n = ctx.q, u.dim, ctx.n
     full = q ** k - 1
+    c = (q ** n - 1) // ctx.order  # the orbits of alpha
+    even, rest = divmod(full, c)
+    _check_pairs(c * even * (even - 1) // 2 + rest * even)
+    part = ctx.orbit_partition(u)
+    _check_pairs(sum(s * (s - 1) // 2 for s in part.membership))
     per = tuple(DifferenceMultiset.from_exponents(exps, part.size)
                 for exps in part.orbit_exponents)
     merged = DifferenceMultiset.merged(per, part.size)

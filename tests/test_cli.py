@@ -201,6 +201,18 @@ class TestSpread:
         assert err == (f"error: the oracle would list {vectors} vectors, above its "
                        "budget of 524288\n")
 
+    def test_a_base_field_above_the_text_format_is_refused_before_its_context(
+            self, capsys, monkeypatch):
+        # The start is printed in the matrix text format, which stops at
+        # order 36: q = 37 is refused before a context is built.
+        def refuse(*_args):
+            raise AssertionError("built a context")
+        monkeypatch.setattr(ExtensionContext, "from_modulus", refuse)
+        code, out, err = run(capsys, "spread", "-q", "37", "-p", "x^4+35*x^3+26*x^2+x+19",
+                             "-k", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: matrix text format supports base fields of order <= 36\n"
+
     def test_k2_summary(self, capsys):
         code, out, _ = run(capsys, "spread", "-q", "2", "-k", "2", "-p", "x^6+x+1")
         assert code == 0

@@ -268,7 +268,7 @@ class TestWordParallelSpans:
         p = companion_matrix(parse_poly(F2, "x^17+x^3+1"))
         assert orbitcodes.matspace._TILE < 2 ** 17
         table = orbitcodes.matspace._image_table(p)
-        rows = list(p._vectors())
+        rows = list(p.vectors)
         reference = [0]
         for r in rows:
             reference += [v ^ r for v in reference]
@@ -427,6 +427,32 @@ class TestMatrixBasics:
             row_times_mat((2, 0, 0, 0), p)
         with pytest.raises(DomainError):
             row_times_mat((F3.one(), 0, 0, 0), p)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_row_times_mat_is_the_one_row_product(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F4, F9]))
+        nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        digit = st.integers(0, field.order - 1)
+        m = Mat(field, data.draw(st.lists(st.lists(digit, min_size=ncols, max_size=ncols),
+                                          min_size=nrows, max_size=nrows)))
+        v = data.draw(st.lists(digit, min_size=nrows, max_size=nrows))
+        assert row_times_mat(v, m) == (Mat(field, [v]) * m).rows[0]
+
+    @pytest.mark.parametrize("field,text", [(F2, "1001\n0110"), (F3, "1020\n0112")],
+                             ids=["GF2", "GF3"])
+    def test_text_to_subspace_and_back_expands_no_digits(self, monkeypatch, field, text):
+        # Rows stay vector indices from the text to the canonical basis and
+        # back; only the text format itself writes digits, one call per row
+        # over an odd q and none over GF(2), whose rows print as bits.
+        calls = []
+        digits = orbitcodes.matspace._digits
+        monkeypatch.setattr(orbitcodes.matspace, "_digits",
+                            lambda *args: calls.append(args) or digits(*args))
+        u = Subspace(parse_matrix(field, text))
+        assert calls == []
+        assert format_matrix(u.mat) == text
+        assert len(calls) == (0 if field is F2 else u.dim)
 
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())

@@ -511,6 +511,22 @@ class TestPairBudget:
         else:
             assert analyze(u, ctx).differences.total() == 2 * pairs
 
+    @pytest.mark.parametrize("poly,k,pairs", [("x^12+x^6+x^4+x+1", 11, 2047 * 2046 // 2),
+                                              ("x^12+x^11+x^2+x+1", 12, 3 * 1365 * 1364 // 2)],
+                             ids=["primitive", "three-orbits"])
+    def test_refuses_before_the_partition(self, f2, monkeypatch, poly, k, pairs):
+        # The q^k - 1 vectors make the fewest pairs spread evenly over the c
+        # orbits: 2047 on one orbit, or 4095 as 1365 on each of three.
+        ctx = ExtensionContext.from_modulus(parse_poly(f2, poly))
+        u = Subspace(Mat(f2, [[int(i == j) for j in range(12)] for i in range(k)]))
+
+        def refuse(*_args):
+            raise AssertionError("partitioned the start")
+        monkeypatch.setattr(ExtensionContext, "orbit_partition", refuse)
+        with pytest.raises(DomainError, match=f"would count {pairs} exponent pairs, "
+                                              "above its budget of 1048576"):
+            analyze(u, ctx)
+
     def test_refuses_no_code_of_ten_dimensions_in_f2_12(self, f2):
         # 1023 vectors on one orbit: 522753 pairs, within the budget.
         ctx = ExtensionContext.from_modulus(parse_poly(f2, "x^12+x^6+x^4+x+1"))

@@ -2,8 +2,8 @@
 
 Field arithmetic, irreducibility (one test, and the sieve's whole lists),
 modular powers and discrete logarithms are checked against sympy's dense GF(p)[x] routines (``galoistools``) and
-``sympy.ntheory.discrete_log``; matrix products, reduced row echelon forms
-and characteristic polynomials against ``sympy.polys.matrices.DomainMatrix``
+``sympy.ntheory.discrete_log``; matrix products, reduced row echelon forms,
+inverses and characteristic polynomials against ``sympy.polys.matrices.DomainMatrix``
 over GF(p).  sympy has no field towers, so level-2 products and F_4
 matrices are checked against short references written here.  Polynomials
 cross over as coefficient lists, highest degree first on the sympy side,
@@ -11,15 +11,16 @@ and field elements as their mixed-radix indices.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory import discrete_log
 from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import (gf_irreducible_p, gf_mul, gf_pow_mod,
                                      gf_rem)
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from orbitcodes import (ExtensionContext, FieldSpec, Mat, Poly, char_poly,
+from orbitcodes import (DomainError, ExtensionContext, FieldSpec, Mat, Poly, char_poly,
                         is_irreducible, list_irreducibles, poly_powmod)
 
 PRIMES = (2, 3, 5)
@@ -255,6 +256,23 @@ def test_products_match_sympy(drawn, width, data):
     got = Mat(field, rows) * Mat(field, right)
     want = _domain_matrix(rows, p) * _domain_matrix(right, p)
     assert got == Mat(field, _residues(want, p))
+
+
+@settings(deadline=None, max_examples=150)
+@given(prime_matrix(square=True))
+@example((2, [[1, 1], [1, 1]]))
+@example((3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]]))
+def test_inverse_matches_sympy(drawn):
+    # A matrix is refused as singular exactly when sympy finds no inverse.
+    p, rows = drawn
+    field = FieldSpec(p)
+    try:
+        want = _domain_matrix(rows, p).inv()
+    except DMNonInvertibleMatrixError:
+        with pytest.raises(DomainError, match="matrix is singular"):
+            Mat(field, rows).inverse()
+    else:
+        assert Mat(field, rows).inverse() == Mat(field, _residues(want, p))
 
 
 @settings(deadline=None, max_examples=100)

@@ -1,7 +1,7 @@
 """Source checks on src/orbitcodes, standard library only: line length, no
-private top-level name left without a use, memo caches that cannot grow
-without bound, and a brute-force side and a predictor that read no name of
-each other."""
+private top-level name or method left without a use, memo caches that
+cannot grow without bound, and a brute-force side and a predictor that
+read no name of each other."""
 
 import ast
 from pathlib import Path
@@ -44,19 +44,37 @@ def test_lines_fit(path):
     assert long == [], f"{path.name}: (line, length) above {MAX_LINE}"
 
 
+#: Private methods read by no code of the package, with the reason each stays.
+CALLED_FROM_OUTSIDE = {"ExponentProfile._make": "namedtuple's _replace calls it"}
+
+
+def _private_definitions(tree: ast.Module):
+    """(dotted name, defining node) of each single-underscore name defined
+    at top level or as a method in a top-level class body."""
+    for node in tree.body:
+        for defined in _top_level_names(node):
+            yield defined, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_private_top_level_names_are_used():
-    """Every single-underscore name a module defines at top level is read
-    somewhere in the package outside its own definition."""
+    """Every single-underscore name a module defines at top level, and every
+    single-underscore method of a top-level class, is read somewhere in the
+    package outside its own definition."""
     trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
     unused = []
     for name, tree in trees.items():
-        for node in tree.body:
-            for defined in _top_level_names(node):
-                if not defined.startswith("_") or defined.startswith("__"):
-                    continue
-                if not any(defined in _uses(other, skip=node if other is tree else None)
-                           for other in trees.values()):
-                    unused.append(f"{name}: {defined}")
+        for dotted, node in _private_definitions(tree):
+            defined = dotted.rpartition(".")[2]
+            if (not defined.startswith("_") or defined.startswith("__")
+                    or dotted in CALLED_FROM_OUTSIDE):
+                continue
+            if not any(defined in _uses(other, skip=node if other is tree else None)
+                       for other in trees.values()):
+                unused.append(f"{name}: {dotted}")
     assert unused == []
 
 
