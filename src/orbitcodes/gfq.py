@@ -29,10 +29,10 @@ public API, in the text formats and inside Poly.
 An extension field of order Q with Q^2 within DESK_SCALE_CAP swaps its
 schoolbook product for two reads of a log and an antilog table the first
 time it is the coefficient field of a product modulo a polynomial
-(_mulmod: Poly powers, irreducibility proofs and the irreducible-list
-sieve over it, and the product of the next tower level).  The logs are an
-ExtensionContext's, read off the one coset walk, _coset_walk, filled
-whole.  An ExtensionContext keeps the walk's landmarks, one element in
+(_mulmod: Poly powers, orders and irreducibility proofs over it, and the
+product of the next tower level).  The logs are an ExtensionContext's,
+read off the one coset walk, _coset_walk, filled whole.  An
+ExtensionContext keeps the walk's landmarks, one element in
 about e^(1/4) of each coset, e = ord(alpha), and fills the other logs as
 its lookups reach them.  The tables are a once-only cache outside the
 field's identity.  Two threads that race on it build identical arrays and

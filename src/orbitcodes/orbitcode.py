@@ -279,10 +279,10 @@ def build_spread_start(k: int, n: int, ctx: ExtensionContext) -> Subspace:
 
     Requires k | n, a context of degree n and a primitive modulus, read off
     ctx.primitive: the context's irreducibility proof and order are the only
-    ones.  With c = (q^n - 1)/(q^k - 1), the rows are phi^-1(alpha^(i c)),
-    the coefficients of x^(i c) mod the modulus, for i = 0..k-1; they span
-    the subfield F_{q^k}, and the orbit has cardinality c and minimum
-    distance 2k.
+    ones.  With c = (q^n - 1)/(q^k - 1), the rows are phi^-1(y^i) for
+    y = alpha^c, the coefficients of x^(i c) mod the modulus, for i =
+    0..k-1: one power and k - 2 products.  They span the subfield F_{q^k},
+    and the orbit has cardinality c and minimum distance 2k.
     """
     _check_spread_shape(k, n)
     if ctx.n != n:
@@ -292,7 +292,11 @@ def build_spread_start(k: int, n: int, ctx: ExtensionContext) -> Subspace:
     field, q = ctx.field, ctx.q
     c = (q ** n - 1) // (q ** k - 1)
     # phi is a change of radix: an element's index is its vector's index.
-    return Subspace._span(ctx.base, n, [field._pow(ctx.alpha.value, i * c) for i in range(k)])
+    y = field._pow(ctx.alpha.value, c)
+    rows = [1, y]
+    for _ in range(k - 2):
+        rows.append(field._mul(rows[-1], y))
+    return Subspace._span(ctx.base, n, rows[:k])
 
 
 def check_sidon_condition(profile: ExponentProfile, modulus: int) -> bool:

@@ -7,14 +7,15 @@ drive cyclic-group constructions: irreducibility, the order of a
 polynomial (the multiplicative order of its roots), primitivity, and the
 companion matrix with coefficients in the last row.
 
-Modular powers, the order of a polynomial, the irreducibility proof and the
-list of irreducibles make their products in one kernel, gfq._mulmod, on
-the mixed-radix indices of coefficient vectors.  A proof is Rabin's test
-along one Frobenius chain x, x^Q, x^(Q^2), ... mod f: n Q-th powers for
-degree n, and one gcd, of f and the product of the chain's h - x for the
-primes dividing n, by Euclid on lists of coefficients.
-list_irreducibles is a sieve: it marks every product of a smaller
-irreducible and a cofactor, so it runs no proof at all.
+Modular powers, the order of a polynomial and the irreducibility proof make
+their products in one kernel, gfq._mulmod, on the mixed-radix indices of
+coefficient vectors.  A proof is Rabin's test along one Frobenius chain x,
+x^Q, x^(Q^2), ... mod f: n Q-th powers for degree n, and one gcd, of f and
+the product of the chain's h - x for the primes dividing n, by Euclid on
+lists of coefficients.
+list_irreducibles is a sieve: it marks the multiples of each smaller
+irreducible as one span of its shifts, so it runs no proof and makes no
+product mod a polynomial.
 
 Text syntax (shared by the CLI and test fixtures): "+"-separated terms in
 any order, each "x^k", "x", "c*x^k" or a bare constant, where c is a
@@ -26,10 +27,11 @@ round-trip.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 from .errors import DomainError, ParseError
-from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _check_cap, _digits,
-                  _max_exponent, _mulmod, _prime_factors)
+from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _check_cap, _digit_ops,
+                  _digits, _max_exponent, _mulmod, _prime_factors)
 
 
 class Poly:
@@ -316,14 +318,14 @@ def companion_matrix(f: Poly):
     return Mat(field, rows)
 
 
-#: Most candidates list_irreducibles sieves, one mark byte each.  Whole
-#: calls, CPU time, best of three (Python 3.11.7, 2 vCPU Xeon): GF(2) n = 12
-#: and 13 in 25 and 54 ms, F_4 n = 5 and 6 in 11 and 48 ms, F_9 n = 4 in
-#: 0.14 s, GF(3) n = 7 and 8 in 24 and 0.12 s.  One Rabin test per candidate
-#: took 0.86 and 1.6 s, 0.13 and 0.88 s and 4.4 s on the first five.  The
-#: sieve's time grows a little faster than the candidate count (GF(3): 3x
-#: the candidates, 4.9x the time), so 2^24 candidates would take minutes
-#: (an estimate, not measured).
+#: Most candidates list_irreducibles sieves.  Whole calls, CPU time, best
+#: of three (Python 3.11.7, 2 vCPU Xeon): GF(2) n = 12 and 13 in 6 and 12
+#: ms, F_4 n = 5 and 6 in 2 and 7 ms, F_9 n = 4 in 19 ms, GF(3) n = 7 and 8
+#: in 6 and 18 ms, most of it building the listed Polys.  One Rabin test per
+#: candidate took 0.86 and 1.6 s, 0.13 and 0.88 s and 4.4 s on the first
+#: five.  The sieve's time grows about as the candidate count (GF(3): 3x
+#: the candidates, 3.1-3.3x the time), so 2^24 candidates would take about
+#: half a minute (an estimate, not measured).
 LIST_CAP = 1 << 13
 
 
@@ -335,10 +337,16 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
     order.  A sieve: a monic polynomial of degree d is reducible exactly when
     it is f * g with f monic irreducible of degree e <= d/2 and g monic of
     degree d - e.  The irreducibles of each degree up to degree/2 are
-    sieved first, then those of the given degree; each product goes through
-    gfq._mulmod modulo x^d, which leaves the index of the low part.  A monic
-    candidate of degree d with low part i has index i + Q^d.
+    sieved first, then those of the given degree.  The products f g of one
+    f of degree e are linear in g's low part, so they are one span: the
+    rows x^i f, i < d - e (index f Q^i, of degree below d, so nothing is
+    reduced), listed by matspace._spanner, each sum put on x^(d-e) f mod
+    x^d (index (f - Q^e) Q^(d-e)) by _digit_ops' add, which leaves the
+    index of the low part.  A monic candidate of degree d with low part i
+    has index i + Q^d.
     """
+    from .matspace import _spanner
+
     if degree < 1:
         raise DomainError("degree must be at least 1")
     Q = field.order
@@ -351,13 +359,14 @@ def list_irreducibles(field: FieldSpec, degree: int) -> list[Poly]:
 
     def sieve(d):
         """Low-part indices of the monic irreducibles of degree d."""
-        mulmod, marked = _mulmod(field, [0] * d), bytearray(Q ** d)
+        if d == 1:  # every monic x + c: nothing to mark, no span built
+            return range(Q)
+        (span, _), add, marked = _spanner(field, d), _digit_ops(field, d)[0], set()
         for e in range(1, d // 2 + 1):
-            cofactors = range(Q ** (d - e), 2 * Q ** (d - e))
             for f in factors[e]:
-                for g in cofactors:
-                    marked[mulmod(f, g)] = 1
-        return [i for i in range(Q ** d) if not marked[i]]
+                rows = [f * Q ** i for i in range(d - e)]
+                marked.update(map(add, span(rows), repeat((f - Q ** e) * Q ** (d - e))))
+        return [i for i in range(Q ** d) if i not in marked]
 
     for d in range(1, degree // 2 + 1):
         factors[d] = [i + Q ** d for i in sieve(d)]

@@ -97,6 +97,21 @@ class TestPoly:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0da6c8b1a81a47f62ebb0fda30ac45ff4bdd165d5cbc44b040fd62c87fbb9721")
 
+    @pytest.mark.parametrize("argv, lines, digest", [
+        (("-q", "2", "-n", "13"), 630,
+         "10cb6a64b53aab92596f1d62fecb2c55a6a5381f48418b65eb046fedbf0e173c"),
+        (("-q", "3", "-n", "8"), 810,
+         "5ef8c842e5e0a05f939fdb2f99855ddb832c961683714f11fd7b1c170accd2ac"),
+        (("-q", "4", "--base-modulus", "x^2+x+1", "-n", "6"), 670,
+         "8968dad854523f2cbd5597240ed05971b1890d239ceae34533b52aa9b91206e9"),
+    ], ids=["GF2-n13", "GF3-n8", "F4-n6"])
+    def test_list_at_the_cap_edge_is_pinned(self, capsys, argv, lines, digest):
+        # The largest degree LIST_CAP allows over each field: Gauss's count
+        # of irreducibles, in their pinned order and text.
+        code, out, _ = run(capsys, "poly", "list", *argv)
+        assert code == 0 and out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_prime_power_without_modulus_exits_2(self, capsys):
         code, _, err = run(capsys, "poly", "list", "-q", "4", "-n", "2")
         assert code == 2 and "base-modulus" in err

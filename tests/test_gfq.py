@@ -509,24 +509,12 @@ class TestLogTables:
         (3, "x^2+1", 3, (9 ** 3 - 9) // 3),
     ], ids=["F4", "F9"])
     def test_schoolbook_products_bounded_by_the_table_build(self, p, modulus, degree, count):
-        # Structural, no clock: the tables are read off the coset walk, whose
-        # alpha-steps make no product in the field, and once they exist no
-        # product decodes digits.  So sieving the candidates costs at most
-        # the generator search (none when alpha generates; else, for each
-        # try up to gamma outside <alpha>, the powers g^(c/l), l | c prime,
-        # and g^c) plus the c coset representatives, whatever the candidate
-        # count.  A power g^m costs one squaring per bit of m below the top
-        # and one product per set bit.
-        field, twin = _fresh(p, modulus), _fresh(p, modulus)
-        big, order = field.order - 1, order_of_polynomial(twin.modulus)
-        cosets = big // order
-
-        def cost(m):
-            return m.bit_length() - 1 + bin(m).count("1")
-
-        tries = sum(twin._pow(g, order) != 1 for g in range(1, _first_generator(twin) + 1))
-        search = 0 if cosets == 1 else tries * (
-            cost(cosets) + sum(cost(cosets // ell) for ell in _prime_factors(cosets)))
+        # Structural, no clock: the sieve spans the multiples of each
+        # irreducible through _digit_ops, whose only products in the field
+        # fill the one-digit block table, Q^2 of them (none when an equal
+        # field built it first: _block_tables is shared), whatever the
+        # degree and the candidate count.
+        field = _fresh(p, modulus)
         calls, schoolbook = [0], field._mul
 
         def counting(a, b):
@@ -535,8 +523,7 @@ class TestLogTables:
 
         field._mul = counting
         found = list_irreducibles(field, degree)
-        assert field._exp is not None
-        assert calls[0] <= search + cosets
+        assert calls[0] <= field.order ** 2
         assert len(found) == count  # Gauss's count of monic irreducibles
 
 

@@ -158,6 +158,24 @@ class TestBuildSpreadStart:
         if len(code) > 1:
             assert min_distance_brute(code) == 2 * k
 
+    @pytest.mark.parametrize("q, base_modulus, text", [
+        (2, None, "x^12+x^6+x^4+x+1"),
+        (3, None, "x^6+x+2"),
+        (4, "x^2+x+1", "x^4+x^2+[2]*x+[3]"),
+    ], ids=["GF2", "GF3", "F4"])
+    def test_start_is_the_span_of_the_k_powers(self, q, base_modulus, text):
+        # One power y = alpha^c and its multiples y^i make the same start as
+        # the k powers alpha^(i c), each computed on its own.
+        base = F2.extend(parse_poly(F2, base_modulus)) if base_modulus else FieldSpec(q)
+        ctx = ExtensionContext.from_modulus(parse_poly(base, text))
+        field, n = ctx.field, ctx.n
+        assert ctx.primitive
+        for k in range(1, n + 1):
+            if n % k == 0:
+                c = (q ** n - 1) // (q ** k - 1)
+                powers = [field._pow(ctx.alpha.value, i * c) for i in range(k)]
+                assert build_spread_start(k, n, ctx) == Subspace._span(base, n, powers)
+
 
 class TestSidonCondition:
     def test_single_exponent_is_trivially_sidon(self):

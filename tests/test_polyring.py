@@ -14,6 +14,7 @@ from orbitcodes.gfq import _digits, _max_exponent, _prime_factors
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F4 = F2.extend(parse_poly(F2, "x^2+x+1"))
+F8 = F2.extend(parse_poly(F2, "x^3+x+1"))
 F9 = F3.extend(parse_poly(F3, "x^2+1"))
 
 
@@ -335,14 +336,27 @@ class TestEnumeration:
             with pytest.raises(DomainError, match="list cap"):
                 list_irreducibles(field, edge + 1)
 
-    @pytest.mark.parametrize("field, top", [(F2, 10), (F3, 6), (F4, 4), (F9, 3)],
-                             ids=["GF2", "GF3", "F4", "F9"])
+    @pytest.mark.parametrize("field, top", [(F2, 10), (F3, 6), (F4, 4), (F9, 3),
+                                            (FieldSpec(5), 4), (F8, 3)],
+                             ids=["GF2", "GF3", "F4", "F9", "GF5", "F8"])
     def test_sieve_matches_the_per_candidate_filter(self, field, top):
         # Same list, same order: x^n + (low part), low part in enumeration order.
+        # GF(5) adds by two-digit blocks; F_8 scales rows by c >= 2.
         for n in range(1, top + 1):
             candidates = (Poly(field, _digits(i, field.order, n) + [1])
                           for i in range(field.order ** n))
             assert list_irreducibles(field, n) == [f for f in candidates if is_irreducible(f)]
+
+    @pytest.mark.parametrize("field, top", [(F2, 10), (F3, 6), (F4, 4), (F9, 3)],
+                             ids=["GF2", "GF3", "F4", "F9"])
+    def test_sieve_makes_no_product_mod_a_polynomial(self, monkeypatch, field, top):
+        # The multiples of each irreducible are one span: no _mulmod kernel.
+        def refuse(sub, tail):
+            raise AssertionError("the sieve built a _mulmod kernel")
+
+        monkeypatch.setattr(orbitcodes.polyring, "_mulmod", refuse)
+        for n in range(1, top + 1):
+            assert len(list_irreducibles(field, n)) == _necklace_count(field.order, n)
 
     def test_cap_enforced(self):
         with pytest.raises(DomainError, match="cap"):
