@@ -22,14 +22,14 @@ import stat
 import sys
 from collections import namedtuple
 
-from . import __version__
+from . import __version__, polyring
 from .errors import DomainError, ParseError
 from .fieldmap import ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
 from .matspace import Subspace, _check_text_field, format_matrix, parse_matrix
-from .orbitcode import (AnalysisReport, _check_oracle_budget, _check_spread_shape,
-                        _header_field, _oracle_report, _read_code_header,
-                        _read_code_words, analyze,
+from .orbitcode import (AnalysisReport, _check_least_pairs, _check_oracle_budget,
+                        _check_spread_shape, _header_field, _oracle_report,
+                        _read_code_header, _read_code_words, analyze,
                         build_spread_start, check_sidon_condition,
                         find_sidon_subspace, format_code, generate_orbit,
                         min_distance_brute, min_distance_orbit)
@@ -347,7 +347,10 @@ def _cmd_analyze(args) -> int:
     field = _base_field(args.q, args.base_modulus)
     poly = parse_poly(field, args.poly)
     start = _read_start(field, args, poly.degree)
-    ctx = ExtensionContext.from_modulus(poly)
+    extension = field.extend(poly)
+    if poly.coeffs[0]:  # refuse an oversized start before the logs (else the context does)
+        _check_least_pairs(field.order, poly.degree, start.dim, lambda: polyring._order(poly))
+    ctx = ExtensionContext(extension)
     report = analyze(start, ctx, verify=args.verify)
     base_mod = field.modulus if field.level > 0 else None
     doc = ReportDocument.from_analysis(report, poly, start, base_mod)

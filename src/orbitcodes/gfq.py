@@ -11,14 +11,15 @@ sum_i index(c_i) * |subfield|^i, and prime residues are their own index.
 An element stores that index, an int in [0, order), at every level.  Each
 field has int add, sub, neg and mul on indices: residues mod p, or
 _digit_ops' sums and a product reduced mod the modulus over the level
-below, and FieldSpec._pow gives int powers and inverses.  Every level of
-characteristic 2, GF(2) included, adds and subtracts by XOR, and GF(2)
-multiplies by AND.  Over an odd characteristic a vector of sub^d (an
-extension field's element is one) adds by blocks of digits through one
-table per (field, block length), built on first use and shared by equal
-fields; a field whose order squared is above BLOCK_TABLE_BUDGET adds
-digit by digit.  Products mod a polynomial have one kernel, _mulmod, on
-indices too: a polynomial is the mixed-radix index of its coefficient
+below, and FieldSpec._pow gives int powers and inverses by _power, the one
+square-and-multiply ladder, which Mat and polynomial powers also run on.
+Every level of characteristic 2, GF(2) included, adds and subtracts by
+XOR, and GF(2) multiplies by AND.  Over an odd characteristic a vector of
+sub^d (an extension field's element is one) adds by blocks of digits
+through one table per (field, block length), built on first use and shared
+by equal fields; a field whose order squared is above BLOCK_TABLE_BUDGET
+adds digit by digit.  Products mod a polynomial have one kernel, _mulmod,
+on indices too: a polynomial is the mixed-radix index of its coefficient
 vector, so sub[x]/(m) multiplies its element indices as they are.  Over
 GF(2), where bit i is the coefficient of x^i, it multiplies by
 shift-and-XOR and reduces by XOR of the shifted modulus; over any other
@@ -86,6 +87,18 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _power(mul, a, e: int):
+    """a^e under the product mul, for e >= 1, left to right: one squaring
+    for each bit of e below the top, each followed by a product with a when
+    the bit is set, so no square past the top bit and no product with 1."""
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
 
 
 def _check_cap(order: int) -> None:
@@ -554,7 +567,8 @@ class FieldSpec:
         return map(self.from_index, range(self.order))
 
     def _pow(self, a: int, e: int) -> int:
-        """Index of a^e for the element with index a; any int e when a != 0."""
+        """Index of a^e for the element with index a; any int e when a != 0,
+        reduced mod |F| - 1 for _power."""
         if not a:
             if e < 0:
                 raise ZeroDivisionError("inversion of zero")
@@ -562,14 +576,7 @@ class FieldSpec:
         # Nonzero elements have order dividing |F| - 1 (Lagrange), so any
         # integer exponent, negative included, reduces into [0, |F| - 1).
         e %= self.order - 1
-        mul, result = self._mul, 1
-        while e:
-            if e & 1:
-                result = mul(result, a)
-            e >>= 1
-            if e:  # no square past the top bit
-                a = mul(a, a)
-        return result
+        return _power(self._mul, a, e) if e else 1
 
     # -- comparison ----------------------------------------------------
 

@@ -6,10 +6,11 @@ are such ints.  Digits appear only at the edges: the Mat constructor (the
 only element bridge) and Mat.rows, the text format, vector_from_index,
 row_times_mat and char_poly.  One span routine lists a subspace's
 vectors, a matrix's image table and, many subspaces side by side, the
-oracle's vectors on those ints.  In characteristic 2, where vectors add
-by XOR, it adds word by word: a tile of 4096 entries of its 4-byte store
-is one Python int, and one XOR with s times the int that holds 1 in
-every entry adds the vector s to the whole tile.  One gate,
+oracle's vectors on those ints, all grown by one loop, _combine.  In
+characteristic 2, where vectors add by XOR, it adds word by word: a tile
+of 4096 entries of its 4-byte store is one Python int, and one XOR with
+s times the int that holds 1 in every entry adds the vector s to the
+whole tile.  One gate,
 _image_table, checks an invertible matrix and builds its table once, kept
 with the matrix; the orbit, the walk that verifies it and the matrix's
 order (the lcm of the unit vectors' cycle lengths) all read it there.
@@ -43,7 +44,7 @@ from math import lcm
 from operator import xor
 
 from .errors import DomainError, ParseError
-from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digit_ops, _digits, _packed
+from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digit_ops, _digits, _packed, _power
 
 
 def _indices(field: FieldSpec, v) -> tuple[int, ...]:
@@ -120,14 +121,9 @@ class Mat:
             raise DomainError("matrix powers require a square matrix")
         if e < 0:
             return self.inverse() ** -e
-        result = Mat.identity(self.field, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not e:
+            return Mat.identity(self.field, self.nrows)
+        return _power(Mat.__mul__, self, e)  # read here, so a wrapped product counts
 
     def stack(self, other: "Mat") -> "Mat":
         """Rows of self on top of rows of other."""
@@ -357,7 +353,7 @@ def _spanner(field: FieldSpec, n: int):
     above it in lists, which hold any index.  In characteristic 2 vectors
     add by XOR, and within the cap a span or spans at or above
     _WORD_CROSSOVER add word by word (_xor_span, _xor_spans); below it,
-    and on a big-endian host, entry by entry."""
+    and on a big-endian host, entry by entry.  All four grow by _combine."""
     add, _, _, _, times = _digit_ops(field, n)
     Q = field.order
     within = Q ** n <= DESK_SCALE_CAP
@@ -372,24 +368,27 @@ def _spanner(field: FieldSpec, n: int):
         rows = tuple(rows)
         if wordwise and Q ** len(rows) >= _WORD_CROSSOVER:
             return _xor_span(zip(*scaled(rows)))
-        out = store([0])
-        for multiples in zip(*scaled(rows)):
-            head = out[:]
-            for s in multiples:
-                out.extend(map(add, head, itertools.repeat(s)))
-        return out
+        return _combine(zip(*scaled(rows)), add, store([0]))
 
     def spans(columns: list[tuple[int, ...]]) -> list:
         if wordwise and len(columns[0]) >= _WORD_CROSSOVER:
             return _xor_spans(list(map(scaled, columns)), Q ** len(columns))
-        blocks = [store([0]) * len(columns[0])]
-        for col in columns:
-            head = blocks[:]
-            for multiple in scaled(col):
-                blocks += [store(map(add, block, multiple)) for block in head]
-        return blocks
+        return _combine(map(scaled, columns), lambda block, s: store(map(add, block, s)),
+                        [store([0]) * len(columns[0])])
 
     return span, spans
+
+
+def _combine(steps: Iterable, add, out: array | list) -> array | list:
+    """out extended, for each step's multiples s in turn, by add(x, s) for
+    every entry x so far: from out = [0], the span of the rows whose
+    multiples the steps yield, each row adding one block per multiple, in
+    mixed-radix order.  Entries may be vectors or whole blocks of them."""
+    for multiples in steps:
+        head = out[:]
+        for s in multiples:
+            out.extend(map(add, head, itertools.repeat(s)))
+    return out
 
 
 def _xor_span(steps: Iterator) -> array:
@@ -397,7 +396,8 @@ def _xor_span(steps: Iterator) -> array:
     2, in a store of 4-byte entries allocated once.  Until the span so far
     fills a tile it is one int, and a row's multiple s adds to it in one
     XOR with s times the int holding 1 in every entry.  The rows left are
-    spanned entry by entry into high; block h is the tile XOR h * ones."""
+    spanned entry by entry into high (_combine); block h is the tile XOR
+    h * ones."""
     tile, ones, size = 0, 1, 1  # ones holds 1 in each of the size entries
     for multiples in steps:
         grown, wider = tile, ones
@@ -407,9 +407,7 @@ def _xor_span(steps: Iterator) -> array:
         tile, ones, size = grown, wider, size * (len(multiples) + 1)
         if size >= _TILE:
             break
-    high = [0]
-    for multiples in steps:
-        high += [h ^ s for s in multiples for h in high]
+    high = _combine(steps, xor, [0])
     out, width = array("i", [0]) * (size * len(high)), 4 * size
     with memoryview(out).cast("B") as view:
         for at, h in enumerate(high):
@@ -420,17 +418,14 @@ def _xor_span(steps: Iterator) -> array:
 def _xor_spans(columns: list[list], count: int) -> list[array]:
     """spans of the scaled columns over characteristic 2: for each tile of
     up to _TILE sets, block c of the tile is one int, and adding a column's
-    multiple to a block is one XOR."""
+    multiple to a block is one XOR (_combine on the tile's words)."""
     blocks = [array("i") for _ in range(count)]
     m = len(columns[0][0])
     for lo in range(0, m, _TILE):
-        tile = [0]
-        for multiples in columns:
-            head = tile[:]
-            for multiple in multiples:
-                # entry i of the column in bits 32 i and up, as in the store's bytes
-                word = int.from_bytes(array("i", multiple[lo:lo + _TILE]).tobytes(), "little")
-                tile += map(xor, head, itertools.repeat(word))
+        # entry i of a column in bits 32 i and up, as in the store's bytes
+        words = ([int.from_bytes(array("i", multiple[lo:lo + _TILE]).tobytes(), "little")
+                  for multiple in multiples] for multiples in columns)
+        tile = _combine(words, xor, [0])
         width = 4 * min(_TILE, m - lo)
         for block, x in zip(blocks, tile):
             block.frombytes(x.to_bytes(width, "little"))

@@ -467,9 +467,9 @@ def _int_log(q: int, value: int) -> int:
 #: rows e1..e10 in 0.11-0.13 s under x^12+x^6+x^4+x+1 and 0.22-0.30 s
 #: (adding 20 MB) under x^24+x^7+x^2+x+1.  Rows e1..e11 of F_2^12 (2094081
 #: pairs) are refused in 3 ms; counting them took 0.48-0.53 s before.  Rows
-#: e1..e20 under that degree-24 modulus are refused before the partition:
-#: `analyze` exits in 0.28-0.35 s and 80 MB max RSS, what its context takes
-#: alone, where partitioning first took 8.0 s and 143 MB (single runs).
+#: e1..e20 under that degree-24 modulus are refused on ord(p) alone, before
+#: the context: `analyze` exits 3 in 0.09-0.14 s at 16 MB max RSS, where the
+#: context took 0.23 s and 80 MB (processes; 8.0 s, 143 MB partitioning).
 PAIR_BUDGET = 1 << 20
 
 
@@ -479,18 +479,27 @@ def _check_pairs(pairs: int) -> None:
                           f"budget of {PAIR_BUDGET}")
 
 
+def _check_least_pairs(q: int, n: int, k: int, order) -> None:
+    """Refuse a k-dimensional start in F_q^n on the fewest exponent pairs
+    its q^k - 1 vectors can make on the c orbits of alpha (spread evenly;
+    exact for c = 1).  order() gives ord(alpha), and is read only when the
+    vectors on one orbit would pass PAIR_BUDGET: below that, so do c."""
+    full = q ** k - 1
+    if full * (full - 1) // 2 > PAIR_BUDGET:
+        c = (q ** n - 1) // order()
+        even, rest = divmod(full, c)
+        _check_pairs(c * even * (even - 1) // 2 + rest * even)
+
+
 def _predict(u, ctx, verify):
     """Predictor over the per-orbit exponent sets of u's partition, mod
     ord(alpha); the primitive case is one orbit holding all q^k - 1 vectors.
     A start with more than PAIR_BUDGET exponent pairs is refused before any
-    is counted: first on the fewest pairs its q^k - 1 vectors can make on
-    the c orbits (spread evenly; exact for c = 1), before the partition,
-    then on the partition's own count."""
+    is counted: first by _check_least_pairs, before the partition, then on
+    the partition's own count."""
     q, k, n = ctx.q, u.dim, ctx.n
     full = q ** k - 1
-    c = (q ** n - 1) // ctx.order  # the orbits of alpha
-    even, rest = divmod(full, c)
-    _check_pairs(c * even * (even - 1) // 2 + rest * even)
+    _check_least_pairs(q, n, k, lambda: ctx.order)
     part = ctx.orbit_partition(u)
     _check_pairs(sum(s * (s - 1) // 2 for s in part.membership))
     per = tuple(DifferenceMultiset.from_exponents(exps, part.size)

@@ -9,10 +9,11 @@ companion matrix with coefficients in the last row.
 
 Modular powers, the order of a polynomial and the irreducibility proof make
 their products in one kernel, gfq._mulmod, on the mixed-radix indices of
-coefficient vectors.  A proof is Rabin's test along one Frobenius chain x,
-x^Q, x^(Q^2), ... mod f: n Q-th powers for degree n, and one gcd, of f and
-the product of the chain's h - x for the primes dividing n, by Euclid on
-lists of coefficients.
+coefficient vectors, and take their powers on gfq._power's ladder.  A proof
+is Rabin's test along one Frobenius chain x, x^Q, x^(Q^2), ... mod f: n
+Q-th powers for degree n, and one gcd, of f and the product of the chain's
+h - x for the primes dividing n, by Euclid on lists of coefficients.  One
+long division, _divide, gives Euclid's remainders and Poly's divmod.
 list_irreducibles is a sieve: it marks the multiples of each smaller
 irreducible as one span of its shifts, so it runs no proof and makes no
 product mod a polynomial.
@@ -31,7 +32,7 @@ from itertools import repeat
 
 from .errors import DomainError, ParseError
 from .gfq import (DESK_SCALE_CAP, FieldElement, FieldSpec, _check_cap, _digit_ops,
-                  _digits, _max_exponent, _mulmod, _prime_factors)
+                  _digits, _max_exponent, _mulmod, _power, _prime_factors)
 
 
 class Poly:
@@ -135,20 +136,7 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(self.field), self
-        inv_lead = other.leading.inv()
-        quo = [self.field.zero()] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree]
-            if not c:
-                continue
-            f = c * inv_lead
-            quo[i] = f
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - f * b
+        quo, rem = _divide(self.coeffs, other.coeffs)
         return Poly(self.field, quo), Poly(self.field, rem)
 
     def __mod__(self, other):
@@ -181,28 +169,37 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def _euclid(a, b) -> list:
     """A greatest common divisor, up to a unit, of the polynomials with
     coefficient lists a and b (FieldElements, lowest degree first, no
-    trailing zeros): Euclid's algorithm on lists, keeping remainders only."""
+    trailing zeros): Euclid's algorithm on _divide's remainders."""
     while b:
-        d, inv = len(b) - 1, b[-1].inv()
-        a = list(a)
-        for i in range(len(a) - 1, d - 1, -1):
-            c = a[i]
-            if c:
-                c = c * inv
-                for j in range(d):
-                    a[i - d + j] = a[i - d + j] - c * b[j]
-        del a[d:]  # the cleared top
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
+        a, b = b, _divide(a, b)[1]
     return list(a)
+
+
+def _divide(a, b) -> tuple[list, list]:
+    """(quotient, remainder) of the polynomials with coefficient lists a and
+    b (FieldElements, lowest degree first, no trailing zeros, b nonzero) by
+    long division; the remainder has no trailing zeros, and the quotient
+    holds the int 0 where no digit was set, for Poly to coerce."""
+    d = len(b) - 1
+    rem, quo = list(a), [0] * max(len(a) - d, 0)
+    inv = b[-1].inv() if quo else None
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            c = quo[i - d] = c * inv
+            for j in range(d):
+                rem[i - d + j] = rem[i - d + j] - c * b[j]
+    del rem[d:]  # the cleared top
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
 
 def poly_powmod(f: Poly, e: int, m: Poly) -> Poly:
     """f**e mod m by square-and-multiply; e must be nonnegative.
 
-    The products run in gfq._mulmod on coefficient vector indices, reduced
-    by the monic multiple of m; only the result is built as a Poly.
+    gfq._power's products run in gfq._mulmod on coefficient vector indices,
+    reduced by the monic multiple of m; only the result is built as a Poly.
     """
     if e < 0:
         raise DomainError("poly_powmod requires a nonnegative exponent")
@@ -214,18 +211,6 @@ def poly_powmod(f: Poly, e: int, m: Poly) -> Poly:
     mulmod = _mulmod(field, [c.value for c in m.monic().coeffs[:-1]])
     base = mulmod(sum(c.value * Q ** i for i, c in enumerate(f.coeffs)), 1)
     return Poly(field, _digits(_power(mulmod, base, e) if e else mulmod(1, 1), Q, 0))
-
-
-def _power(mulmod, a, e: int):
-    """a^e for e >= 1 and a reduced, left to right: one squaring for each
-    bit of e below the top, each followed by a product with a when the bit
-    is set."""
-    result = a
-    for bit in bin(e)[3:]:
-        result = mulmod(result, result)
-        if bit == "1":
-            result = mulmod(result, a)
-    return result
 
 
 def is_irreducible(f: Poly) -> bool:

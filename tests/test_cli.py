@@ -336,6 +336,42 @@ class TestAnalyze:
         assert err == ("error: the predictor would count 2094081 exponent pairs, above "
                        "its budget of 1048576\n")
 
+    def test_oversized_start_is_refused_before_the_context(self, capsys, monkeypatch):
+        # Rows e1..e20 under a primitive degree-24 modulus: 2^20 - 1 vectors
+        # on one orbit.  The refusal reads ord(p) alone; the 2^24 context
+        # took a quarter of a second and 80 MB before it.
+        def refuse(*_args):
+            raise AssertionError("built the extension context")
+        monkeypatch.setattr(ExtensionContext, "__init__", refuse)
+        rows = ";".join("".join("1" if i == j else "0" for j in range(24)) for i in range(20))
+        code, out, err = run(capsys, "analyze", "-q", "2", "-p", "x^24+x^7+x^2+x+1",
+                             "--start-rows", rows)
+        assert (code, out) == (3, "")
+        assert err == ("error: the predictor would count 549754241025 exponent pairs, "
+                       "above its budget of 1048576\n")
+
+    @pytest.mark.parametrize("poly,n,k,orders", [("x^6+x+1", 6, 3, 1),
+                                                 ("x^12+x^6+x^4+x+1", 12, 10, 1),
+                                                 ("+".join(f"x^{i}" for i in range(12, 1, -1))
+                                                  + "+x+1", 12, 11, 2)],
+                             ids=["small", "at-the-budget", "past-one-orbit"])
+    def test_early_refusal_costs_nothing_within_the_budget(self, capsys, monkeypatch,
+                                                           poly, n, k, orders):
+        # Only a start whose q^k - 1 vectors on one orbit pass the budget
+        # reads ord(p) before the context, which reads it again; no start
+        # proves its modulus twice.  The last start's 2047 vectors lie on
+        # 315 orbits, so it passes the early bound and is analyzed.
+        calls, order = count_proofs(monkeypatch), orbitcodes.polyring._order
+
+        def counting_order(g):
+            calls["_order"] += 1
+            return order(g)
+        monkeypatch.setattr(orbitcodes.polyring, "_order", counting_order)
+        rows = ";".join("".join("1" if i == j else "0" for j in range(n)) for i in range(k))
+        code, _, _ = run(capsys, "analyze", "-q", "2", "-p", poly, "--start-rows", rows)
+        assert code == 0
+        assert calls == {"is_irreducible": 1, "extend": 1, "_order": orders}
+
     def test_nonprimitive_example(self, capsys):
         code, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x^3+x^2+x+1",
                            "--start-rows", "1000;0011", "--verify")

@@ -223,18 +223,37 @@ class TestCanonicalRowsOnIndices:
 
 def _reference_span(field, n, rows):
     """sum_j c_j rows[j] for every c, c_0 fastest, one entry at a time: the
-    multiples c r are read off FieldElement digits, and in characteristic 2
-    two vectors add by XOR of their indices."""
+    multiples c r are taken digit by digit on FieldElements, and so are the
+    sums over an odd characteristic; in characteristic 2 two vectors add
+    by XOR of their indices (a million entries digit by digit take 10 s)."""
     Q = field.order
 
+    def elements(r):
+        return [field.from_index(r // Q ** i % Q) for i in range(n)]
+
+    def index(digits):
+        return sum(d.value * Q ** i for i, d in enumerate(digits))
+
     def times(c, r):
-        digits = (field.from_index(r // Q ** i % Q) for i in range(n))
-        return sum((field.from_index(c) * d).value * Q ** i for i, d in enumerate(digits))
+        return index(field.from_index(c) * d for d in elements(r))
+
+    def add(u, v):
+        if field.p == 2:
+            return u ^ v
+        return index(a + b for a, b in zip(elements(u), elements(v)))
 
     out = [0]
     for r in rows:
-        out += [v ^ m for m in [times(c, r) for c in range(1, Q)] for v in out]
+        out += [add(v, m) for m in [times(c, r) for c in range(1, Q)] for v in out]
     return out
+
+
+def _check_spans(field, n, columns):
+    """spans of the columns (column j holds row j of every set) against
+    the reference span of each set."""
+    _, spans = orbitcodes.matspace._spanner(field, n)
+    sets = [_reference_span(field, n, rows) for rows in zip(*columns)]
+    assert [list(block) for block in spans(columns)] == [list(b) for b in zip(*sets)]
 
 
 @st.composite
@@ -293,19 +312,13 @@ class TestWordParallelSpans:
         vector = st.one_of(st.just(0), st.integers(0, field.order ** n - 1))
         columns = [tuple(data.draw(st.lists(vector, min_size=m, max_size=m)))
                    for _ in range(k)]
-        self.check_spans(field, n, columns)
+        _check_spans(field, n, columns)
 
     def test_spans_across_a_tile_boundary(self):
         rng = random.Random(12)
         m = orbitcodes.matspace._TILE + 3
-        self.check_spans(F2, 12, [tuple(rng.randrange(4096) for _ in range(m))
+        _check_spans(F2, 12, [tuple(rng.randrange(4096) for _ in range(m))
                                   for _ in range(2)])
-
-    @staticmethod
-    def check_spans(field, n, columns):
-        _, spans = orbitcodes.matspace._spanner(field, n)
-        sets = [_reference_span(field, n, rows) for rows in zip(*columns)]
-        assert [list(block) for block in spans(columns)] == [list(b) for b in zip(*sets)]
 
     def test_a_gf2_table_adds_no_entry_one_by_one(self, monkeypatch):
         added = []
@@ -326,6 +339,49 @@ class TestWordParallelSpans:
             assert list(span([3, 5])) == [0, 3, 5, 6] and len(added) == 3  # below the crossover
         finally:
             spanner.cache_clear()
+
+
+@st.composite
+def odd_rows(draw, most=3):
+    """(field, n, rows) over GF(3), GF(5) or F_9, n up to three blocks of
+    their add tables (_block_digits: 4 digits a block over GF(3), 2 over
+    the others), at most most rows, with zero and repeated rows."""
+    field = draw(st.sampled_from([F3, F5, F9]))
+    n = draw(st.integers(1, 9 if field is F3 else 5))
+    vector = st.one_of(st.just(0), st.integers(0, field.order ** n - 1))
+    return field, n, draw(st.lists(vector, max_size=most))
+
+
+class TestElementwiseSpans:
+    """Over an odd characteristic span and spans add entry by entry through
+    _digit_ops' block tables, in 4-byte arrays within the cap and in lists
+    above it; the lists must be those of adding digit by digit."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(odd_rows())
+    def test_span_matches_the_reference(self, drawn):
+        field, n, rows = drawn
+        span, _ = orbitcodes.matspace._spanner(field, n)
+        assert list(span(rows)) == _reference_span(field, n, rows)
+
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_spans_match_the_reference(self, data):
+        field, n, first = data.draw(odd_rows(most=2).filter(lambda drawn: drawn[2]))
+        m = data.draw(st.integers(1, 6))
+        vector = st.one_of(st.just(0), st.integers(0, field.order ** n - 1))
+        columns = [(r,) + tuple(data.draw(st.lists(vector, min_size=m - 1, max_size=m - 1)))
+                   for r in first]
+        _check_spans(field, n, columns)
+
+    def test_a_list_store_above_the_cap(self):
+        # GF(3)^16 has 3^16 > 2^24 vectors: its spans are lists of any int.
+        assert 3 ** 16 > orbitcodes.gfq.DESK_SCALE_CAP
+        rows = [1, 3 ** 15 + 2 * 3 ** 7, 3 ** 16 - 1]
+        span, spans = orbitcodes.matspace._spanner(F3, 16)
+        assert type(span(rows)) is list and span(rows) == _reference_span(F3, 16, rows)
+        assert all(type(block) is list for block in spans([(r, 5) for r in rows]))
+        _check_spans(F3, 16, [(r, 5 * j) for j, r in enumerate(rows)])
 
 
 class TestMetric:
@@ -410,6 +466,24 @@ class TestMatrixBasics:
     def test_singular_inverse_rejected(self):
         with pytest.raises(DomainError, match="singular"):
             Mat(F2, [[1, 1], [1, 1]]).inverse()
+
+    @pytest.mark.parametrize("field", [F2, F3, F4], ids=["GF2", "GF3", "F4"])
+    def test_powers_are_repeated_products(self, field):
+        # g ** e against e products of g, or -e products of its inverse.
+        g = random_invertible(field, 4, random.Random(field.order))
+        ident, inv = Mat.identity(field, 4), g.inverse()
+        for e in range(-3, 7):
+            want = ident
+            for _ in range(abs(e)):
+                want = want * (g if e > 0 else inv)
+            assert g ** e == want
+        assert g ** 0 == ident and g ** -2 == inv ** 2
+
+    def test_powers_of_a_singular_matrix(self):
+        s = Mat(F3, [[1, 2], [2, 1]])  # the second row is twice the first
+        assert s ** 0 == Mat.identity(F3, 2) and s ** 3 == s * s * s
+        with pytest.raises(DomainError, match="matrix is singular"):
+            s ** -1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError, match="multiply"):

@@ -96,11 +96,12 @@ class TestArithmetic:
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
     def test_division_law(self, data):
-        idx = st.integers(min_value=0, max_value=2)
-        f = Poly(F3, data.draw(st.lists(idx, min_size=0, max_size=8)))
-        g = Poly(F3, data.draw(st.lists(idx, min_size=1, max_size=5)))
+        field = data.draw(st.sampled_from([F3, F4]))
+        idx = st.integers(min_value=0, max_value=field.order - 1)
+        f = Poly(field, data.draw(st.lists(idx, min_size=0, max_size=8)))
+        g = Poly(field, data.draw(st.lists(idx, min_size=1, max_size=5)))
         if g.is_zero:
-            g = Poly.one(F3)
+            g = Poly.one(field)
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree < g.degree

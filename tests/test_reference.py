@@ -1,7 +1,8 @@
 """Differential tests against outside references.
 
 Field arithmetic, irreducibility (one test, and the sieve's whole lists),
-modular powers and discrete logarithms are checked against sympy's dense GF(p)[x] routines (``galoistools``) and
+division with remainder, gcds, modular powers and discrete logarithms are
+checked against sympy's dense GF(p)[x] routines (``galoistools``) and
 ``sympy.ntheory.discrete_log``; matrix products, reduced row echelon forms,
 inverses and characteristic polynomials against ``sympy.polys.matrices.DomainMatrix``
 over GF(p).  sympy has no field towers, so level-2 products and F_4
@@ -15,13 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory import discrete_log
 from sympy.polys.domains import GF, ZZ
-from sympy.polys.galoistools import (gf_irreducible_p, gf_mul, gf_pow_mod,
-                                     gf_rem)
+from sympy.polys.galoistools import (gf_div, gf_gcd, gf_irreducible_p, gf_mul,
+                                     gf_pow_mod, gf_rem)
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from orbitcodes import (DomainError, ExtensionContext, FieldSpec, Mat, Poly, char_poly,
-                        is_irreducible, list_irreducibles, poly_powmod)
+                        is_irreducible, list_irreducibles, poly_gcd, poly_powmod)
 
 PRIMES = (2, 3, 5)
 #: dlog draws stay in fields of at most this many elements.
@@ -114,6 +115,22 @@ def test_list_irreducibles_matches_sympy(p, top):
         want = [low + [1] for low in (_digits(i, p, n) for i in range(p ** n))
                 if gf_irreducible_p(_to_sympy(low + [1]), p, ZZ)]
         assert [_digits_of(f, n + 1) for f in list_irreducibles(field, n)] == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(PRIMES), st.data())
+def test_divmod_and_gcd_match_sympy(p, data):
+    # Any f, zero included, by any nonzero g, either of the larger degree.
+    field = FieldSpec(p)
+    coeffs = st.lists(st.integers(0, p - 1), max_size=10)
+    f, g = data.draw(coeffs), data.draw(coeffs.filter(any))
+    n = max(len(f), len(g))
+    quo, rem = divmod(Poly(field, f), Poly(field, g))
+    want_quo, want_rem = gf_div(_to_sympy(f), _to_sympy(g), p, ZZ)
+    assert _digits_of(quo, n) == _from_sympy(want_quo, p, n)
+    assert _digits_of(rem, n) == _from_sympy(want_rem, p, n)
+    got = poly_gcd(Poly(field, f), Poly(field, g))
+    assert _digits_of(got, n) == _from_sympy(gf_gcd(_to_sympy(f), _to_sympy(g), p, ZZ), p, n)
 
 
 @settings(deadline=None, max_examples=100)

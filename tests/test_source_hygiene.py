@@ -128,7 +128,8 @@ def test_the_cache_check_reads_decorators(source, lines):
 #: The brute-force side: the orbit walks, the oracle and what they build on.
 BRUTE_FORCE = {"orbitcode.py": ["generate_orbit", "_walk_orbit", "min_distance_brute",
                                 "_oracle_report", "_distinct_words"],
-               "matspace.py": ["_spanner", "_xor_span", "_xor_spans", "_image_table"]}
+               "matspace.py": ["_spanner", "_combine", "_xor_span", "_xor_spans",
+                               "_image_table"]}
 #: The predictor's names: its multiset, the extension field and its logs.
 PREDICTOR = {"DifferenceMultiset", "ExtensionContext", "orbit_partition",
              "exponent_profile", "dlog", "_coords"}
@@ -157,3 +158,56 @@ def test_brute_force_side_reads_no_predictor_name(module, name):
 def test_predictor_reads_no_brute_force_name(module, path):
     brute_force = {name for names in BRUTE_FORCE.values() for name in names}
     assert _uses(_definition(module, path)) & brute_force == set()
+
+
+#: The one kernel of each arithmetic job, and the definitions (dotted paths
+#: per module) that must read it: every power, every polynomial division,
+#: and every loop that grows a span.
+KERNELS = {"_power": {"gfq.py": ["FieldSpec._pow"], "matspace.py": ["Mat.__pow__"],
+                      "polyring.py": ["poly_powmod", "is_irreducible", "_order"]},
+           "_divide": {"polyring.py": ["Poly.__divmod__", "_euclid"]},
+           "_combine": {"matspace.py": ["_spanner", "_xor_span", "_xor_spans"]}}
+
+
+def _functions(tree: ast.AST) -> list[ast.FunctionDef]:
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _ladders(tree: ast.AST) -> list[str]:
+    """Names of the functions that hold a square-and-multiply loop: a for
+    over bin(...), or a loop that shifts a value right."""
+    def ladder(loop):
+        if isinstance(loop, ast.For) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "bin"
+                for n in ast.walk(loop.iter)):
+            return True
+        return isinstance(loop, (ast.For, ast.While)) and any(
+            isinstance(n, (ast.AugAssign, ast.BinOp)) and isinstance(n.op, ast.RShift)
+            for n in ast.walk(loop))
+
+    return [fn.name for fn in _functions(tree) if any(map(ladder, ast.walk(fn)))]
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_one_kernel_per_arithmetic_job(kernel):
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    assert [fn.name for tree in trees for fn in _functions(tree)].count(kernel) == 1
+    unread = [f"{module}: {path}" for module, paths in KERNELS[kernel].items()
+              for path in paths if kernel not in _uses(_definition(module, path))]
+    assert unread == []
+
+
+def test_no_square_and_multiply_loop_outside_the_ladder():
+    assert [name for path in MODULES for name in _ladders(ast.parse(path.read_text()))] \
+        == ["_power"]
+
+
+@pytest.mark.parametrize("source,names", [
+    ("def f(e):\n    for bit in bin(e)[3:]:\n        pass", ["f"]),
+    ("def f(e):\n    while e:\n        e >>= 1", ["f"]),
+    ("def f(e):\n    for _ in range(3):\n        e = e >> 1", ["f"]),
+    ("def f(e):\n    return e >> 1", []),
+    ("def f(e):\n    for c in str(e):\n        e ^= 1", []),
+])
+def test_the_ladder_check_reads_loops(source, names):
+    assert _ladders(ast.parse(source)) == names
