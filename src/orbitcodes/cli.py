@@ -10,7 +10,8 @@ before anything is printed, so a failed write prints nothing to stdout.
 
 Analysis results are emitted as a self-describing "key = value" document
 (schema versioned, fixed key order, "-" for empty); parse_report inverts
-render exactly.
+render exactly.  One writer, _lines, prints every "key = value" line of
+analyze, spread and orbit, each value rendered by _fmt.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .fieldmap import ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
 from .matspace import Subspace, _check_text_field, format_matrix, parse_matrix
 from .orbitcode import (AnalysisReport, _check_least_pairs, _check_oracle_budget,
-                        _check_spread_shape, _header_field, _oracle_report,
+                        _check_primitive, _check_spread_shape, _header_field, _oracle_report,
                         _read_code_header, _read_code_words, analyze,
                         build_spread_start, check_sidon_condition,
                         find_sidon_subspace, format_code, generate_orbit,
@@ -137,21 +138,20 @@ def _fmt(value) -> str:
             return "-"
         if isinstance(value[0], tuple):  # (residue, multiplicity) pairs
             return ",".join(f"{a}:{m}" for a, m in value)
-        return ",".join(str(v) for v in value)
+        # the rows of a matrix are joined by ";", numbers by ","
+        return (";" if isinstance(value[0], str) else ",").join(map(str, value))
     return str(value)
 
 
+def _lines(pairs) -> str:
+    """The one writer of "key = value" lines: a line per (key, value) pair."""
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+
+
 def render_report(doc: ReportDocument) -> str:
-    lines = []
-    for (name, _), value in zip(_FIELDS, doc):
-        if name in _INDEXED:
-            for i, sub in enumerate(value):
-                lines.append(f"{name}.{i} = {_fmt(sub)}")
-        elif name == "start":
-            lines.append(f"start = {';'.join(value)}")
-        else:
-            lines.append(f"{name} = {_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return _lines(pair for (name, _), value in zip(_FIELDS, doc) for pair in (
+        [(f"{name}.{i}", sub) for i, sub in enumerate(value)] if name in _INDEXED
+        else [(name, value)]))
 
 
 def parse_report(text: str) -> ReportDocument:
@@ -305,13 +305,6 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _print_verification(report) -> int:
-    print(f"verified_cardinality = {report.verified_cardinality}")
-    print(f"verified_distance = {_fmt(report.verified_distance)}")
-    print(f"verified_agrees = {_fmt(report.verification_ok)}")
-    return 0 if report.verification_ok else 4
-
-
 def _cmd_spread(args) -> int:
     field = _base_field(args.q, args.base_modulus)
     _check_text_field(field)  # the start is printed in the matrix text format
@@ -319,11 +312,19 @@ def _cmd_spread(args) -> int:
     if args.n is not None and poly.degree != args.n:
         raise ParseError(f"polynomial degree {poly.degree} does not match -n {args.n}")
     _check_spread_shape(args.k, poly.degree)  # before the context's work
+    q, n = field.order, poly.degree
     if args.verify:  # the words hold each of the q^n - 1 nonzero vectors once
-        q = field.order
-        _check_oracle_budget((q ** poly.degree - 1) // (q ** args.k - 1), q, args.k)
-    ctx = ExtensionContext.from_modulus(poly)
-    start = build_spread_start(args.k, poly.degree, ctx)
+        _check_oracle_budget((q ** n - 1) // (q ** args.k - 1), q, args.k)
+    extension = field.extend(poly)
+
+    # Refuse an oversized start on ord(p), before the logs.  A primitive p
+    # holds it on one orbit; any other p is refused as build_spread_start does.
+    def order():
+        _check_primitive(polyring._order(poly) == q ** n - 1)
+        return q ** n - 1
+    _check_least_pairs(q, n, args.k, order)
+    ctx = ExtensionContext(extension)
+    start = build_spread_start(args.k, n, ctx)
     report = analyze(start, ctx)
     if args.verify or args.out:
         code = generate_orbit(start, companion_matrix(poly))
@@ -331,16 +332,17 @@ def _cmd_spread(args) -> int:
             report = _oracle_report(report, code)
         if args.out:
             _write_file(args.out, format_code(code))
-    print(f"start = {';'.join(format_matrix(start.mat).split(chr(10)))}")
-    print(f"predicted_cardinality = {report.predicted_cardinality}")
-    print(f"predicted_distance = {_fmt(report.predicted_distance)}")
-    print(f"spread = {_fmt(report.spread)}")
-    status = 0
+    pairs = [("start", tuple(format_matrix(start.mat).split("\n"))),
+             ("predicted_cardinality", report.predicted_cardinality),
+             ("predicted_distance", report.predicted_distance), ("spread", report.spread)]
     if args.verify:
-        status = _print_verification(report)
+        pairs += [("verified_cardinality", report.verified_cardinality),
+                  ("verified_distance", report.verified_distance),
+                  ("verified_agrees", report.verification_ok)]
     if args.out:
-        print(f"export = {args.out}")
-    return status
+        pairs.append(("export", args.out))
+    sys.stdout.write(_lines(pairs))
+    return 4 if args.verify and not report.verification_ok else 0
 
 
 def _cmd_analyze(args) -> int:
@@ -358,9 +360,7 @@ def _cmd_analyze(args) -> int:
     if args.out:
         _write_file(args.out, text)
     sys.stdout.write(text)
-    if args.verify and not report.verification_ok:
-        return 4
-    return 0
+    return 4 if args.verify and not report.verification_ok else 0
 
 
 def _cmd_orbit(args) -> int:
@@ -370,9 +370,8 @@ def _cmd_orbit(args) -> int:
     code = generate_orbit(start, companion_matrix(poly))
     order = code.generator_order  # before the file, so a failure writes nothing
     _write_file(args.out, format_code(code))
-    print(f"cardinality = {len(code)}")
-    print(f"generator_order = {order}")
-    print(f"export = {args.out}")
+    sys.stdout.write(_lines((("cardinality", len(code)), ("generator_order", order),
+                             ("export", args.out))))
     return 0
 
 

@@ -68,7 +68,7 @@ from operator import add, sub
 
 from .errors import DomainError, ParseError
 from .fieldmap import ExponentProfile, ExtensionContext
-from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent
+from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
 from .matspace import (Mat, Subspace, _image_table, _parse_blocks, _row_key, _row_text,
                        _spanner, gaussian_binomial, grassmannian, matrix_order,
                        subspace_apply)
@@ -274,6 +274,11 @@ def _check_spread_shape(k: int, n: int) -> None:
         raise DomainError(f"spread construction requires k | n, got k={k}, n={n}")
 
 
+def _check_primitive(primitive: bool) -> None:
+    if not primitive:
+        raise DomainError("spread construction requires a primitive polynomial")
+
+
 def build_spread_start(k: int, n: int, ctx: ExtensionContext) -> Subspace:
     """Starting subspace whose orbit under companion(ctx.modulus) is a spread.
 
@@ -287,8 +292,7 @@ def build_spread_start(k: int, n: int, ctx: ExtensionContext) -> Subspace:
     _check_spread_shape(k, n)
     if ctx.n != n:
         raise DomainError(f"polynomial degree {ctx.n} does not match n = {n}")
-    if not ctx.primitive:
-        raise DomainError("spread construction requires a primitive polynomial")
+    _check_primitive(ctx.primitive)
     field, q = ctx.field, ctx.q
     c = (q ** n - 1) // (q ** k - 1)
     # phi is a change of radix: an element's index is its vector's index.
@@ -643,7 +647,8 @@ def _header_field(base_field: FieldSpec | None, q: int) -> FieldSpec:
 def _read_code_header(lines: list[str], field_of) -> tuple[FieldSpec, int, int, int]:
     """(field, n, k, size) from the header "q n k size" of a code file's
     lines, checked before any block is read: q^n by exponent against
-    DESK_SCALE_CAP, then the field field_of(q), then 1 <= k <= n, so no
+    DESK_SCALE_CAP, then q against the prime powers (a ParseError, whatever
+    field_of is), then the field field_of(q), then 1 <= k <= n, so no
     power of q is built for an invalid field or k, then size against the
     number of k-dimensional subspaces."""
     if not lines:
@@ -658,6 +663,9 @@ def _read_code_header(lines: list[str], field_of) -> tuple[FieldSpec, int, int, 
     if q > 1 and n > _max_exponent(q, DESK_SCALE_CAP):  # by exponent: q^n may be huge
         raise DomainError(f"header says q = {q} and n = {n}: q^n exceeds the "
                           f"desk-scale cap {DESK_SCALE_CAP}")
+    # q above the cap (n <= 0 here) is left to field_of: the cap bounds the trial division
+    if q < 2 or q <= DESK_SCALE_CAP and len(_prime_factors(q)) != 1:
+        raise ParseError(f"header says q = {q}, which is not a prime power")
     field = field_of(q)
     if not 1 <= k <= n:
         raise ParseError(f"header says k = {k} and n = {n}: k must lie in [1, n]")

@@ -210,7 +210,7 @@ class TestSpread:
         # budget: it is refused before a context or an orbit is built.
         def refuse(*_args):
             raise AssertionError("built a context")
-        monkeypatch.setattr(ExtensionContext, "from_modulus", refuse)
+        monkeypatch.setattr(ExtensionContext, "__init__", refuse)
         code, out, err = run(capsys, "spread", "-q", q, "-k", k, "-p", poly, "--verify")
         assert (code, out) == (3, "")
         assert err == (f"error: the oracle would list {vectors} vectors, above its "
@@ -222,7 +222,7 @@ class TestSpread:
         # order 36: q = 37 is refused before a context is built.
         def refuse(*_args):
             raise AssertionError("built a context")
-        monkeypatch.setattr(ExtensionContext, "from_modulus", refuse)
+        monkeypatch.setattr(ExtensionContext, "__init__", refuse)
         code, out, err = run(capsys, "spread", "-q", "37", "-p", "x^4+35*x^3+26*x^2+x+19",
                              "-k", "2")
         assert (code, out) == (3, "")
@@ -267,6 +267,54 @@ class TestSpread:
         calls = count_proofs(monkeypatch)
         code, _, _ = run(capsys, "spread", "-q", "2", "-k", "5", "-p", "x^24+x^7+x^2+x+1")
         assert code == 3 and calls == {}
+
+
+    def test_oversized_start_is_refused_before_the_context(self, capsys, monkeypatch):
+        # k = 12 under a primitive degree-24 modulus: the start's 4095 vectors
+        # lie on one orbit.  The refusal reads ord(p) alone; the 2^24 context
+        # took a quarter of a second and 80 MB before it.
+        def refuse(*_args):
+            raise AssertionError("built the extension context")
+        monkeypatch.setattr(ExtensionContext, "__init__", refuse)
+        code, out, err = run(capsys, "spread", "-q", "2", "-k", "12",
+                             "-p", "x^24+x^7+x^2+x+1")
+        assert (code, out) == (3, "")
+        assert err == ("error: the predictor would count 8382465 exponent pairs, "
+                       "above its budget of 1048576\n")
+
+    @pytest.mark.parametrize("poly,message", [
+        ("x^4+x^3+x^2+x+1", "spread construction requires a primitive polynomial"),
+        ("x^4+x+1", "the predictor would count 3 exponent pairs, above its budget of 2"),
+    ], ids=["non-primitive", "primitive"])
+    def test_a_non_primitive_modulus_is_refused_as_such_past_the_budget(
+            self, capsys, monkeypatch, poly, message):
+        # Under a budget of 2 pairs both k = 2 starts pass the one-orbit
+        # count; only the primitive modulus holds its start on one orbit.
+        monkeypatch.setattr(orbitcodes.orbitcode, "PAIR_BUDGET", 2)
+        code, out, err = run(capsys, "spread", "-q", "2", "-k", "2", "-p", poly)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("field,poly,k,budget,proofs", [
+        (("-q", "2"), "x^6+x+1", "2", None, 1),
+        (("-q", "2"), "x^6+x+1", "3", 21, 1),
+        (("-q", "2"), "x^12+x^6+x^4+x+1", "6", None, 1),
+        (("-q", "4", "--base-modulus", "x^2+x+1"), "x^4+x^2+[2]*x+[3]", "2", None, 2),
+    ], ids=["gf2-k2", "gf2-k3-at-the-budget", "gf2-n12-k6", "f4-k2"])
+    def test_early_refusal_costs_nothing_within_the_budget(self, capsys, monkeypatch, field,
+                                                           poly, k, budget, proofs):
+        # A start within the budget reads ord(p) only in the context, which
+        # over F_4 proves and orders the base field's modulus too.
+        if budget is not None:  # the k = 3 spread's 7 vectors make 21 pairs
+            monkeypatch.setattr(orbitcodes.orbitcode, "PAIR_BUDGET", budget)
+        calls, order = count_proofs(monkeypatch), orbitcodes.polyring._order
+
+        def counting_order(g):
+            calls["_order"] += 1
+            return order(g)
+        monkeypatch.setattr(orbitcodes.polyring, "_order", counting_order)
+        code, _, _ = run(capsys, "spread", *field, "-k", k, "-p", poly, "--verify")
+        assert code == 0
+        assert calls == {"is_irreducible": proofs, "extend": proofs, "_order": proofs}
 
 
 class TestAnalyze:
@@ -449,6 +497,13 @@ class TestAnalyze:
         with pytest.raises(ParseError, match=message):
             parse_report(out.replace(old, new, 1))
 
+    def test_report_skips_blank_lines_and_refuses_a_line_without_a_separator(self, capsys):
+        _, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x^3+x^2+x+1",
+                        "--start-rows", "1000;0011")
+        assert parse_report(out.replace("\nq = ", "\n\n  \nq = ", 1)) == parse_report(out)
+        with pytest.raises(ParseError, match=r"^report line 3 is not 'key = value'$"):
+            parse_report(out.replace("mode = ", "mode: ", 1))
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         report_file = tmp_path / "report.txt"
         _, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x+1",
@@ -561,6 +616,29 @@ class TestOrbitAndDistance:
         assert time.perf_counter() - started < 1.0
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("q", ["-2", "0", "1", "6"])
+    @pytest.mark.parametrize("flag", [(), ("--base-modulus", "x^2+x+1")],
+                             ids=["header-only", "base-modulus"])
+    def test_distance_header_q_that_no_field_has_exits_2(self, capsys, tmp_path, q, flag):
+        # No modulus makes a field of such an order: refused as a malformed
+        # header, whether a base field is supplied or not.
+        bad = tmp_path / "bad.code"
+        bad.write_text(f"{q} 3 1 1\n100\n")
+        code, out, err = run(capsys, "distance", str(bad), *flag)
+        assert (code, out) == (2, "")
+        assert err == f"error: header says q = {q}, which is not a prime power\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 3 one 1\n100\n", "header fields must be integers"),
+        ("2 3 1 1\n10\n", "codeword block is not 1x3"),
+        ("2 3 2 1\n100\n", "codeword block is not 2x3"),
+    ], ids=["non-integer-header", "narrow-block", "short-block"])
+    def test_distance_refuses_a_malformed_file(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.code"
+        bad.write_text(text)
+        code, out, err = run(capsys, "distance", str(bad))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("distance", "{file}"),
         ("analyze", "-q", "2", "-p", "x^2+x+1", "--start", "{file}"),
@@ -670,20 +748,31 @@ class TestClosedPipe:
 
 
 class TestVerificationExitCode:
-    def test_disagreeing_report_maps_to_exit_4(self, capsys):
-        from orbitcodes import ExtensionContext, Subspace, parse_matrix, parse_poly, predict_primitive
-        from orbitcodes.cli import _print_verification
+    def test_disagreeing_report_maps_to_exit_4(self, capsys, monkeypatch):
+        # A spread whose oracle disagrees with the predictor still prints its
+        # summary, with verified_agrees = false, and exits 4.
+        oracle = cli._oracle_report
+        monkeypatch.setattr(cli, "_oracle_report", lambda report, code: oracle(
+            report, code)._replace(verified_cardinality=7))
+        code, out, err = run(capsys, "spread", "-q", "2", "-k", "2", "-p", "x^6+x+1",
+                             "--verify")
+        assert (code, err) == (4, "")
+        assert out == ("start = 100000;010111\npredicted_cardinality = 21\n"
+                       "predicted_distance = 4\nspread = true\n"
+                       "verified_cardinality = 7\nverified_distance = 4\n"
+                       "verified_agrees = false\n")
 
-        f2 = FieldSpec(2)
-        poly = parse_poly(f2, "x^6+x+1")
-        ctx = ExtensionContext.from_modulus(poly)
-        u = Subspace(parse_matrix(f2, "100000"))
-        good = predict_primitive(u, ctx, verify=True)
-        assert _print_verification(good) == 0
-        bad = good._replace(verified_cardinality=7)
-        assert _print_verification(bad) == 4
-        out = capsys.readouterr().out
-        assert "verified_agrees = false" in out
+    def test_disagreeing_walk_maps_analyze_to_exit_4(self, capsys, tmp_path, monkeypatch):
+        # The report is still printed and written to --out in full.
+        monkeypatch.setattr(orbitcodes.orbitcode, "_walk_orbit", lambda u, p: (21, 2))
+        report_file = tmp_path / "report.txt"
+        code, out, err = run(capsys, "analyze", "-q", "2", "-p", "x^6+x+1", "--start-rows",
+                             "100000;010111", "--verify", "--out", str(report_file))
+        assert (code, err) == (4, "")
+        doc = parse_report(out)
+        assert (doc.verified_cardinality, doc.verified_distance) == (21, 2)
+        assert doc.predicted_distance == 4 and doc.verified_agrees is False
+        assert report_file.read_text() == out
 
 
 class TestSelfcheck:

@@ -773,6 +773,15 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_matrix(F2, "  \n ")
 
+    def test_a_second_block_is_refused(self):
+        with pytest.raises(ParseError, match="^expected a single matrix block, found 2$"):
+            parse_matrix(F2, "10\n01\n\n11\n")
+
+    @pytest.mark.parametrize("text,ch", [("1-0", "-"), ("10\n0 1", " "), ("1_", "_")])
+    def test_a_character_outside_the_digits_is_refused(self, text, ch):
+        with pytest.raises(ParseError, match=f"^invalid matrix digit '{ch}'$"):
+            parse_matrix(F2, text)
+
 
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())

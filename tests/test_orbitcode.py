@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,12 @@ from orbitcodes import (DifferenceMultiset, DomainError,
                         min_distance_brute,
                         min_distance_orbit, parse_code, parse_matrix,
                         parse_poly, predict_primitive, random_invertible,
-                        subspace_apply, subspace_distance)
+                        subspace_apply, subspace_distance, verify_report)
 from orbitcodes.fieldmap import ExponentProfile, OrbitPartition
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -719,6 +721,12 @@ class TestExportFormat:
         with pytest.raises(ParseError, match="order"):
             parse_code("3 2 1 1\n10\n", f2)
 
+    def test_a_supplied_field_reads_an_export_back_byte_for_byte(self, f4):
+        text = (GOLDEN / "orbit-f4-x3+2x+1.code").read_text()
+        field, words = parse_code(text, f4)
+        assert field is f4 and len(words) == int(text.split()[3])
+        assert format_code(words) == text
+
 
 class TestCodeChecks:
     """One routine checks and deduplicates a code's words for the export
@@ -744,6 +752,17 @@ class TestCodeChecks:
 
 
 class TestVerifiedReports:
+    @pytest.mark.parametrize("ctx_name,start", [("ctx64", "100000\n010111"),
+                                                ("ctx16_nonprim", "1000\n0011")],
+                             ids=["primitive", "nonprimitive"])
+    def test_verify_report_gives_the_fields_of_analyze(self, request, f2, ctx_name, start):
+        ctx = request.getfixturevalue(ctx_name)
+        u = Subspace(parse_matrix(f2, start))
+        code = generate_orbit(u, companion_matrix(ctx.modulus))
+        verified = verify_report(analyze(u, ctx), code)
+        assert verified.verified and verified.verification_ok
+        assert verified == analyze(u, ctx, verify=True)
+
     def test_unverified_report_has_no_oracle_values(self, spread2, ctx64):
         report = predict_primitive(spread2, ctx64)
         assert not report.verified

@@ -211,3 +211,43 @@ def test_no_square_and_multiply_loop_outside_the_ladder():
 ])
 def test_the_ladder_check_reads_loops(source, names):
     assert _ladders(ast.parse(source)) == names
+
+
+#: The one writer of "key = value" lines in cli.py.
+WRITER = "_lines"
+
+
+def _key_value_writes(tree: ast.AST) -> list[int]:
+    """Lines of the print and .write calls outside the writer that are
+    given an f-string whose literal text holds " = "."""
+    writer = {id(n) for fn in _functions(tree) if fn.name == WRITER for n in ast.walk(fn)}
+
+    def key_value(node):
+        return isinstance(node, ast.JoinedStr) and any(
+            isinstance(v, ast.Constant) and " = " in v.value for v in node.values)
+
+    return [call.lineno for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and id(call) not in writer
+            and (isinstance(call.func, ast.Name) and call.func.id == "print"
+                 or isinstance(call.func, ast.Attribute) and call.func.attr == "write")
+            and any(key_value(n) for arg in call.args + [k.value for k in call.keywords]
+                    for n in ast.walk(arg))]
+
+
+def test_cli_writes_key_value_lines_through_one_writer():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert WRITER in [fn.name for fn in _functions(tree)]
+    assert _key_value_writes(tree) == []
+
+
+@pytest.mark.parametrize("source,lines", [
+    ('print(f"spread = {s}")', [1]),
+    ('x = 1\nsys.stdout.write(f"{key} = {value}\\n")', [2]),
+    ('out.write("".join(f"{k} = {v}" for k, v in pairs))', [1]),
+    ('print(f"{k}", end=f" = {v}")', [1]),
+    ('print("spread = true")', []),
+    ('print(f"ok {name}: {detail}")', []),
+    ('def _lines(pairs):\n    sys.stdout.write(f"{k} = {v}")', []),
+])
+def test_the_writer_check_reads_calls(source, lines):
+    assert _key_value_writes(ast.parse(source)) == lines
