@@ -22,13 +22,17 @@ adds digit by digit.  Products mod a polynomial have one kernel, _mulmod,
 on indices too: a polynomial is the mixed-radix index of its coefficient
 vector, so sub[x]/(m) multiplies its element indices as they are.  Over
 GF(2), where bit i is the coefficient of x^i, it multiplies by
-shift-and-XOR and reduces by XOR of the shifted modulus; over any other
-coefficient field it splits the indices into digits for a schoolbook
-product and joins the reduced digits.  Elements are built only at the
-public API, in the text formats and inside Poly.
+shift-and-XOR and reduces by XOR of the shifted modulus.  Over any other
+coefficient field within the block-table budget it is shift-and-add:
+a b = sum_i a_i (x^i b), each x^i b one _alpha_step on from the last (a
+digit shift and one tabulated add, the step the coset walk takes too),
+scaled and summed through the block tables.  Above the budget it splits
+the indices into digits for a schoolbook product and joins the reduced
+digits.  Elements are built only at the public API, in the text formats
+and inside Poly.
 
 An extension field of order Q with Q^2 within DESK_SCALE_CAP swaps its
-schoolbook product for two reads of a log and an antilog table the first
+own product for two reads of a log and an antilog table the first
 time it is the coefficient field of a product modulo a polynomial
 (_mulmod: Poly powers, orders and irreducibility proofs over it, and the
 product of the next tower level).  The logs are an ExtensionContext's,
@@ -48,7 +52,7 @@ import functools
 from array import array
 from collections.abc import Iterator, Sequence
 from math import gcd, isqrt
-from operator import and_, pos, xor
+from operator import and_, mul, pos, xor
 
 from .errors import DomainError
 
@@ -132,13 +136,19 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
 
     Operands and result are mixed-radix indices of coefficient vectors,
     lowest degree first; operands of any degree are reduced, and the result
-    is the index of the remainder, of degree below len(tail).  Over GF(2)
-    bit i is the coefficient of x^i: the product is shift-and-XOR, reduced
-    by XOR of m shifted under the top bit.  Over any other field each
-    operand is split into all of its digits (a square only once) for a
-    schoolbook product, reduced by folding m's tail, and the low digits are
-    joined.  The first call over an extension field sub with |sub|^2 within
-    the cap and m(0) != 0 tabulates sub."""
+    is the index of the remainder, of degree below d = len(tail).  Over
+    GF(2) bit i is the coefficient of x^i: the product is shift-and-XOR,
+    reduced by XOR of m shifted under the top bit.  Over any other field
+    whose one-digit table fits BLOCK_TABLE_BUDGET (order up to 89) it is
+    shift-and-add, a b = sum_i a_i (x^i b): b, reduced first by Horner on
+    _alpha_step when its degree is d or more, takes one alpha-step per digit
+    of a, and each a_i (x^i b) is a scalar product and a sum of _digit_ops'
+    block tables, so no product in sub is made.  Above the budget, where
+    those scalar products go digit by digit, each operand is split into
+    all of its digits (a square only once) for a schoolbook product,
+    reduced by folding m's tail, and the low digits are joined.  The first
+    call over an extension field sub with |sub|^2 within the cap and m(0)
+    != 0 tabulates sub."""
     d = len(tail)
     if _packed(sub):
         m = sum(c << i for i, c in enumerate(tail)) | 1 << d
@@ -159,10 +169,33 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
     if (sub.level and sub._exp is None and sub.order * sub.order <= DESK_SCALE_CAP
             and sub.modulus.coeffs[0].value):
         _tabulate(sub)
-    q, add, mul = sub.order, sub._add, sub._mul
+    if not d:  # the modulus 1: every remainder is 0
+        return lambda a, b: 0
+    q = sub.order
+    if _block_digits(q, d):
+        add, _, _, _, times = _digit_ops(sub, d)
+        step, size = _alpha_step(sub, tail), q ** d
+
+        def shift_add(a, b):
+            if b >= size:  # Horner: b = (...(b_top x + ...) x + b_0
+                r = 0
+                for c in reversed(_digits(b, q, 0)):
+                    r = add(step(r), c)
+                b = r
+            a, c = divmod(a, q)
+            prod = times(c, b)
+            while a:
+                b = step(b)
+                a, c = divmod(a, q)
+                if c:
+                    prod = add(prod, b if c == 1 else times(c, b))
+            return prod
+
+        return shift_add
+    add, mul = sub._add, sub._mul
     # The modulus is monic: x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1}).
     fold = [(j, sub._neg(m)) for j, m in enumerate(tail) if m]
-    weights = [q ** i for i in range(d)]
+    join = _digit_ops(sub, d)[3]
 
     def mulmod(a, b):
         high = _digits(a, q, 0)
@@ -178,9 +211,36 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
             if c:
                 for j, e in fold:
                     prod[i - d + j] = add(prod[i - d + j], mul(c, e))
-        return sum(map(int.__mul__, prod, weights))
+        return join(prod)  # the low d digits
 
     return mulmod
+
+
+def _alpha_step(sub: "FieldSpec", tail: list[int]):
+    """The product by x mod the monic m with tail indices tail, on the
+    index of a vector of sub^d, d = len(tail) >= 1: it shifts the digits up
+    one place and adds shift[h] = -h (m_0, ..., m_{d-1}), h the digit
+    shifted out, so a step makes no product in sub (the |sub| d products
+    that fill shift are made here, once).  In characteristic 2 a step is
+    x * q XOR a vector that also clears h from place d; otherwise it is a
+    divmod by q^(d-1) and one add, _digit_ops' block-table add.  _mulmod and
+    _coset_walk both step on it."""
+    q, top = sub.order, sub.order ** (len(tail) - 1)
+    neg, mul = sub._neg, sub._mul
+    add, _, _, join, _ = _digit_ops(sub, len(tail))
+    shift = [join([neg(mul(h, m)) for m in tail]) for h in range(q)]
+    if sub.p == 2:
+        # x * q carries the digit h = x // top to place d; one XOR adds
+        # shift[h] and clears it.
+        carry = [s ^ h * top * q for h, s in enumerate(shift)]
+
+        def step(x):
+            return x * q ^ carry[x // top]
+    else:
+        def step(x):
+            h, x = divmod(x, top)
+            return add(x * q, shift[h])
+    return step
 
 
 def _packed(sub: "FieldSpec") -> bool:
@@ -199,14 +259,11 @@ def _coset_walk(field: "FieldSpec", dense: bool = False):
     order of order |F| - 1.  coords holds i + c*b at gamma^i * alpha^b, or
     -1 while that is unknown.
 
-    An alpha-step shifts the digits up one place and adds shift[h] = -h *
-    (m_0, ..., m_{n-1}), h the digit shifted out, tabulated once per walk,
-    so it makes no product in F.  In characteristic 2 a step is x * q XOR a
-    vector that also clears h from place n; otherwise it is a divmod by
-    q^(n-1) and one add of the field's own, _digit_ops' block-table add.
-    The product by a fixed y is linear over the subfield: a read in each of
-    two block image tables of y's shifted rows y, x y, ..., x^(n-1) y
-    (matspace._spanner's span) and one add.
+    An alpha-step is _alpha_step's, built once per walk, so it makes no
+    product in F.  The product by alpha^stride is linear over the
+    subfield: a read in each of two block image tables of its shifted rows
+    x^stride, ..., x^(stride + n - 1) (matspace._spanner's span) and one
+    add, which the landmark chain reads inline.
 
     The walk fills the landmarks gamma^i * alpha^b, b a multiple of the
     stride floor(e^(1/4)) (1 when dense), each the one before times
@@ -233,43 +290,24 @@ def _coset_walk(field: "FieldSpec", dense: bool = False):
     e = polyring._order(modulus)
     c = big // e
     stride = 1 if dense else isqrt(isqrt(e))
-    tail = [m.value for m in modulus.coeffs[:-1]]
-    # alpha has digits (0, 1); x = -m_0 when n = 1.
-    alpha = sub._neg(tail[0]) if n == 1 else q
-    top = q ** (n - 1)
+    step = _alpha_step(sub, [m.value for m in modulus.coeffs[:-1]])
     coords = array("i", [-1]) * field.order
-
-    # shift[h] is the index of -h * (m_0, ..., m_{n-1}).
-    neg, mul, add = sub._neg, sub._mul, field._add
-    shift = [field._join([neg(mul(h, m)) for m in tail]) for h in range(q)]
-    if sub.p == 2:
-        # x * q carries the digit h = x // top to place n; one XOR adds
-        # shift[h] and clears it.
-        carry = [s ^ h * top * q for h, s in enumerate(shift)]
-
-        def step(x):
-            return x * q ^ carry[x // top]
-    else:
-        def step(x):
-            h, x = divmod(x, top)
-            return add(x * q, shift[h])
-
+    add = field._add
+    # x^j for j <= stride + n - 1; alpha = x mod m, and the rows of
+    # alpha^stride's block image tables are x^stride, ..., x^(stride + n - 1).
+    rows = [1]
+    for _ in range(stride + n - 1):
+        rows.append(step(rows[-1]))
+    alpha, size = rows[1], q ** (n // 2)
     span, _ = _spanner(sub, n)
-    size = q ** (n // 2)
-
-    def times(y):
-        rows = [y]
-        for _ in range(n - 1):
-            rows.append(step(rows[-1]))
-        low, high = span(rows[:n // 2]), span(rows[n // 2:])
-        return lambda x: add(low[x % size], high[x // size])
+    low, high = span(rows[stride:stride + n // 2]), span(rows[stride + n // 2:])
 
     def chain(x, start, stop):
         """Write start, start + c * stride, ... below stop at x and its
         successive products by alpha^stride; return the next product."""
         for a in range(start, stop, c * stride):
             coords[x] = a
-            x = jump(x)
+            x = add(low[x % size], high[x // size])
         return x
 
     def seek(x):
@@ -293,10 +331,6 @@ def _coset_walk(field: "FieldSpec", dense: bool = False):
             raise RuntimeError("gamma does not generate the nonzero elements")
         return a
 
-    leap = 1
-    for _ in range(stride):
-        leap = step(leap)  # alpha^stride
-    jump = step if stride == 1 else times(leap)
     # Coset 0 in runs of landmarks, each stopping at alpha^j for the next
     # exponent j of the order check, which is j mod stride steps on.
     x, b, powers = 1, 0, {}
@@ -320,11 +354,9 @@ def _coset_walk(field: "FieldSpec", dense: bool = False):
                      and all(seek(power(g, c // ell)) < 0 for ell in primes)
                      and gcd(seek(power(g, c)) // c, e) == 1)
     reps = [1, gamma]
-    if c > 1:
-        by_gamma = times(gamma)
-        for i in range(1, c):
-            chain(reps[i], i, big)
-            reps.append(by_gamma(reps[i]))
+    for i in range(1, c):
+        chain(reps[i], i, big)
+        reps.append(field._mul(reps[i], gamma))
     s, i = divmod(place(reps[c]), c)
     if i or gcd(s, e) != 1:
         raise RuntimeError(f"alpha does not have order {e}")
@@ -422,7 +454,7 @@ def _digit_ops(sub: "FieldSpec", d: int):
     weights = [q ** i for i in range(d)]
 
     def join(digits):
-        return sum(map(int.__mul__, digits, weights))
+        return sum(map(mul, digits, weights))
 
     h = _block_digits(q, d) if q > 2 else 0  # GF(2) has no c >= 2 to tabulate
     if h:
@@ -434,10 +466,10 @@ def _digit_ops(sub: "FieldSpec", d: int):
         def times(c, v):
             return maps[c](v)
     else:
-        mul = sub._mul
+        scale = sub._mul
 
         def times(c, v):
-            return join([mul(c, e) for e in _digits(v, q, d)])
+            return join([scale(c, e) for e in _digits(v, q, d)])
 
     if sub.p == 2:
         return xor, xor, pos, join, times

@@ -41,7 +41,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from math import lcm
-from operator import xor
+from operator import mul, xor
 
 from .errors import DomainError, ParseError
 from .gfq import DESK_SCALE_CAP, FieldSpec, _check_cap, _digit_ops, _digits, _packed, _power
@@ -252,7 +252,7 @@ def _row_key(field: FieldSpec, n: int):
         return lambda r: int(format(r, fmt)[::-1], 2)
     Q = field.order
     weights = [Q ** (n - 1 - j) for j in range(n)]
-    return lambda r: sum(map(int.__mul__, _digits(r, Q, n), weights))
+    return lambda r: sum(map(mul, _digits(r, Q, n), weights))
 
 
 class Subspace:

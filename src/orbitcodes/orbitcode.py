@@ -647,8 +647,8 @@ def _header_field(base_field: FieldSpec | None, q: int) -> FieldSpec:
 def _read_code_header(lines: list[str], field_of) -> tuple[FieldSpec, int, int, int]:
     """(field, n, k, size) from the header "q n k size" of a code file's
     lines, checked before any block is read: q^n by exponent against
-    DESK_SCALE_CAP, then q against the prime powers (a ParseError, whatever
-    field_of is), then the field field_of(q), then 1 <= k <= n, so no
+    DESK_SCALE_CAP, then q against the prime powers and 1 <= k <= n (each
+    a ParseError, whatever field_of is), then the field field_of(q), so no
     power of q is built for an invalid field or k, then size against the
     number of k-dimensional subspaces."""
     if not lines:
@@ -663,12 +663,13 @@ def _read_code_header(lines: list[str], field_of) -> tuple[FieldSpec, int, int, 
     if q > 1 and n > _max_exponent(q, DESK_SCALE_CAP):  # by exponent: q^n may be huge
         raise DomainError(f"header says q = {q} and n = {n}: q^n exceeds the "
                           f"desk-scale cap {DESK_SCALE_CAP}")
-    # q above the cap (n <= 0 here) is left to field_of: the cap bounds the trial division
+    # q above the cap has n <= 0 here, which the k check refuses: the cap
+    # bounds the trial division
     if q < 2 or q <= DESK_SCALE_CAP and len(_prime_factors(q)) != 1:
         raise ParseError(f"header says q = {q}, which is not a prime power")
-    field = field_of(q)
     if not 1 <= k <= n:
         raise ParseError(f"header says k = {k} and n = {n}: k must lie in [1, n]")
+    field = field_of(q)
     if size > gaussian_binomial(n, k, q):  # bounds size (q^k - 1) for the oracle's budget
         raise ParseError(f"header promises {size} codewords, more than F_{q}^{n} "
                          f"has subspaces of dimension {k}")

@@ -288,7 +288,9 @@ def companion_matrix(f: Poly):
 
     The n x n matrix has ones on the superdiagonal and last row
     (-c_0, ..., -c_{n-1}); its characteristic polynomial is f, and row
-    vectors are multiplied on the right.
+    vectors are multiplied on the right.  Its rows are built as vector
+    indices: row i < n - 1 is e_(i+1), index Q^(i+1), and the last is
+    _digit_ops' neg of the index of (c_0, ..., c_{n-1}).
     """
     from .matspace import Mat
 
@@ -296,11 +298,10 @@ def companion_matrix(f: Poly):
         raise DomainError("companion matrix requires degree at least 1")
     if not f.is_monic:
         raise DomainError("companion matrix requires a monic polynomial")
-    field = f.field
-    n = f.degree
-    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
-    rows.append([-f.coeffs[j] for j in range(n)])
-    return Mat(field, rows)
+    field, n, Q = f.field, f.degree, f.field.order
+    _, _, neg, join, _ = _digit_ops(field, n)
+    last = neg(join([c.value for c in f.coeffs[:-1]]))
+    return Mat._wrap(field, n, tuple(Q ** i for i in range(1, n)) + (last,))
 
 
 #: Most candidates list_irreducibles sieves.  Whole calls, CPU time, best

@@ -628,6 +628,18 @@ class TestOrbitAndDistance:
         assert (code, out) == (2, "")
         assert err == f"error: header says q = {q}, which is not a prime power\n"
 
+    @pytest.mark.parametrize("flag", [(), ("--base-modulus", "x^2+x+1")],
+                             ids=["header-only", "base-modulus"])
+    def test_distance_header_n_0_with_q_above_the_cap_exits_2(self, capsys, tmp_path, flag):
+        # The prime 16777259 is above the cap, and n = 0 passes the q^n
+        # check: k is refused before any field is built, so the base field
+        # given or not gives one exit code and one message.
+        bad = tmp_path / "bad.code"
+        bad.write_text("16777259 0 1 1\n1\n")
+        code, out, err = run(capsys, "distance", str(bad), *flag)
+        assert (code, out) == (2, "")
+        assert err == "error: header says k = 1 and n = 0: k must lie in [1, n]\n"
+
     @pytest.mark.parametrize("text,message", [
         ("2 3 one 1\n100\n", "header fields must be integers"),
         ("2 3 1 1\n10\n", "codeword block is not 1x3"),

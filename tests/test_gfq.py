@@ -382,8 +382,9 @@ class TestCosetWalk:
 
 
 def _assert_tables_match_schoolbook(field, twin):
-    """Tabulate field and compare it with the schoolbook product of a fresh
-    _mulmod on every pair, and with the untabulated twin's powers."""
+    """Tabulate field and compare it with the product of a fresh _mulmod,
+    built before the tables, on every pair, and with the untabulated twin's
+    powers."""
     schoolbook = _mulmod(field.subfield, _tail(field))
     assert field._exp is None
     _mulmod(field, [0, 0])
@@ -400,8 +401,8 @@ def _assert_tables_match_schoolbook(field, twin):
 
 
 class TestLogTables:
-    """An extension field swaps its schoolbook product for log/antilog
-    reads the first time _mulmod uses it as a coefficient field."""
+    """An extension field swaps its _mulmod product for log/antilog reads
+    the first time _mulmod uses it as a coefficient field."""
 
     @pytest.mark.parametrize("p, modulus, alpha_generates", [
         (2, "x^2+x+1", True),
@@ -427,8 +428,8 @@ class TestLogTables:
     @pytest.mark.parametrize("p, modulus", [(2, "x"), (2, "x+1"), (3, "x"), (5, "x+3")])
     def test_degree_one_extensions(self, p, modulus):
         # alpha is a base element here.  Under the modulus x it is 0, which
-        # has no cosets: the field stays untabulated and multiplies by
-        # schoolbook.
+        # has no cosets: the field stays untabulated and multiplies by its
+        # _mulmod kernel.
         f4 = _fresh(2, "x^2+x+1")
         fields = [_fresh(p, modulus), f4.extend(parse_poly(f4, "x"))]
         if modulus != "x":
@@ -529,11 +530,14 @@ class TestLogTables:
 
 
 #: Coefficient fields of the product kernel test, each with the largest
-#: modulus degree drawn over it.
-KERNEL_FIELDS = {"GF(2)": (FieldSpec(2), 24), "GF(3)": (FieldSpec(3), 8),
-                 "GF(5)": (FieldSpec(5), 6),
+#: modulus degree drawn over it.  GF(3) up to degree 12 and GF(7) up to
+#: degree 8 add by three or more blocks; GF(101) is above the block-table
+#: budget and keeps the schoolbook product.
+KERNEL_FIELDS = {"GF(2)": (FieldSpec(2), 24), "GF(3)": (FieldSpec(3), 12),
+                 "GF(5)": (FieldSpec(5), 6), "GF(7)": (FieldSpec(7), 8),
                  "F_4": (field_make(2, parse_poly(FieldSpec(2), "x^2+x+1")), 6),
                  "F_9": (field_make(3, parse_poly(FieldSpec(3), "x^2+1")), 5),
+                 "F_64": (field_make(2, parse_poly(FieldSpec(2), "x^6+x+1")), 3),
                  "GF(101)": (FieldSpec(101), 3)}
 
 
@@ -559,6 +563,35 @@ class TestProductKernel:
         want = poly(a) * poly(b) % Poly(field, tail + [1])
         assert _mulmod(field, tail)(a, b) == sum(c.value * Q ** i
                                                  for i, c in enumerate(want.coeffs))
+
+
+class TestShiftAndAddKernel:
+    """Below the block-table budget, _mulmod over a field other than GF(2)
+    is shift-and-add: alpha-steps and _digit_ops' block tables."""
+
+    @pytest.mark.parametrize("p, modulus, degree", [
+        (2, "x^2+x+1", 5), (3, "x^2+1", 4), (3, None, 6), (3, None, 12),
+    ], ids=["F_4", "F_9", "GF(3)", "GF(3)-12"])
+    def test_products_make_no_coefficient_product(self, monkeypatch, p, modulus, degree):
+        # Counted from before the kernel is built: the build's own products
+        # (the shift table, a first block table) are let through, then 100
+        # products make no call to the coefficient field's product.
+        sub = _fresh(p, modulus) if modulus else FieldSpec(p)
+        _mulmod(sub, [1, 0])  # tabulates an extension field first
+        calls, mul = [0], sub._mul
+
+        def counting(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(sub, "_mul", counting)
+        rng, Q = random.Random(degree), sub.order
+        kernel = _mulmod(sub, [rng.randrange(Q) for _ in range(degree)])
+        calls[0] = 0
+        pairs = [(rng.randrange(Q ** degree), rng.randrange(Q ** degree)) for _ in range(100)]
+        products = [kernel(a, b) for a, b in pairs]
+        assert calls[0] == 0
+        assert len(set(products)) > 50
 
 
 class TestCarrylessKernel:

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -399,6 +400,19 @@ class TestCompanion:
         from orbitcodes import companion_matrix
         with pytest.raises(DomainError, match="monic"):
             companion_matrix(parse_poly(f3, "2*x^2+1"))
+
+    @pytest.mark.parametrize("field", [F2, F3, F4], ids=["GF(2)", "GF(3)", "F_4"])
+    def test_equals_an_element_built_matrix(self, field):
+        # Entry by entry from FieldElements: 1 on the superdiagonal, then
+        # the last row -c_0, ..., -c_{n-1}.
+        from orbitcodes import Mat, companion_matrix
+        rng, zero, one = random.Random(field.order), field.zero(), field.one()
+        for n in (1, 2, 3, 6, 12):
+            coeffs = [field.from_index(rng.randrange(field.order)) for _ in range(n)]
+            f = Poly(field, coeffs + [one])
+            rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
+            rows.append([-c for c in coeffs])
+            assert companion_matrix(f) == Mat(field, rows), (n, str(f))
 
     def test_char_poly_round_trip(self, f2, f3):
         from orbitcodes import companion_matrix

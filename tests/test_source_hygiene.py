@@ -162,11 +162,12 @@ def test_predictor_reads_no_brute_force_name(module, path):
 
 #: The one kernel of each arithmetic job, and the definitions (dotted paths
 #: per module) that must read it: every power, every polynomial division,
-#: and every loop that grows a span.
+#: every loop that grows a span, and every product by x mod a polynomial.
 KERNELS = {"_power": {"gfq.py": ["FieldSpec._pow"], "matspace.py": ["Mat.__pow__"],
                       "polyring.py": ["poly_powmod", "is_irreducible", "_order"]},
            "_divide": {"polyring.py": ["Poly.__divmod__", "_euclid"]},
-           "_combine": {"matspace.py": ["_spanner", "_xor_span", "_xor_spans"]}}
+           "_combine": {"matspace.py": ["_spanner", "_xor_span", "_xor_spans"]},
+           "_alpha_step": {"gfq.py": ["_mulmod", "_coset_walk"]}}
 
 
 def _functions(tree: ast.AST) -> list[ast.FunctionDef]:
