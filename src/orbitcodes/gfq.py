@@ -28,22 +28,20 @@ a b = sum_i a_i (x^i b), each x^i b one _alpha_step on from the last (a
 digit shift and one tabulated add, the step the coset walk takes too),
 scaled and summed through the block tables.  Above the budget it splits
 the indices into digits for a schoolbook product and joins the reduced
-digits.  Elements are built only at the public API, in the text formats
-and inside Poly.
+digits.  Its digit products are _log_product's: over an extension field of
+order Q with Q^2 within DESK_SCALE_CAP and m(0) != 0, two reads of a log
+and an antilog table with logs to the coset walk's gamma (_coset_walk),
+else the field's own product.  Elements are built only at the public API,
+in the text formats and inside Poly.
 
-An extension field of order Q with Q^2 within DESK_SCALE_CAP swaps its
-own product for two reads of a log and an antilog table the first
-time it is the coefficient field of a product modulo a polynomial
-(_mulmod: Poly powers, orders and irreducibility proofs over it, and the
-product of the next tower level).  The logs are an ExtensionContext's,
-read off the one coset walk, _coset_walk, filled whole.  An
-ExtensionContext keeps the walk's landmarks, one element in
-about e^(1/4) of each coset, e = ord(alpha), and fills the other logs as
-its lookups reach them.  The tables are a once-only cache outside the
-field's identity.  Two threads that race on it build identical arrays and
-either assignment is correct, and two that race on a context's log array
-fill an entry with the same value, so all values are immutable in effect
-and safe to share between threads.
+An ExtensionContext keeps the same walk's landmarks, one element in about
+e^(1/4) of each coset, e = ord(alpha), and fills the other logs as its
+lookups reach them.  The log tables live in _log_tables' bounded memo, one
+pair per equal field, and no FieldSpec attribute changes after __init__
+or extend, so a field's product never depends on what ran before.  Two
+threads that race on the memo build identical tables, and two that race
+on a context's log array fill an entry with the same value, so all values
+are immutable in effect and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -70,11 +68,11 @@ from .errors import DomainError
 #: host) of `spread --verify` (k = 2, 1, 2) at n = 18, 19, 20 from 83.3, 219.9
 #: and 72.8 MB to 83.8, 222.0 and 72.8 MB, and of `analyze --verify` on the
 #: start e1 from 118.0, 219.8 and 124.1 MB to 119.1, 221.9 and 124.5 MB.
-#: The largest coefficient field given log/antilog tables has Q = 2^12 (Q^2 at
-#: the cap): 321 KiB of lists, read off the coset walk in 1.35 ms under
-#: x^12+x^6+x^4+x+1, 1.39 ms under x^12+x^3+1 and 1.58 ms under the c = 315
-#: modulus x^12+x^11+...+x+1 (medians of twelve processes, best of five each,
-#: same host; single processes read up to 2.9 ms while the host was busy).
+#: The largest field given log/antilog tables (_log_tables) has Q = 2^12 (Q^2
+#: at the cap): 343 KiB held per memo entry, placed by the coset walk's lookups
+#: in 3.78, 3.66 and 3.74 ms under x^12+x^6+x^4+x+1, x^12+x^3+1 and the c = 315
+#: modulus x^12+x^11+...+x+1 (medians of 20 rounds, best of five each, same
+#: host; the dense walk these lookups replace took 1.31, 1.33 and 1.64 ms).
 DESK_SCALE_CAP = 1 << 24
 
 
@@ -146,9 +144,8 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
     block tables, so no product in sub is made.  Above the budget, where
     those scalar products go digit by digit, each operand is split into
     all of its digits (a square only once) for a schoolbook product,
-    reduced by folding m's tail, and the low digits are joined.  The first
-    call over an extension field sub with |sub|^2 within the cap and m(0)
-    != 0 tabulates sub."""
+    reduced by folding m's tail, and the low digits are joined; its digit
+    products are _log_product(sub)'s."""
     d = len(tail)
     if _packed(sub):
         m = sum(c << i for i, c in enumerate(tail)) | 1 << d
@@ -166,9 +163,6 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
             return prod
 
         return clmul
-    if (sub.level and sub._exp is None and sub.order * sub.order <= DESK_SCALE_CAP
-            and sub.modulus.coeffs[0].value):
-        _tabulate(sub)
     if not d:  # the modulus 1: every remainder is 0
         return lambda a, b: 0
     q = sub.order
@@ -192,7 +186,7 @@ def _mulmod(sub: "FieldSpec", tail: list[int]):
             return prod
 
         return shift_add
-    add, mul = sub._add, sub._mul
+    add, mul = sub._add, _log_product(sub)
     # The modulus is monic: x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1}).
     fold = [(j, sub._neg(m)) for j, m in enumerate(tail) if m]
     join = _digit_ops(sub, d)[3]
@@ -248,7 +242,7 @@ def _packed(sub: "FieldSpec") -> bool:
     return sub.level == 0 and sub.p == 2
 
 
-def _coset_walk(field: "FieldSpec", dense: bool = False):
+def _coset_walk(field: "FieldSpec"):
     """Discrete logs in the extension field F[x]/(m), m(0) != 0, coset by
     coset, on indices: (coords, reps, alpha, unit, place).
 
@@ -266,11 +260,10 @@ def _coset_walk(field: "FieldSpec", dense: bool = False):
     add, which the landmark chain reads inline.
 
     The walk fills the landmarks gamma^i * alpha^b, b a multiple of the
-    stride floor(e^(1/4)) (1 when dense), each the one before times
-    alpha^stride: Shanks' giant steps.  place(x) returns coords[x]; on a
-    miss it alpha-steps from x to the first filled entry, fewer than stride
-    steps on, fills the path and returns the entry, and raises RuntimeError
-    when there is none.
+    stride floor(e^(1/4)), each the one before times alpha^stride: Shanks'
+    giant steps.  place(x) returns coords[x]; on a miss it alpha-steps from
+    x to the first filled entry, fewer than stride steps on, fills the path
+    and returns the entry, and raises RuntimeError when there is none.
 
     Coset 0, <alpha>, is filled first, in runs that stop at alpha^(e/l)
     for each prime l | e and at alpha^e, which prove ord(alpha) = e.  gamma
@@ -289,7 +282,7 @@ def _coset_walk(field: "FieldSpec", dense: bool = False):
     q, n, big = sub.order, field.degree, field.order - 1
     e = polyring._order(modulus)
     c = big // e
-    stride = 1 if dense else isqrt(isqrt(e))
+    stride = isqrt(isqrt(e))
     step = _alpha_step(sub, [m.value for m in modulus.coeffs[:-1]])
     coords = array("i", [-1]) * field.order
     add = field._add
@@ -363,20 +356,26 @@ def _coset_walk(field: "FieldSpec", dense: bool = False):
     return coords, reps, alpha, pow(s, -1, e), place
 
 
-def _tabulate(field: "FieldSpec") -> None:
-    """Make field._mul two table reads, exp[log[a] + log[b]], with logs to
-    _coset_walk's gamma (an ExtensionContext's dlog), read off its coset
-    coordinates, every one filled.  Called once, by _mulmod, when m(0) != 0."""
-    coords, reps, _, unit, _ = _coset_walk(field, dense=True)
-    big, c = field.order - 1, len(reps) - 1
-    e = big // c
-    log = [0] + [a % c + c * (a // c * unit % e) for a in coords[1:]]
-    exp = [0] * big
-    for x, j in enumerate(log):  # x = 1 overwrites x = 0 at exp[0]
-        exp[j] = x
-    exp += exp  # log[a] + log[b] < 2 * big needs no reduction
-    field._exp = exp
-    field._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+def _log_product(field: "FieldSpec"):
+    """_mulmod's schoolbook product over field: _log_tables' reads, or field._mul
+    itself for a prime field, for |field|^2 above the cap and for m(0) = 0."""
+    tables = field.level and field.order ** 2 <= DESK_SCALE_CAP and field.modulus.coeffs[0].value
+    return _log_tables(field) if tables else field._mul
+
+
+@functools.lru_cache(maxsize=16)  # bounded: an entry holds up to 343 KiB (Q = 2^12)
+def _log_tables(field: "FieldSpec"):
+    """exp[log[a] + log[b]] on the indices of an extension field with
+    m(0) != 0, logs to _coset_walk's gamma (an ExtensionContext's dlog),
+    each placed by the walk's own place; equal fields share one pair."""
+    _, reps, _, unit, place = _coset_walk(field)
+    c = len(reps) - 1
+    e = (field.order - 1) // c
+    log = [0] + [a % c + c * (a // c * unit % e) for a in map(place, range(1, field.order))]
+    # The nonzero elements in order of their logs, twice over: log[a] + log[b]
+    # < 2 (|field| - 1) needs no reduction.
+    exp = sorted(range(1, field.order), key=log.__getitem__) * 2
+    return lambda a, b: exp[log[a] + log[b]] if a and b else 0
 
 
 #: Most entries in one block table of _digit_ops: a field of order Q adds
@@ -490,14 +489,12 @@ def _digit_ops(sub: "FieldSpec", d: int):
 class FieldSpec:
     """A finite field: Z_p, or a quotient of the field one level below.
 
-    _exp stays None until _mulmod first uses an extension field as a
-    coefficient field (within the cap); then it holds the antilog table that
-    _mul reads with the log table.  The tables are a once-only cache: _key,
-    the hash and the pickle ignore them.
+    Every attribute, the int operations included, is set by __init__ or
+    extend and never changes after; _key gives equality and the hash.
     """
 
     __slots__ = ("p", "subfield", "modulus", "degree", "order", "level",
-                 "_add", "_sub", "_neg", "_mul", "_join", "_exp", "_key", "_hash")
+                 "_add", "_sub", "_neg", "_mul", "_join", "_key", "_hash")
 
     def __init__(self, p: int):
         """Create the prime field Z_p."""
@@ -518,7 +515,6 @@ class FieldSpec:
             self._sub = lambda a, b: (a - b) % p
             self._neg = lambda a: -a % p
             self._mul = lambda a, b: a * b % p
-        self._exp = None
         self._key = ("prime", p)
         self._hash = hash(self._key)
 
@@ -551,7 +547,6 @@ class FieldSpec:
         coeffs = [self.index_of(c) for c in modulus.coeffs]
         spec._add, spec._sub, spec._neg, spec._join, _ = _digit_ops(self, spec.degree)
         spec._mul = _mulmod(self, coeffs[:-1])
-        spec._exp = None
         spec._key = ("ext", self._key, tuple(coeffs))
         spec._hash = hash(spec._key)
         return spec
@@ -583,7 +578,11 @@ class FieldSpec:
         raise DomainError(f"cannot build a field element from {value!r}")
 
     def from_index(self, i: int) -> "FieldElement":
-        """Element number i in the fixed mixed-radix enumeration."""
+        """Element number i, an int (a bool as 0 or 1), in the mixed-radix order."""
+        if type(i) is not int:
+            if not isinstance(i, int):
+                raise DomainError(f"element index {i!r} is not an int")
+            i = int(i)
         if not 0 <= i < self.order:
             raise DomainError(f"index {i} out of range for a field of order {self.order}")
         return FieldElement(self, i)

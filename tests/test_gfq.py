@@ -1,3 +1,4 @@
+import functools
 import pickle
 import random
 from operator import pos, xor
@@ -13,7 +14,8 @@ from orbitcodes import (DESK_SCALE_CAP, DomainError, ExtensionContext, FieldSpec
                         generate_orbit, list_irreducibles, matrix_order,
                         order_of_polynomial, parse_poly, poly_powmod)
 from orbitcodes.gfq import (BLOCK_TABLE_BUDGET, _block_digits, _block_tables, _coset_walk,
-                            _digit_ops, _digits, _max_exponent, _mulmod, _prime_factors)
+                            _digit_ops, _digits, _log_product, _max_exponent, _mulmod, _power,
+                            _prime_factors)
 from orbitcodes.matspace import Mat, Subspace, _image_table
 from orbitcodes.orbitcode import min_distance_brute
 
@@ -226,6 +228,21 @@ class TestEnumeration:
         with pytest.raises(DomainError, match="out of range"):
             f4.from_index(-1)
 
+    @pytest.mark.parametrize("index", [2.0, "2", None, 1j], ids=repr)
+    def test_a_non_int_index_is_refused(self, f3, index):
+        with pytest.raises(DomainError, match="not an int"):
+            f3.from_index(index)
+        with pytest.raises(DomainError):
+            f3.element(index)
+
+    def test_a_bool_index_is_its_plain_int(self, f3, f4):
+        for field in (f3, f4):
+            for flag, i in ((False, 0), (True, 1)):
+                for x in (field.from_index(flag), field.element(flag)):
+                    assert type(x.value) is int and x.value == i
+                    assert repr(x) == f"GF({field.order})[{i}]"
+        assert repr(f3.from_index(True) * f3.from_index(2)) == "GF(3)[2]"
+
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"order{f.order}")
     def test_index_round_trip(self, field):
         for i in range(field.order):
@@ -259,13 +276,9 @@ def test_field_axioms(field, data):
 
 
 def _fresh(p, modulus):
-    """A new, untabulated extension of Z_p by the given modulus."""
+    """A new extension of Z_p by the given modulus."""
     base = FieldSpec(p)
     return base.extend(parse_poly(base, modulus))
-
-
-def _tail(field):
-    return [c.value for c in field.modulus.coeffs[:-1]]
 
 
 def _first_generator(field):
@@ -339,7 +352,6 @@ class TestCosetWalk:
         random.Random(modulus).shuffle(elements)
         assert [place(x) for x in elements] == [expected[x] for x in elements]
         assert list(coords) == expected
-        assert list(_coset_walk(field, dense=True)[0]) == expected
 
     def test_the_moduli_cover_both_kinds_of_walk(self):
         cosets = {len(_coset_walk(_walk_field(*m))[1]) - 1 for m in WALK_MODULI}
@@ -381,28 +393,24 @@ class TestCosetWalk:
         assert len(calls) == field.subfield.order * field.degree
 
 
-def _assert_tables_match_schoolbook(field, twin):
-    """Tabulate field and compare it with the product of a fresh _mulmod,
-    built before the tables, on every pair, and with the untabulated twin's
-    powers."""
-    schoolbook = _mulmod(field.subfield, _tail(field))
-    assert field._exp is None
-    _mulmod(field, [0, 0])
-    assert field._exp is not None and twin._exp is None
+def _assert_tables_match_schoolbook(field):
+    """_log_product's table reads against the field's own product on every
+    pair, and against its powers and inverses."""
+    product = _log_product(field)
+    assert product is not field._mul
     size = field.order
     for a in range(size):
         for b in range(size):
-            assert field._mul(a, b) == schoolbook(a, b), (a, b)
-        for e in range(-size, size + 1):
-            if a or e >= 0:
-                assert field._pow(a, e) == twin._pow(a, e), (a, e)
+            assert product(a, b) == field._mul(a, b), (a, b)
+        for e in range(1, size + 1):
+            assert _power(product, a, e) == field._pow(a, e), (a, e)
         if a:
-            assert field._mul(a, field._pow(a, -1)) == 1
+            assert product(a, field._pow(a, -1)) == 1
 
 
 class TestLogTables:
-    """An extension field swaps its _mulmod product for log/antilog reads
-    the first time _mulmod uses it as a coefficient field."""
+    """Over an extension field within the cap, _mulmod's schoolbook
+    multiplies digits by _log_product's log/antilog reads."""
 
     @pytest.mark.parametrize("p, modulus, alpha_generates", [
         (2, "x^2+x+1", True),
@@ -412,44 +420,44 @@ class TestLogTables:
         (2, "x^4+x^3+x^2+x+1", False),  # alpha has order 5
         (5, "x^2+x+2", True),
         (3, "x^3+2*x+1", True),
+        (5, "x^3+x+1", False),  # F_125, alpha has order 62
     ], ids=lambda v: str(v))
     def test_table_product_and_powers_match_schoolbook(self, p, modulus, alpha_generates):
-        field, twin = _fresh(p, modulus), _fresh(p, modulus)
-        _assert_tables_match_schoolbook(field, twin)
-        # Logs are to the context's gamma: alpha (index q) when alpha
-        # generates, else the first generator in enumeration order; at
-        # degree >= 2 no base element generates, so the two agree.
-        assert field._exp[1] == _first_generator(twin)
-        assert (field._exp[1] == field.subfield.order) == alpha_generates
-        ctx = ExtensionContext(twin)
-        assert [field._exp[ctx.dlog(a)] for a in range(1, field.order)] == \
-            list(range(1, field.order))
+        field = _fresh(p, modulus)
+        _assert_tables_match_schoolbook(field)
+        # The logs are the context's dlogs, to gamma: alpha (index q) when
+        # alpha generates, else the first generator in enumeration order.
+        product, ctx = _log_product(field), ExtensionContext(field)
+        tables = dict(zip(product.__code__.co_freevars,
+                          [cell.cell_contents for cell in product.__closure__]))
+        assert tables["log"][1:] == [ctx.dlog(a) for a in range(1, field.order)]
+        assert tables["exp"][1] == ctx.gamma.value == _first_generator(field)
+        assert (ctx.gamma.value == field.subfield.order) == alpha_generates
 
     @pytest.mark.parametrize("p, modulus", [(2, "x"), (2, "x+1"), (3, "x"), (5, "x+3")])
     def test_degree_one_extensions(self, p, modulus):
         # alpha is a base element here.  Under the modulus x it is 0, which
-        # has no cosets: the field stays untabulated and multiplies by its
-        # _mulmod kernel.
+        # has no cosets: the field keeps its own product, as a prime field
+        # does.
         f4 = _fresh(2, "x^2+x+1")
-        fields = [_fresh(p, modulus), f4.extend(parse_poly(f4, "x"))]
+        fields = [_fresh(p, modulus), f4.extend(parse_poly(f4, "x")), FieldSpec(p)]
         if modulus != "x":
-            _assert_tables_match_schoolbook(fields.pop(0), _fresh(p, modulus))
+            _assert_tables_match_schoolbook(fields.pop(0))
         for field in fields:
-            schoolbook = field._mul
-            _mulmod(field, [0, 0])
-            assert field._exp is None and field._mul is schoolbook
+            assert _log_product(field) is field._mul
 
     def test_poly_products_over_a_level_two_field(self):
+        # Building tables changes no operation of the fields they are for.
         f4 = _fresh(2, "x^2+x+1")
         top = f4.extend(parse_poly(f4, "x^3+[2]"))  # F_{4^3}, level 2
-        assert f4._exp is not None and top._exp is None
+        products = [f4._mul, top._mul]
         rng = random.Random(14)
         pairs = [(Poly(top, [rng.randrange(64) for _ in range(rng.randrange(1, 7))]),
                   Poly(top, [rng.randrange(64) for _ in range(rng.randrange(1, 5))]))
                  for _ in range(40)]
         before = [(a * b, divmod(a, b) if not b.is_zero else None) for a, b in pairs]
-        _mulmod(top, [0, 0])
-        assert top._exp is not None
+        assert _log_product(f4) is not f4._mul and _log_product(top) is not top._mul
+        assert [f4._mul, top._mul] == products
         assert [(a * b, divmod(a, b) if not b.is_zero else None) for a, b in pairs] == before
 
     @pytest.mark.parametrize("argv", [
@@ -459,52 +467,36 @@ class TestLogTables:
         ("analyze", "-q", "3", "-p", "x^4+x+2", "--start-rows", "1000;0100", "--verify"),
         ("spread", "-q", "4", "--base-modulus", "x^2+x+1", "-k", "2",
          "-p", "x^4+x^2+[2]*x+[3]", "--verify"),
+        ("poly", "order", "-q", "256", "--base-modulus", "x^8+x^4+x^3+x^2+1", "x^3+x+[2]"),
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_top_field_stays_untabulated(self, monkeypatch, capsys, argv):
-        # Over a prime field no field is a coefficient field of a product
-        # mod a polynomial; over F_4 only F_4 is.
-        built, extend = [], FieldSpec.extend
-
-        def recording(field, modulus):
-            built.append(extend(field, modulus))
-            return built[-1]
-
-        monkeypatch.setattr(FieldSpec, "extend", recording)
+        # No field of order 89 or less is tabulated: products mod a
+        # polynomial over it are carry-less or shift-and-add.  Over F_256
+        # the schoolbook runs, and F_256 is tabulated once.
+        built, build = [], orbitcodes.gfq._log_tables.__wrapped__
+        monkeypatch.setattr(orbitcodes.gfq, "_log_tables", functools.lru_cache(maxsize=16)(
+            lambda field: built.append(field.order) or build(field)))
         assert cli.main(list(argv)) == 0
         capsys.readouterr()
-        tabulated = [f.order for f in built if f._exp is not None]
-        assert built and built[-1].order > 4
-        assert tabulated == ([4] if "--base-modulus" in argv else [])
+        assert built == ([256] if "256" in argv else [])
 
     def test_no_table_above_the_square_root_of_the_cap(self):
         big = _fresh(2, "x^13+x^4+x^3+x+1")
         assert big.order ** 2 > DESK_SCALE_CAP
+        assert _log_product(big) is big._mul
         m, x = parse_poly(big, "x^2+x+[3]"), Poly.x(big)
         assert poly_powmod(x, 5, m) == x * x * x * x * x % m
-        assert big._exp is None
         edge = _fresh(2, "x^12+x^6+x^4+x+1")
         assert edge.order ** 2 == DESK_SCALE_CAP
-        poly_powmod(Poly.x(edge), 5, parse_poly(edge, "x^2+x+[3]"))
-        assert edge._exp is not None and len(edge._exp) == 2 * 4095
+        product, rng = _log_product(edge), random.Random(12)
+        assert product is not edge._mul
+        for a, b in [(rng.randrange(4096), rng.randrange(4096)) for _ in range(300)]:
+            assert product(a, b) == edge._mul(a, b), (a, b)
 
-    def test_equal_fields_build_their_own_tables(self):
+    def test_equal_fields_share_one_table(self):
         a, b = _fresh(2, "x^2+x+1"), _fresh(2, "x^2+x+1")
         assert a == b and a is not b
-        _mulmod(a, [0, 0])
-        assert a._exp is not None and b._exp is None
-        _mulmod(b, [0, 0])
-        assert b._exp is not None and b._exp is not a._exp and b._exp == a._exp
-
-    def test_tables_stay_out_of_identity_and_pickle(self):
-        field, twin = _fresh(2, "x^3+x+1"), _fresh(2, "x^3+x+1")
-        key, code, pickled = field._key, hash(field), pickle.dumps(field)
-        _mulmod(field, [0, 0])
-        assert field._key == key and hash(field) == code and field == twin
-        assert pickle.dumps(field) == pickled
-        back = pickle.loads(pickled)
-        assert back == field and hash(back) == code
-        x = field.from_index(5)
-        assert pickle.loads(pickle.dumps(x)) * x == x * x
+        assert _log_product(a) is _log_product(b) is not a._mul
 
     @pytest.mark.parametrize("p, modulus, degree, count", [
         (2, "x^2+x+1", 4, (4 ** 4 - 4 ** 2) // 4),
@@ -531,14 +523,17 @@ class TestLogTables:
 
 #: Coefficient fields of the product kernel test, each with the largest
 #: modulus degree drawn over it.  GF(3) up to degree 12 and GF(7) up to
-#: degree 8 add by three or more blocks; GF(101) is above the block-table
-#: budget and keeps the schoolbook product.
+#: degree 8 add by three or more blocks; GF(101), F_128 and F_243 are above
+#: the block-table budget and keep the schoolbook product, the two
+#: extension fields on _log_product's tables.
 KERNEL_FIELDS = {"GF(2)": (FieldSpec(2), 24), "GF(3)": (FieldSpec(3), 12),
                  "GF(5)": (FieldSpec(5), 6), "GF(7)": (FieldSpec(7), 8),
                  "F_4": (field_make(2, parse_poly(FieldSpec(2), "x^2+x+1")), 6),
                  "F_9": (field_make(3, parse_poly(FieldSpec(3), "x^2+1")), 5),
                  "F_64": (field_make(2, parse_poly(FieldSpec(2), "x^6+x+1")), 3),
-                 "GF(101)": (FieldSpec(101), 3)}
+                 "GF(101)": (FieldSpec(101), 3),
+                 "F_128": (field_make(2, parse_poly(FieldSpec(2), "x^7+x+1")), 3),
+                 "F_243": (field_make(3, parse_poly(FieldSpec(3), "x^5+2*x+1")), 2)}
 
 
 class TestProductKernel:
@@ -577,7 +572,6 @@ class TestShiftAndAddKernel:
         # (the shift table, a first block table) are let through, then 100
         # products make no call to the coefficient field's product.
         sub = _fresh(p, modulus) if modulus else FieldSpec(p)
-        _mulmod(sub, [1, 0])  # tabulates an extension field first
         calls, mul = [0], sub._mul
 
         def counting(a, b):

@@ -34,6 +34,13 @@ class TestTextSyntax:
     def test_round_trip(self, field, text):
         assert format_poly(parse_poly(field, text)) == text
 
+    def test_bool_coefficients_round_trip(self):
+        f = Poly(F3, [True, 2, False, True])
+        assert format_poly(f) == "x^3+2*x+1"
+        assert parse_poly(F3, format_poly(f)) == f == Poly(F3, [1, 2, 0, 1])
+        with pytest.raises(DomainError):
+            Poly(F3, [1.0, 2])
+
     def test_any_term_order(self):
         assert parse_poly(F2, "1+x") == parse_poly(F2, "x+1")
 
@@ -215,7 +222,7 @@ class TestIrreducibility:
         # for its one gcd.  Recomputing x^(Q^(n/t)) for each prime t | n from
         # scratch would make more products.
         f, Q = parse_poly(field, text), field.order
-        assert is_irreducible(f) == irreducible  # tabulates F_4 and F_9 first
+        assert is_irreducible(f) == irreducible
         products, mulmod = [], orbitcodes.polyring._mulmod
 
         def counting(sub, tail):

@@ -1,7 +1,8 @@
 """Source checks on src/orbitcodes, standard library only: line length, no
 private top-level name or method left without a use, memo caches that
-cannot grow without bound, and a brute-force side and a predictor that
-read no name of each other."""
+cannot grow without bound, a brute-force side and a predictor that read no
+name of each other, one kernel per arithmetic job, one key = value writer
+and FieldSpec slots set only where a field is built."""
 
 import ast
 from pathlib import Path
@@ -252,3 +253,57 @@ def test_cli_writes_key_value_lines_through_one_writer():
 ])
 def test_the_writer_check_reads_calls(source, lines):
     assert _key_value_writes(ast.parse(source)) == lines
+
+
+#: FieldSpec's private slots, and the only definitions that may set them:
+#: a field's operations are fixed when it is built.
+FIELD_SLOTS = {"_add", "_sub", "_neg", "_mul", "_join", "_key", "_hash"}
+FIELD_BUILDERS = {"FieldSpec.__init__", "FieldSpec.extend"}
+
+
+def _slot_writes(tree: ast.AST) -> list[str]:
+    """Dotted names of the definitions outside FIELD_BUILDERS ("<module>"
+    at top level) that assign or delete a FieldSpec slot of any object, or
+    set one by setattr."""
+    def writes(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in FIELD_SLOTS and not isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "setattr" and len(node.args) > 1 \
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value in FIELD_SLOTS
+
+    out = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = f"{path}.{node.name}" if path else node.name
+        if writes(node) and path not in FIELD_BUILDERS:
+            out.append(path or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(tree, "")
+    return out
+
+
+def test_field_slots_are_set_only_where_a_field_is_built():
+    assert [f"{path.name}: {name}" for path in MODULES
+            for name in _slot_writes(ast.parse(path.read_text()))] == []
+
+
+@pytest.mark.parametrize("source,names", [
+    ("class FieldSpec:\n    def __init__(self, p):\n        self._mul = f", []),
+    ("class FieldSpec:\n    def extend(self, m):\n        spec._add, spec._key = f, k", []),
+    ("def _tabulate(field):\n    field._mul = lambda a, b: 0", ["_tabulate"]),
+    ("class FieldSpec:\n    def _pow(self, a, e):\n        self._hash = 0", ["FieldSpec._pow"]),
+    ("class FieldSpec:\n    def extend(self, m):\n        def f():\n            spec._mul = g",
+     ["FieldSpec.extend.f"]),
+    ("def f(sub):\n    setattr(sub, '_join', j)", ["f"]),
+    ("def f(sub):\n    sub._neg += 1", ["f"]),
+    ("def f(sub):\n    del sub._key", ["f"]),
+    ("field._mul = g", ["<module>"]),
+    ("def f(sub):\n    mul = sub._mul\n    table[sub._key] = mul(1, 2)", []),
+    ("def f(sub):\n    sub._exp = e\n    setattr(sub, name, g)", []),
+])
+def test_the_slot_check_reads_assignments(source, names):
+    assert _slot_writes(ast.parse(source)) == names
