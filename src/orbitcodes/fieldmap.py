@@ -10,11 +10,12 @@ into orbits of multiplication by alpha.
 
 Both rest on the walk's int array, indexed by element index: with e =
 ord(alpha), the c = (q^n - 1)/e orbits are the cosets gamma^i<alpha>,
-i in [0, c), and the array holds i + c*b for the element gamma^i * alpha^b.
-The build fills it at the walk's landmarks only, every floor(e^(1/4))-th
-element of each coset; an entry still -1 is filled on its first read by
-the walk's place, which alpha-steps to the next filled entry and fills the
-path, so a context computes the logs its lookups read and few others.
+i in [0, c), and the array holds i*e + b for the element gamma^i * alpha^b.
+The build fills it at the walk's baby steps alpha^r, r < s, and at every
+s-th element of each coset, s the integer cube root of q^n - 1.  An entry
+still -1 is filled on its first read by the walk's place, which alpha-steps
+to the next filled entry and fills the path, so a context computes the logs
+its lookups read and few others.
 
 The predictor's data is one partition read, orbit_partition(u): a
 subspace vector's index is already its element index (phi is a change of
@@ -87,7 +88,7 @@ class ExtensionContext:
     """Precomputed view of F_{q^n} = F_q[x]/(p) for one irreducible p."""
 
     __slots__ = ("field", "base", "n", "q", "modulus", "alpha", "order",
-                 "primitive", "gamma", "_coords", "_fill", "_reps", "_cosets", "_unit")
+                 "primitive", "gamma", "_coords", "_fill", "_reps", "_unit")
 
     def __init__(self, field: FieldSpec):
         if field.level == 0:
@@ -98,7 +99,7 @@ class ExtensionContext:
         self.field, self.base, self.modulus = field, field.subfield, modulus
         self.n, self.q = field.degree, field.subfield.order
         self._coords, reps, alpha, self._unit, self._fill = _coset_walk(field)
-        self._cosets = c = len(reps) - 1
+        c = len(reps) - 1
         self.order = (field.order - 1) // c
         self.primitive = c == 1
         self.alpha, self.gamma = field.from_index(alpha), field.from_index(reps[1])
@@ -152,13 +153,13 @@ class ExtensionContext:
             raise DomainError("subspace does not live in this context's vector space")
         if u.dim == 0:
             raise DomainError("the zero subspace has no exponent data")
-        c, coords, fill = self._cosets, self._coords, self._fill
+        e, coords, fill = self.order, self._coords, self._fill
         exps: list[list[int]] = [[] for _ in reps]
         for x in u.nonzero_vectors():
             a = coords[x]
             if a < 0:
                 a = fill(x)
-            exps[a % c].append(a // c)
+            exps[a // e].append(a % e)
         return OrbitPartition(self.order, reps, tuple(map(len, exps)),
                               tuple(tuple(sorted(b)) for b in exps), self)
 
@@ -167,12 +168,12 @@ class ExtensionContext:
         a = self._coords[x]
         if a < 0:
             a = self._fill(x)
-        return a % self._cosets, a // self._cosets
+        return divmod(a, self.order)
 
     def _log(self, x: int) -> int:
         """Exponent with respect to gamma of the nonzero element with index x."""
         i, b = self._place(x)
-        return i + self._cosets * (b * self._unit % self.order)
+        return i + len(self._reps) * (b * self._unit % self.order)
 
     def __repr__(self):
         kind = "primitive" if self.primitive else f"order {self.order}"

@@ -302,8 +302,9 @@ class TestSpread:
     ], ids=["gf2-k2", "gf2-k3-at-the-budget", "gf2-n12-k6", "f4-k2"])
     def test_early_refusal_costs_nothing_within_the_budget(self, capsys, monkeypatch, field,
                                                            poly, k, budget, proofs):
-        # A start within the budget reads ord(p) only in the context, once;
-        # over F_4 the base field's modulus is proved too, but not ordered.
+        # A start within the budget makes no _order call: the context's
+        # coset walk finds ord(p) itself.  Over F_4 the base field's
+        # modulus is proved too, but not ordered.
         if budget is not None:  # the k = 3 spread's 7 vectors make 21 pairs
             monkeypatch.setattr(orbitcodes.orbitcode, "PAIR_BUDGET", budget)
         calls, order = count_proofs(monkeypatch), orbitcodes.polyring._order
@@ -314,7 +315,8 @@ class TestSpread:
         monkeypatch.setattr(orbitcodes.polyring, "_order", counting_order)
         code, _, _ = run(capsys, "spread", *field, "-k", k, "-p", poly, "--verify")
         assert code == 0
-        assert calls == {"is_irreducible": proofs, "extend": proofs, "_order": 1}
+        assert calls.pop("_order", 0) == 0
+        assert calls == {"is_irreducible": proofs, "extend": proofs}
 
 
 class TestAnalyze:
@@ -398,17 +400,18 @@ class TestAnalyze:
         assert err == ("error: the predictor would count 549754241025 exponent pairs, "
                        "above its budget of 1048576\n")
 
-    @pytest.mark.parametrize("poly,n,k,orders", [("x^6+x+1", 6, 3, 1),
-                                                 ("x^12+x^6+x^4+x+1", 12, 10, 1),
+    @pytest.mark.parametrize("poly,n,k,orders", [("x^6+x+1", 6, 3, 0),
+                                                 ("x^12+x^6+x^4+x+1", 12, 10, 0),
                                                  ("+".join(f"x^{i}" for i in range(12, 1, -1))
-                                                  + "+x+1", 12, 11, 2)],
+                                                  + "+x+1", 12, 11, 1)],
                              ids=["small", "at-the-budget", "past-one-orbit"])
     def test_early_refusal_costs_nothing_within_the_budget(self, capsys, monkeypatch,
                                                            poly, n, k, orders):
-        # Only a start whose q^k - 1 vectors on one orbit pass the budget
-        # reads ord(p) before the context, which reads it again; no start
-        # proves its modulus twice.  The last start's 2047 vectors lie on
-        # 315 orbits, so it passes the early bound and is analyzed.
+        # Only a start whose q^k - 1 vectors on one orbit would pass the
+        # budget reads ord(p) by _order, before the context; the context's
+        # coset walk finds ord(p) itself, and no start proves its modulus
+        # twice.  The last start's 2047 vectors lie on 315 orbits, so it
+        # passes the early bound and is analyzed.
         calls, order = count_proofs(monkeypatch), orbitcodes.polyring._order
 
         def counting_order(g):
@@ -418,7 +421,8 @@ class TestAnalyze:
         rows = ";".join("".join("1" if i == j else "0" for j in range(n)) for i in range(k))
         code, _, _ = run(capsys, "analyze", "-q", "2", "-p", poly, "--start-rows", rows)
         assert code == 0
-        assert calls == {"is_irreducible": 1, "extend": 1, "_order": orders}
+        assert calls.pop("_order", 0) == orders
+        assert calls == {"is_irreducible": 1, "extend": 1}
 
     def test_nonprimitive_example(self, capsys):
         code, out, _ = run(capsys, "analyze", "-q", "2", "-p", "x^4+x^3+x^2+x+1",

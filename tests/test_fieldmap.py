@@ -9,8 +9,8 @@ import orbitcodes.polyring
 from orbitcodes.gfq import _digits, _prime_factors
 from orbitcodes import (DomainError, ExponentProfile, ExtensionContext, FieldElement,
                         FieldSpec, Mat, Poly, Subspace, analyze, build_spread_start,
-                        companion_matrix, is_irreducible, list_irreducibles,
-                        order_of_polynomial, parse_matrix, parse_poly,
+                        companion_matrix, is_irreducible, is_primitive, list_irreducibles,
+                        matrix_order, order_of_polynomial, parse_matrix, parse_poly,
                         row_times_mat, vector_from_index)
 
 F2 = FieldSpec(2)
@@ -100,19 +100,34 @@ class TestContext:
         with pytest.raises(DomainError, match="constant term"):
             ExtensionContext(field)
 
-    def test_order_too_large_for_alpha_rejected(self, monkeypatch, p5):
-        # Told that ord(alpha) = 15, the context takes gamma = alpha, whose
-        # powers reach only 5 elements.
-        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda g: 15)
-        with pytest.raises(RuntimeError, match="gamma does not generate"):
-            ExtensionContext.from_modulus(p5)
+    @pytest.mark.parametrize("base,text", [
+        (F2, "x^4+x^2+1"),  # (x^2+x+1)^2: alpha has order 6, which does not divide 15
+        (F2, "x^6+x^5+x^4+x^3+x^2+x+1"),  # Phi_7: order 7 divides 63, no generator
+        (F3, "x^4+2*x^2+1"),  # (x^2+1)^2
+    ], ids=lambda v: str(v))
+    def test_a_reducible_modulus_let_past_extend_is_rejected(self, monkeypatch, base, text):
+        # The walk trusts extend's proof; a reducible modulus let past it
+        # is refused, not given wrong logs.
+        monkeypatch.setattr(orbitcodes.polyring, "is_irreducible", lambda f: True)
+        field = base.extend(parse_poly(base, text))
+        with pytest.raises(RuntimeError):
+            ExtensionContext(field)
 
-    def test_order_not_matching_dlog_of_alpha_rejected(self, monkeypatch, p64):
-        # Told that ord(alpha) = 7, the context picks a primitive gamma, but
-        # alpha = gamma^t has gcd(t, 63) = 1, not 63 / 7 = 9.
-        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda g: 7)
-        with pytest.raises(RuntimeError, match="does not have order 7"):
-            ExtensionContext.from_modulus(p64)
+
+class TestOrderThreeWays:
+    """ord(alpha) as the coset walk finds it, against the polynomial order
+    and the companion matrix's cycle walk, which share no code with it."""
+
+    @pytest.mark.parametrize("base,top", [(F2, 10), (F3, 6), (F4, 4)],
+                             ids=["GF(2)", "GF(3)", "F_4"])
+    def test_every_irreducible_modulus_up_to_a_degree(self, base, top):
+        for degree in range(1, top + 1):
+            for f in list_irreducibles(base, degree):
+                if f.coeffs[0]:
+                    ctx = ExtensionContext.from_modulus(f)
+                    order = matrix_order(companion_matrix(f))
+                    assert ctx.order == order_of_polynomial(f) == order, f
+                    assert ctx.primitive == is_primitive(f), f
 
 
 class TestPhi:
@@ -388,6 +403,23 @@ class TestLazyFill:
             for x in elements:
                 ctx._place(x)
         assert one._coords == two._coords and one._coords.count(-1) == 1
+
+    @pytest.mark.parametrize("text", ["x^16+x^5+x^3+x^2+1", "x^20+x^3+1"])
+    def test_the_build_fills_landmarks_and_baby_steps_only(self, text):
+        # About (q^n - 1)^(2/3) giant-step landmarks and s baby steps, s the
+        # integer cube root of q^n - 1; a cold lookup fills its path of
+        # fewer than s steps, and then the entry it asked for holds.
+        ctx = ExtensionContext.from_modulus(parse_poly(F2, text))
+        big = ctx.field.order - 1
+        s = round(big ** (1 / 3))
+        s -= s ** 3 > big
+        filled = len(ctx._coords) - ctx._coords.count(-1)
+        assert filled <= 2 * big ** (2 / 3)
+        rng = random.Random(big)
+        for x in rng.sample(range(1, big + 1), 20):
+            before = ctx._coords.count(-1)
+            ctx._place(x)
+            assert before - ctx._coords.count(-1) <= s + 1
 
     def test_gamma_powers_at_n20(self):
         ctx = ExtensionContext.from_modulus(parse_poly(F2, "x^20+x^3+1"))

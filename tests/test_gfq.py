@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitcodes.gfq
-import orbitcodes.polyring
 from orbitcodes import (DESK_SCALE_CAP, DomainError, ExtensionContext, FieldSpec, Poly,
                         build_spread_start, cli, companion_matrix, field_make,
                         generate_orbit, list_irreducibles, matrix_order,
@@ -307,9 +306,9 @@ def _reference_walk(field):
     for i in range(cosets):
         x = reps[i]
         for b in range(order):
-            coords[x] = i + cosets * b
+            coords[x] = i * order + b
             x = field._mul(x, alpha)
-    return coords, reps, alpha, pow(coords[reps[cosets]] // cosets, -1, order)
+    return coords, reps, alpha, pow(coords[reps[cosets]], -1, order)
 
 
 #: (p, base modulus or None, modulus): primitive and non-primitive moduli
@@ -322,7 +321,7 @@ WALK_MODULI = [
     (3, None, "x+1"), (5, None, "x^2+x+2"), (5, None, "x^2+2"), (5, None, "x+1"),
     (5, None, "x+3"), (2, "x^2+x+1", "x^3+[2]"), (2, "x^2+x+1", "x^3+[2]*x+[1]"),
     (2, "x^2+x+1", "x^4+x^2+[2]*x+[3]"), (2, "x^2+x+1", "x+[2]"),
-    (2, None, "x^16+x^5+x^3+x^2+1"),  # c = 1, stride 15
+    (2, None, "x^16+x^5+x^3+x^2+1"),  # c = 1, giant steps of s = 40
 ]
 
 
@@ -362,12 +361,10 @@ class TestCosetWalk:
     def test_a_char_2_step_makes_no_coefficient_product(self, monkeypatch, p,
                                                         base_modulus, modulus):
         # The walk's own products over the coefficient field are the q * n
-        # of its shift table.  gamma's search and the coset representatives
-        # multiply in the field, whose product took its closures at extend,
-        # and ord(alpha) is read before the count starts.
+        # of its shift table, ord(alpha) included.  gamma's search and the
+        # coset representatives multiply in the field, whose product took
+        # its closures at extend.
         field = _walk_field(p, base_modulus, modulus)
-        order = order_of_polynomial(field.modulus)
-        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda m: order)
         sub, calls = field.subfield, [0]
         mul = sub._mul
 
@@ -383,8 +380,6 @@ class TestCosetWalk:
         # Over GF(3) a step adds a tabulated vector too: the products are
         # the q * n of the shift table, none per step.
         field = _walk_field(3, None, "x^4+x+2")
-        order = order_of_polynomial(field.modulus)
-        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda m: order)
         calls = []
         mul = field.subfield._mul
         monkeypatch.setattr(field.subfield, "_mul",
@@ -719,8 +714,6 @@ class TestBlockTables:
         counting("_sub")
         poly = parse_poly(f3, "x^6+x+2")
         field = f3.extend(poly)
-        order = order_of_polynomial(poly)
-        monkeypatch.setattr(orbitcodes.polyring, "_order", lambda m: order)
         mul = field._mul
 
         def quiet(a, b):

@@ -171,6 +171,16 @@ KERNELS = {"_power": {"gfq.py": ["FieldSpec._pow"], "matspace.py": ["Mat.__pow__
            "_alpha_step": {"gfq.py": ["_mulmod", "_coset_walk"]}}
 
 
+#: The extension context's build, whose coset walk finds ord(alpha) itself.
+CONTEXT_BUILD = {"gfq.py": ["_coset_walk"], "fieldmap.py": ["ExtensionContext.__init__"]}
+
+
+@pytest.mark.parametrize("module,path",
+                         [(m, f) for m, fs in CONTEXT_BUILD.items() for f in fs])
+def test_the_context_build_reads_no_polynomial_order(module, path):
+    assert _uses(_definition(module, path)) & {"_order", "order_of_polynomial"} == set()
+
+
 def _functions(tree: ast.AST) -> list[ast.FunctionDef]:
     return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
