@@ -29,7 +29,7 @@ from .fieldmap import ExtensionContext
 from .gfq import DESK_SCALE_CAP, FieldSpec, _max_exponent, _prime_factors
 from .matspace import Subspace, _check_text_field, format_matrix, parse_matrix
 from .orbitcode import (AnalysisReport, _check_least_pairs, _check_oracle_budget,
-                        _check_primitive, _check_spread_shape, _header_field, _oracle_report,
+                        _check_primitive, _check_spread_shape, _oracle_report,
                         _read_code_header, _read_code_words, analyze,
                         build_spread_start, check_sidon_condition,
                         find_sidon_subspace, format_code, generate_orbit,
@@ -378,8 +378,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_distance(args) -> int:
     with open(args.file, encoding="ascii") as handle:
         lines = handle.read().splitlines()
-    field_of = (functools.partial(_base_field, base_modulus=args.base_modulus)
-                if args.base_modulus else functools.partial(_header_field, None))
+    field_of = functools.partial(_base_field, base_modulus=args.base_modulus)
     field, n, k, size = _read_code_header(lines, field_of)
     _check_oracle_budget(size, field.order, k)  # before any block is read
     words = _read_code_words(field, n, k, size, lines)

@@ -25,31 +25,26 @@ GF(2), where bit i is the coefficient of x^i, it multiplies by
 shift-and-XOR and reduces by XOR of the shifted modulus.  Over any other
 coefficient field within the block-table budget it is shift-and-add:
 a b = sum_i a_i (x^i b), each x^i b one _alpha_step on from the last (a
-digit shift and one tabulated add, the step the coset walk takes too),
-scaled and summed through the block tables.  Above the budget it splits
-the indices into digits for a schoolbook product and joins the reduced
-digits.  Its digit products are _log_product's: over an extension field of
-order Q with Q^2 within DESK_SCALE_CAP and m(0) != 0, two reads of a log
-and an antilog table with logs to the coset walk's gamma (_coset_walk),
-else the field's own product.  Elements are built only at the public API,
-in the text formats and inside Poly.
+digit shift and one tabulated add, the step fieldmap's coset walk takes
+too), scaled and summed through the block tables.  Above the budget it
+splits the indices into digits for a schoolbook product and joins the
+reduced digits.  Its digit products are _log_product's: over an extension
+field of order Q with Q^2 within DESK_SCALE_CAP and m(0) != 0, two reads of
+a log and an antilog table with logs to the gamma of the field's
+ExtensionContext, else the field's own product.  Elements are built only at
+the public API, in the text formats and inside Poly.
 
-An ExtensionContext keeps the same walk's baby steps and landmarks, about
-one element in (|F| - 1)^(1/3) of each coset, and fills the other logs as
-its lookups reach them.  The log tables live in _log_tables' bounded memo, one
-pair per equal field, and no FieldSpec attribute changes after __init__
-or extend, so a field's product never depends on what ran before.  Two
-threads that race on the memo build identical tables, and two that race
-on a context's log array fill an entry with the same value, so all values
-are immutable in effect and safe to share between threads.
+The log tables live in _log_tables' bounded memo, one pair per equal
+field, and no FieldSpec attribute changes after __init__ or extend, so a
+field's product never depends on what ran before.  Two threads that race
+on the memo build identical tables, so all values are immutable in effect
+and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import functools
-from array import array
 from collections.abc import Iterator, Sequence
-from math import gcd
 from operator import and_, mul, pos, xor
 
 from .errors import DomainError
@@ -58,22 +53,23 @@ from .errors import DomainError
 #: F_q^n whose image table generate_orbit fills (4 bytes an entry, as in an
 #: extension context's dlog array).  Single runs over GF(2) at 2^20
 #: (x^20+x^3+1) and at the cap 2^24 (x^24+x^7+x^2+x+1), Python 3.11.7, 2 vCPU
-#: Xeon, interpreter alone 13-16 MB: ExtensionContext (baby steps and
-#: landmarks) 4.9-6.0 ms at 19.6 MB max RSS and 56-80 ms at 79.6 MB, half or
-#: less of its time with ord(alpha) read off m; the companion matrix's image
-#: table, added word by word, 11-18 ms at 18 MB and 0.19-0.28 s at 78 MB (five
-#: runs each; entry by entry 0.11-0.16 s at 20 MB and 1.9-2.4 s at 110 MB).
+#: Xeon: the companion matrix's image table, added word by word, 11-18 ms at
+#: 18 MB and 0.19-0.28 s at 78 MB (five runs each; entry by entry 0.11-0.16 s
+#: at 20 MB and 1.9-2.4 s at 110 MB).  The context's own figures are at
+#: fieldmap.ExtensionContext.__init__.
 #: The table is kept with its matrix for as long as the matrix lives: 4 bytes
 #: times q^n, 64 MB at the cap.  Keeping it moved max RSS (single runs, same
 #: host) of `spread --verify` (k = 2, 1, 2) at n = 18, 19, 20 from 83.3, 219.9
 #: and 72.8 MB to 83.8, 222.0 and 72.8 MB, and of `analyze --verify` on the
 #: start e1 from 118.0, 219.8 and 124.1 MB to 119.1, 221.9 and 124.5 MB.
 #: The largest field given log/antilog tables (_log_tables) has Q = 2^12 (Q^2
-#: at the cap): 343 KiB held per memo entry, read off the coset walk's array
-#: and placed by its lookups on a miss in 2.58, 2.57 and 2.85 ms under
-#: x^12+x^6+x^4+x+1, x^12+x^3+1 and the c = 315 modulus x^12+x^11+...+x+1,
-#: against 3.76, 3.62 and 3.75 ms with every log placed by a lookup and the
-#: stride e^(1/4) (medians of 20 interleaved rounds, best of five each).
+#: at the cap): 343 KiB held per memo entry, taken from a context of the
+#: field (its misses filled by lookups, then decoded in one pass) in 2.71,
+#: 2.70 and 3.04 ms under x^12+x^6+x^4+x+1, x^12+x^3+1 and the c = 315
+#: modulus x^12+x^11+...+x+1 (medians of 21 interleaved rounds, best of five
+#: or more each; 2.66, 2.69 and 3.02 ms read straight off a bare walk in the
+#: same rounds, 3.76, 3.62 and 3.75 ms with every log placed by a lookup and
+#: the stride e^(1/4)).
 DESK_SCALE_CAP = 1 << 24
 
 
@@ -219,7 +215,7 @@ def _alpha_step(sub: "FieldSpec", tail: list[int]):
     that fill shift are made here, once).  In characteristic 2 a step is
     x * q XOR a vector that also clears h from place d; otherwise it is a
     divmod by q^(d-1) and one add, _digit_ops' block-table add.  _mulmod and
-    _coset_walk both step on it."""
+    fieldmap.ExtensionContext's coset walk both step on it."""
     q, top = sub.order, sub.order ** (len(tail) - 1)
     neg, mul = sub._neg, sub._mul
     add, _, _, join, _ = _digit_ops(sub, len(tail))
@@ -243,114 +239,6 @@ def _packed(sub: "FieldSpec") -> bool:
     return sub.level == 0 and sub.p == 2
 
 
-def _coset_walk(field: "FieldSpec"):
-    """Discrete logs in the extension field F[x]/(m), m(0) != 0, coset by
-    coset, on indices: (coords, reps, alpha, unit, place).
-
-    alpha is the residue class of x, e = ord(alpha) as the walk finds it
-    (trusting FieldSpec.extend's irreducibility proof).  The c = (|F| - 1)/e
-    cosets gamma^i<alpha>, i in [0, c), have reps gamma^0, ..., gamma^c, for
-    gamma = alpha when e = |F| - 1, else the first element in enumeration
-    order of order |F| - 1.  coords holds i*e + b at gamma^i * alpha^b, or
-    -1 while that is unknown: coset-major, so coset 0 is written before c is
-    known.  An alpha-step is _alpha_step's, so it makes no product in F; the
-    product by alpha^s is linear over the subfield, a read in each of two
-    block image tables of its shifted rows x^s, ..., x^(s + n - 1)
-    (matspace._spanner's span) and one add.
-
-    e comes from Shanks' baby-step giant-step, s the integer cube root of
-    |F| - 1: the baby steps alpha^r, r < s, are written at r, and e is the
-    first r > 0 with alpha^r = 1, if any; else the giant steps alpha^(s j)
-    are written at s j until one meets a filled entry, a baby step alpha^a,
-    and e = s j - a, the least such exponent.  The other cosets get their
-    landmarks gamma^i * alpha^b, b a multiple of s, each the one before
-    times alpha^s.  The build makes about (|F| - 1)/s of these products and
-    a cold lookup fewer than s alpha-steps, each filling an entry for good:
-    s near (|F| - 1)^(1/3) balances the build against the q^k - 1 lookups of
-    a predictor query.  place(x) returns coords[x]; on a miss it alpha-steps
-    from x to the first filled entry, fills the path and returns the entry,
-    and raises RuntimeError when there is none.
-
-    gamma is searched on coset 0, x lying in <alpha> when a lookup from x
-    meets a filled entry: g has order |F| - 1 exactly when g^(c/l) lies
-    outside <alpha> for every prime l | c (g has order c modulo <alpha>) and
-    g^c = alpha^b with gcd(b, e) = 1 (g^c has order e).  Each representative
-    is the one before times gamma.  With gamma^c = alpha^t and unit = t^-1
-    mod e, alpha = gamma^(c * unit), so gamma^i * alpha^b = gamma^j for j =
-    i + c * (b * unit mod e).  A reducible modulus let past extend raises
-    RuntimeError: e does not divide |F| - 1, or gamma fails.
-    """
-    from .matspace import _spanner
-
-    sub, modulus = field.subfield, field.modulus
-    q, n, big = sub.order, field.degree, field.order - 1
-    s = int(big ** (1 / 3) + 1e-9)  # 1e-9 lifts a cube's root; others are 1e-6 off an int
-    step = _alpha_step(sub, [m.value for m in modulus.coeffs[:-1]])
-    coords = array("i", [-1]) * field.order
-    add = field._add
-    # x^j, j < s + n: the baby steps and the rows of alpha^s's block tables.
-    rows = [1]
-    for _ in range(s + n - 1):
-        rows.append(step(rows[-1]))
-    alpha, size = rows[1], q ** (n // 2)
-    span, _ = _spanner(sub, n)
-    low, high = span(rows[s:s + n // 2]), span(rows[s + n // 2:])
-    e = next((r for r in range(1, s) if rows[r] == 1), 0)
-    for r in range(e or s):
-        coords[rows[r]] = r
-    x, b = 1, 0
-    while not e and b < big:
-        x, b = add(low[x % size], high[x // size]), b + s
-        if coords[x] < 0:
-            coords[x] = b
-        else:
-            e = b - coords[x]
-    if not e or big % e:
-        raise RuntimeError(f"alpha has no order dividing {big}")
-    c = big // e
-
-    def seek(x):
-        """coords[x], filled on a miss; -1 when none of x and its next
-        s - 1 alpha-steps is filled."""
-        path = []
-        for _ in range(s):
-            a = coords[x]
-            if a >= 0:
-                for y in reversed(path):
-                    a = a - 1 if a % e else a + e - 1  # one alpha-step back
-                    coords[y] = a
-                return a
-            path.append(x)
-            x = step(x)
-        return -1
-
-    def place(x):
-        a = seek(x)
-        if a < 0:
-            raise RuntimeError("gamma does not generate the nonzero elements")
-        return a
-
-    if c == 1:
-        gamma = alpha
-    else:
-        power, primes = field._pow, _prime_factors(c)
-        gamma = next(g for g in range(1, field.order)
-                     if seek(g) < 0
-                     and all(seek(power(g, c // ell)) < 0 for ell in primes)
-                     and gcd(seek(power(g, c)), e) == 1)
-    reps = [1, gamma]
-    for i in range(1, c):
-        x = reps[i]
-        for a in range(i * e, i * e + e, s):
-            coords[x] = a
-            x = add(low[x % size], high[x // size])
-        reps.append(field._mul(reps[i], gamma))
-    i, t = divmod(place(reps[c]), e)
-    if i or gcd(t, e) != 1:
-        raise RuntimeError("gamma does not generate the nonzero elements")
-    return coords, reps, alpha, pow(t, -1, e), place
-
-
 def _log_product(field: "FieldSpec"):
     """_mulmod's schoolbook product over field: _log_tables' reads, or field._mul
     itself for a prime field, for |field|^2 above the cap and for m(0) = 0."""
@@ -361,16 +249,11 @@ def _log_product(field: "FieldSpec"):
 @functools.lru_cache(maxsize=16)  # bounded: an entry holds up to 343 KiB (Q = 2^12)
 def _log_tables(field: "FieldSpec"):
     """exp[log[a] + log[b]] on the indices of an extension field with
-    m(0) != 0, logs to _coset_walk's gamma (an ExtensionContext's dlog),
-    each read off the walk's array and placed by its place only on a miss;
-    equal fields share one pair."""
-    coords, reps, _, unit, place = _coset_walk(field)
-    c = len(reps) - 1
-    e = (field.order - 1) // c
-    for x in range(1, field.order):
-        if coords[x] < 0:
-            place(x)
-    log = [a // e + c * (a % e * unit % e) for a in coords]  # log[0] is never read
+    m(0) != 0, logs to the gamma of the field's ExtensionContext (its dlog),
+    taken in bulk from one; equal fields share one pair."""
+    from .fieldmap import ExtensionContext
+
+    log = ExtensionContext(field)._logs()
     # The nonzero elements in order of their logs, twice over: log[a] + log[b]
     # < 2 (|field| - 1) needs no reduction.
     exp = sorted(range(1, field.order), key=log.__getitem__) * 2

@@ -562,10 +562,14 @@ class TestOrbitAndDistance:
         assert min_distance_brute(words) == 6
 
     def test_distance_prime_power_without_modulus_exits_2(self, capsys, tmp_path):
+        # The message every other command gives a prime-power q with no
+        # --base-modulus, before any block is read.
         bad = tmp_path / "gf4.code"
-        bad.write_text("4 2 1 1\n10\n")
-        code, _, err = run(capsys, "distance", str(bad))
-        assert code == 2 and "not prime" in err
+        bad.write_text("4 2 1 2\n10\n")
+        code, out, err = run(capsys, "distance", str(bad))
+        assert (code, out) == (2, "")
+        assert err == ("error: q = 4 = 2^2 requires --base-modulus (a degree-2 "
+                       "irreducible over GF(2))\n")
 
     def test_distance_oversized_header_q_exits_3(self, capsys, tmp_path):
         # the desk-scale cap on q is the cap on q^n: one cap, one exit code

@@ -12,8 +12,8 @@ from orbitcodes import (DESK_SCALE_CAP, DomainError, ExtensionContext, FieldSpec
                         build_spread_start, cli, companion_matrix, field_make,
                         generate_orbit, list_irreducibles, matrix_order,
                         order_of_polynomial, parse_poly, poly_powmod)
-from orbitcodes.gfq import (BLOCK_TABLE_BUDGET, _block_digits, _block_tables, _coset_walk,
-                            _digit_ops, _digits, _log_product, _max_exponent, _mulmod, _power,
+from orbitcodes.gfq import (BLOCK_TABLE_BUDGET, _block_digits, _block_tables, _digit_ops,
+                            _digits, _log_product, _max_exponent, _mulmod, _power,
                             _prime_factors)
 from orbitcodes.matspace import Mat, Subspace, _image_table
 from orbitcodes.orbitcode import min_distance_brute
@@ -288,9 +288,10 @@ def _first_generator(field):
 
 
 def _reference_walk(field):
-    """_coset_walk's (coords, reps, alpha, unit), built by repeated products:
-    alpha is x mod m, its order and every coset walk come from field._mul,
-    and gamma is _first_generator's."""
+    """An ExtensionContext's log array, its representatives gamma^0, ...,
+    gamma^c, alpha and unit, as indices built by repeated products: alpha
+    is x mod m, its order and every coset walk come from field._mul, and
+    gamma is _first_generator's."""
     sub, m = field.subfield, field.modulus
     alpha = field.element((Poly.x(sub) % m).coeffs).value
     order, x = 1, alpha
@@ -333,8 +334,8 @@ def _walk_field(p, base_modulus, modulus):
 
 
 class TestCosetWalk:
-    """_coset_walk's alpha-steps and its gamma search on coset 0 against
-    repeated products and the brute-force generator search."""
+    """The ExtensionContext build's alpha-steps and its gamma search on
+    coset 0 against repeated products and the brute-force generator search."""
 
     @pytest.mark.parametrize("p, base_modulus, modulus", WALK_MODULI,
                              ids=lambda v: str(v))
@@ -342,18 +343,19 @@ class TestCosetWalk:
         # Every entry the build fills is the reference's, and lookups in a
         # shuffled order fill the rest with the reference's logs.
         field = _walk_field(p, base_modulus, modulus)
-        coords, reps, alpha, unit, place = _coset_walk(field)
-        expected, *rest = _reference_walk(field)
-        assert [reps, alpha, unit] == rest
+        ctx = ExtensionContext(field)
+        expected, reps, alpha, unit = _reference_walk(field)
+        assert (list(ctx._reps), ctx.gamma.value, ctx.alpha.value, ctx._unit) \
+            == (reps[:-1], reps[1], alpha, unit)
         assert reps[1] == (alpha if len(reps) == 2 else _first_generator(field))
-        assert all(a in (-1, b) for a, b in zip(coords, expected))
+        assert all(a in (-1, b) for a, b in zip(ctx._coords, expected))
         elements = list(range(1, field.order))
         random.Random(modulus).shuffle(elements)
-        assert [place(x) for x in elements] == [expected[x] for x in elements]
-        assert list(coords) == expected
+        assert [ctx._fill(x) for x in elements] == [expected[x] for x in elements]
+        assert list(ctx._coords) == expected
 
     def test_the_moduli_cover_both_kinds_of_walk(self):
-        cosets = {len(_coset_walk(_walk_field(*m))[1]) - 1 for m in WALK_MODULI}
+        cosets = {len(ExtensionContext(_walk_field(*m))._reps) for m in WALK_MODULI}
         assert {1, 2, 3, 7, 315} <= cosets
 
     @pytest.mark.parametrize("p, base_modulus, modulus",
@@ -373,7 +375,7 @@ class TestCosetWalk:
             return mul(a, b)
 
         monkeypatch.setattr(sub, "_mul", counting)
-        _coset_walk(field)
+        ExtensionContext(field)
         assert calls[0] == sub.order * field.degree
 
     def test_an_odd_step_makes_no_coefficient_product(self, monkeypatch):
@@ -384,7 +386,7 @@ class TestCosetWalk:
         mul = field.subfield._mul
         monkeypatch.setattr(field.subfield, "_mul",
                             lambda a, b: calls.append(a) or mul(a, b))
-        _coset_walk(field)
+        ExtensionContext(field)
         assert len(calls) == field.subfield.order * field.degree
 
 
@@ -695,9 +697,10 @@ class TestBlockTables:
 
     def test_gf3_vectors_add_without_digit_adds(self, monkeypatch, fresh_ops):
         # Once the tables exist, span, spans, canonical rows, a rank, the
-        # image table with its rank check and the coset walk's steps make
-        # no call to GF(3)'s own add or sub.  The field's own products (the
-        # coset representatives) and the pivots' inverses are not counted.
+        # image table with its rank check and the context build's steps
+        # make no call to GF(3)'s own add or sub.  The field's own products
+        # (gamma's search and the coset representatives) and the pivots'
+        # inverses are not counted.
         f3, gate, calls = FieldSpec(3), [False], []
 
         def counting(name):
@@ -733,5 +736,5 @@ class TestBlockTables:
         assert Mat(f3, p.rows).rank() == 6
         assert len(_image_table(Mat(f3, p.rows))) == 3 ** 6
         assert min_distance_brute(code) == 2
-        _coset_walk(field)
+        ExtensionContext(field)
         assert calls == []

@@ -1,10 +1,13 @@
 """Source checks on src/orbitcodes, standard library only: line length, no
 private top-level name or method left without a use, memo caches that
 cannot grow without bound, a brute-force side and a predictor that read no
-name of each other, one kernel per arithmetic job, one key = value writer
-and FieldSpec slots set only where a field is built."""
+name of each other, one kernel per arithmetic job, one key = value writer,
+FieldSpec slots set only where a field is built, field arithmetic that
+imports no discrete-log code but the log tables', a log array that only
+fieldmap reads, and the rules of tests/code_lines.py."""
 
 import ast
+import runpy
 from pathlib import Path
 
 import pytest
@@ -168,11 +171,11 @@ KERNELS = {"_power": {"gfq.py": ["FieldSpec._pow"], "matspace.py": ["Mat.__pow__
                       "polyring.py": ["poly_powmod", "is_irreducible", "_order"]},
            "_divide": {"polyring.py": ["Poly.__divmod__", "_euclid"]},
            "_combine": {"matspace.py": ["_spanner", "_xor_span", "_xor_spans"]},
-           "_alpha_step": {"gfq.py": ["_mulmod", "_coset_walk"]}}
+           "_alpha_step": {"gfq.py": ["_mulmod"], "fieldmap.py": ["ExtensionContext.__init__"]}}
 
 
 #: The extension context's build, whose coset walk finds ord(alpha) itself.
-CONTEXT_BUILD = {"gfq.py": ["_coset_walk"], "fieldmap.py": ["ExtensionContext.__init__"]}
+CONTEXT_BUILD = {"fieldmap.py": ["ExtensionContext.__init__", "ExtensionContext._seek"]}
 
 
 @pytest.mark.parametrize("module,path",
@@ -317,3 +320,89 @@ def test_field_slots_are_set_only_where_a_field_is_built():
 ])
 def test_the_slot_check_reads_assignments(source, names):
     assert _slot_writes(ast.parse(source)) == names
+
+
+#: The package modules gfq.py imports, by the definition that imports each
+#: ("<module>" at top level): field arithmetic needs only the errors at
+#: import, the irreducibility proof of extend and the logs of the tables.
+GFQ_IMPORTS = {("<module>", "errors"), ("FieldSpec.extend", "polyring"),
+               ("_log_tables", "fieldmap")}
+#: The context's log array and its decoding, read in fieldmap.py alone.
+LOG_ARRAY = {"_coords", "_unit", "_reps"}
+
+
+def _sibling_imports(tree: ast.AST) -> list[tuple[str, str]]:
+    """(scope, module) for each import of a module of the package, relative
+    or as orbitcodes.<module>: scope is the dotted name of the enclosing
+    definition, or "<module>" at top level."""
+    out = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = f"{path}.{node.name}" if path else node.name
+        modules = []
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level and parts != [""]:
+                modules = parts[:1]
+            elif node.level or parts == ["orbitcodes"]:
+                modules = [a.name for a in node.names]
+            elif parts[0] == "orbitcodes":
+                modules = parts[1:2]
+        elif isinstance(node, ast.Import):
+            modules = [a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("orbitcodes.")]
+        out.extend((path or "<module>", m) for m in modules)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(tree, "")
+    return out
+
+
+def test_field_arithmetic_imports_no_discrete_log_code():
+    assert set(_sibling_imports(ast.parse((SRC / "gfq.py").read_text()))) == GFQ_IMPORTS
+
+
+@pytest.mark.parametrize("source,imports", [
+    ("from .errors import DomainError\nimport functools", [("<module>", "errors")]),
+    ("from . import polyring, gfq", [("<module>", "polyring"), ("<module>", "gfq")]),
+    ("def f():\n    from .matspace import _spanner", [("f", "matspace")]),
+    ("class A:\n    def g(self):\n        import orbitcodes.fieldmap",
+     [("A.g", "fieldmap")]),
+    ("from orbitcodes.cli import main\nfrom orbitcodes import gfq",
+     [("<module>", "cli"), ("<module>", "gfq")]),
+    ("from __future__ import annotations\nfrom array import array\nimport math", []),
+])
+def test_the_import_check_reads_relative_and_package_imports(source, imports):
+    assert _sibling_imports(ast.parse(source)) == imports
+
+
+def test_only_fieldmap_reads_the_log_array():
+    readers = [path.name for path in MODULES if path.name != "fieldmap.py"
+               and _uses(ast.parse(path.read_text())) & LOG_ARRAY]
+    assert readers == []
+
+
+code_lines = runpy.run_path(str(Path(__file__).with_name("code_lines.py")))["code_lines"]
+
+
+def test_the_code_line_counter_skips_docstrings_comments_and_blanks():
+    source = '''"""A module docstring
+on two lines."""
+
+# a comment line
+def f(a,
+      b):  # a continued expression: both lines count
+    """A function docstring."""
+
+    return a + \\
+        b
+
+
+class C:
+    """A class docstring."""
+    text = """a string that is
+not a docstring"""
+'''
+    assert code_lines(source) == 7
